@@ -7,16 +7,18 @@ it has. Set-up ends when the bulk load's compactions have drained and
 the server answers a ping.
 
 One client on another CPU runs a closed loop of BATCH frames in rounds
-of 2000, 64 and 512 ranges. Ranges are drawn with Zipf(1.1) popularity
+of 2000, 256 and 512 ranges. Ranges are drawn with Zipf(1.1) popularity
 over 1024 hot ranges, even ranks holding a key and odd ranks correlated
 empty ranges, so batches repeat ranges: the planner's dedup and negative
 cache earn their keep here (on ``probe-batch`` they are pure cost), and
 the block cache holds the hot set. A two-second warm-up fills both
 caches before timing.
 
-* ``p50_ms`` / ``p90_ms``: 2000-range frames; ``low_*``: 64-range frames;
+* ``p50_ms`` / ``p90_ms``: 2000-range frames; ``low_*``: 256-range frames;
   ``high_*``: 512-range frames — client round trips through the protocol,
-  the server's dispatch and the service's fan-out;
+  the server's dispatch and the service's fan-out. (64-range frames, as
+  ``probe-batch`` uses, last ~3 ms, and their p90 moved by a fifth
+  between runs with this host's stalls.)
 * ``peak_rss_mb``: the server process's VmHWM;
 * ``wasted_reads_per_kq``: repeats make a filter false positive a
   first-touch cost here (the negative cache remembers proven-empty
@@ -55,14 +57,14 @@ from spans import load_dump
 N_KEYS = 200_000
 N_HOT = 1024
 SKEW = 1.1
-SIZES = (2000, 64, 512)
+SIZES = (2000, 256, 512)
 MAIN, LOW, HIGH = SIZES
 ROUNDS_PER_SECOND = 50  # inputs drawn up front; ~1.5x what this host uses
 WARMUP_S = 2.0
 CYCLES = 5  # traced runs trace every other fifth of the window
 CHILD = Path(__file__).resolve().parent / "server_child.py"
 READY_TIMEOUT = 120.0
-SWEEP_QUERIES = 200_000
+SWEEP_QUERIES = 100_000
 SWEEP_BATCH = 2000
 
 
