@@ -24,6 +24,7 @@ BITS_PER_KEY = 16.0
 FILTER_SEED = 42        # the engine CLI's default --seed
 MEMTABLE_LIMIT = 2048   # the engine CLI's default --memtable-limit
 FANOUT = 4              # the engine CLI's default --fanout
+N_KEYS = 200_000        # keys in the probe-batch and net-zipf stores
 SETUP_REPEATS = 3
 
 # (name, unit) of every end-to-end metric, in BENCHMARK.json order.
@@ -36,7 +37,6 @@ END_TO_END = [
     ("low_p90_ms", "ms"),
     ("high_p50_ms", "ms"),
     ("high_p90_ms", "ms"),
-    ("gen_lag_p90_ms", "ms"),
     ("wasted_reads_per_kq", "count"),
     ("write_amp", "ratio"),
     ("filter_bits_per_key", "bits"),
@@ -98,25 +98,6 @@ def vmhwm_mb(pid: int | str = "self") -> float:
     raise RuntimeError("VmHWM not found")
 
 
-def cpu_seconds(pid: int) -> float:
-    """User + system CPU time of a process (all threads), in seconds."""
-    with open(f"/proc/{pid}/stat") as fh:
-        fields = fh.read().rsplit(")", 1)[1].split()
-    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
-
-
-def pct(values: Sequence[float], q: float, label: str) -> float:
-    """Percentile ``q`` of ``values``; warns when fewer than ten samples
-    lie beyond it, since the tail is then not supported by the data."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise RuntimeError(f"no samples for {label}")
-    beyond = arr.size * (100.0 - q) / 100.0
-    if q > 50 and beyond < 10:
-        log(f"warning: {label} p{q:g} has {arr.size} samples ({beyond:.1f} beyond it)")
-    return float(np.percentile(arr, q))
-
-
 def sliced_pct(values: Sequence[float], q: float, label: str) -> float:
     """Mean over consecutive slices of each slice's ``q``-th percentile,
     each slice holding enough samples to put ten beyond it (at least 50).
@@ -143,8 +124,8 @@ def pin_to_cpu(which: int) -> None:
         os.sched_setaffinity(0, {cpus[which]})
 
 
-def median_setup(build, repeats: int = SETUP_REPEATS):
-    """Run ``build(i)`` ``repeats`` times; each returns ``(result, close)``.
+def median_setup(build):
+    """Run ``build(i)`` ``SETUP_REPEATS`` times; each returns ``(result, close)``.
 
     Returns ``(median seconds, last result, its close)``. Every build but
     the last is torn down through its ``close``, so only one engine is
@@ -152,7 +133,7 @@ def median_setup(build, repeats: int = SETUP_REPEATS):
     """
     times: List[float] = []
     result = None
-    for i in range(repeats):
+    for i in range(SETUP_REPEATS):
         if result is not None:
             result[1]()
         gc.collect()

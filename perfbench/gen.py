@@ -20,6 +20,8 @@ CORRELATION = 0.8  # the paper's adversarial degree D
 
 # Share of each probe batch: uncorrelated empty, correlated empty, non-empty.
 MIX = (0.45, 0.45, 0.10)
+DELETE_SHARE = 0.10  # of the ingest script's mutations
+ZIPF_SKEW = 1.1
 
 _TAG_KEYS, _TAG_PROBES, _TAG_ZIPF, _TAG_ZIPF_PICKS, _TAG_MUTATIONS, _TAG_SWEEP = range(6)
 
@@ -149,11 +151,12 @@ def zipf_hot_set(seed: int, sorted_keys: np.ndarray, n_hot: int) -> np.ndarray:
     return hot
 
 
-def zipf_batches(seed: int, hot: np.ndarray, sizes: List[int], skew: float) -> List[np.ndarray]:
-    """Batches of ranges drawn from ``hot`` with Zipf(``skew``) popularity
-    by rank, so batches repeat ranges within and across each other."""
+def zipf_batches(seed: int, hot: np.ndarray, sizes: List[int]) -> List[np.ndarray]:
+    """Batches of ranges drawn from ``hot`` with Zipf(:data:`ZIPF_SKEW`)
+    popularity by rank, so batches repeat ranges within and across each
+    other."""
     rng = _rng(seed, _TAG_ZIPF_PICKS)
-    weights = 1.0 / np.arange(1, hot.size + 1, dtype=np.float64) ** skew
+    weights = 1.0 / np.arange(1, hot.size + 1, dtype=np.float64) ** ZIPF_SKEW
     picks = hot[rng.choice(hot.size, size=sum(sizes), p=weights / weights.sum())]
     return np.split(picks, np.cumsum(sizes)[:-1])
 
@@ -175,7 +178,6 @@ class MutationScript:
 
 def mutation_script(
     seed: int, preloaded_sorted: np.ndarray, *, blocks: int, block: int,
-    delete_share: float = 0.10,
 ) -> MutationScript:
     """90% puts of fresh keys, 10% deletes of keys the script put earlier.
 
@@ -186,7 +188,7 @@ def mutation_script(
     """
     rng = _rng(seed, _TAG_MUTATIONS)
     n = blocks * block
-    ops = (rng.random(n) < delete_share).astype(np.uint8)
+    ops = (rng.random(n) < DELETE_SHARE).astype(np.uint8)
     ops[0] = PUT
     put_pos = np.flatnonzero(ops == PUT)
     fresh = rng.integers(0, UNIVERSE, put_pos.size + put_pos.size // 8 + 64, dtype=np.uint64)

@@ -15,7 +15,6 @@ run's compaction and scheduler metrics.
 * ``p50_ms`` / ``p90_ms``: the probe calls (a single-range batch: the
   per-run fixed cost of a read against a deep tree);
 * ``low_*`` / ``high_*``: put and delete calls;
-* ``gen_lag_p90_ms``: the caller's own gap between two calls;
 * ``wasted_reads_per_kq``: the probes are too few for a steady count of
   filter false positives, so it comes from a closing sweep of fresh
   empty ranges (half correlated) in 2000-range batches after the script.
@@ -82,14 +81,16 @@ def run(seed: int, seconds: float, trace: bool):
     verdicts = []
     # class -> (untraced, traced) call latencies
     lat = {name: ([], []) for name in ("put", "delete", "probe", "checkpoint")}
-    gaps, windows = [], []
+    windows = []
     gc.collect()
     gc.freeze()
     start = time.perf_counter()
-    last_end = start
     done = 0
     for b in range(blocks):
-        traced = trace and b % 2 == 1
+        # Every other block is traced, the phase flipping after each
+        # checkpoint, so checkpoints fall on both sides of the overhead
+        # ratio in turn.
+        traced = trace and (b + b // CHECKPOINT_EVERY) % 2 == 1
         rec.enabled = traced
         block_start = time.perf_counter()
         puts, deletes = lat["put"][traced], lat["delete"][traced]
@@ -97,26 +98,19 @@ def run(seed: int, seconds: float, trace: bool):
             if ops[i] == DELETE:
                 t0 = time.perf_counter()
                 delete(keys[i])
-                t1 = time.perf_counter()
-                deletes.append(t1 - t0)
+                deletes.append(time.perf_counter() - t0)
             else:
                 t0 = time.perf_counter()
                 put(keys[i], b"w")
-                t1 = time.perf_counter()
-                puts.append(t1 - t0)
-            gaps.append(t0 - last_end)
-            last_end = t1
+                puts.append(time.perf_counter() - t0)
         lo = probes[b]
         t0 = time.perf_counter()
         verdicts.append(engine.batch_range_empty(lo, lo + span))
-        t1 = time.perf_counter()
-        lat["probe"][traced].append(t1 - t0)
-        gaps.append(t0 - last_end)
-        last_end = t1
+        lat["probe"][traced].append(time.perf_counter() - t0)
         if (b + 1) % CHECKPOINT_EVERY == 0:
+            t0 = time.perf_counter()
             engine.checkpoint()
-            last_end = time.perf_counter()
-            lat["checkpoint"][traced].append(last_end - t1)
+            lat["checkpoint"][traced].append(time.perf_counter() - t0)
         rec.enabled = False
         done = b + 1
         if traced:
@@ -149,7 +143,7 @@ def run(seed: int, seconds: float, trace: bool):
         metrics["trace.p50_ratio"] = float(
             np.median(lat["probe"][True]) / np.median(lat["probe"][False]))
         print(layer_table(self_s, sum(b - a for a, b in windows)))
-        rec.dump(common.WORK / f"trace-ingest-mixed-{seed}.json", windows)
+        rec.dump(common.WORK / f"trace-ingest-mixed-{seed}.json", windows=windows)
         close()
         return metrics, mutations + done, wrong
 
@@ -170,7 +164,6 @@ def run(seed: int, seconds: float, trace: bool):
         "low_p90_ms": common.sliced_pct(ms["put"], 90, "low_p90_ms"),
         "high_p50_ms": common.sliced_pct(ms["delete"], 50, "high_p50_ms"),
         "high_p90_ms": common.sliced_pct(ms["delete"], 90, "high_p90_ms"),
-        "gen_lag_p90_ms": common.pct(np.asarray(gaps) * 1e3, 90, "gen_lag_p90_ms"),
         "wasted_reads_per_kq": wasted * 1e3 / sweep.size,
         "write_amp": engine.stats.write_amplification,
         "filter_bits_per_key": engine.filter_bits_total / live,
@@ -179,7 +172,6 @@ def run(seed: int, seconds: float, trace: bool):
         "ok_frac": 1.0 - wrong / (mutations + done + sweep.size),
     }
     common.log(f"samples: probes={len(ms['probe'])} puts={len(ms['put'])} "
-               f"deletes={len(ms['delete'])} checkpoints={len(ms['checkpoint'])} "
-               f"gaps={len(gaps)}")
+               f"deletes={len(ms['delete'])} checkpoints={len(ms['checkpoint'])}")
     close()
     return metrics, mutations + done + sweep.size, wrong

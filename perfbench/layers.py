@@ -133,6 +133,9 @@ class Layers:
     # -- the layer map ---------------------------------------------------
 
     def install(self) -> None:
+        """Wrap every layer; does nothing when already installed."""
+        if self._undo:
+            return
         import repro.engine.batch as batch_mod
         import repro.engine.engine as engine_mod
         import repro.engine.persist as persist_mod

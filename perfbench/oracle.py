@@ -60,12 +60,16 @@ class Oracle:
         start = np.searchsorted(self.keys, los, side="left")
         stop = np.searchsorted(self.keys, his, side="right")
         out = start == stop
-        # Only ranges holding some key ever stored need the liveness test;
-        # with 32-wide ranges over sparse keys that is a handful per batch.
-        for i in np.flatnonzero(~out):
-            born = self.born[start[i]:stop[i]]
-            died = self.died[start[i]:stop[i]]
-            out[i] = not bool(np.any((born < t) & (t <= died)))
+        # Ranges holding some key ever stored are empty when none of
+        # those keys is live at ``t``: test each stored key of each such
+        # range, then count the live ones per range.
+        hit = np.flatnonzero(~out)
+        if hit.size:
+            counts = stop[hit] - start[hit]
+            offsets = np.cumsum(counts) - counts
+            idx = np.arange(counts.sum()) + np.repeat(start[hit] - offsets, counts)
+            live = (self.born[idx] < t) & (t <= self.died[idx])
+            out[hit] = np.add.reduceat(live.astype(np.int64), offsets) == 0
         return out
 
     def live_count(self, t: int = NEVER) -> int:

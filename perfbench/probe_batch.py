@@ -10,8 +10,7 @@ after which latency no longer drifts.
 
 * ``p50_ms`` / ``p90_ms``: 2000-range calls, the workload's bulk probe;
 * ``low_*``: 64-range calls, where the per-call fixed cost weighs most;
-* ``high_*``: 512-range calls, the network tier's largest coalesced batch;
-* ``gen_lag_p90_ms``: the caller's own gap between two calls.
+* ``high_*``: 512-range calls, the network tier's largest coalesced batch.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from layers import Layers, layer_metrics, layer_table
 from oracle import Oracle, wrong_verdicts
 from spans import Recorder
 
-N_KEYS = 200_000
 SIZES = (2000, 64, 512)
 MAIN, LOW, HIGH = SIZES
 ROUNDS_PER_SECOND = 30  # inputs drawn up front; ~1.5x what this host uses
@@ -49,7 +47,7 @@ def warm_up(engine, batches, span, verdicts) -> int:
 
 
 def run(seed: int, seconds: float, trace: bool):
-    keys = make_keys(seed, N_KEYS)
+    keys = make_keys(seed, common.N_KEYS)
     sorted_keys = np.sort(keys)
     rounds = int(ROUNDS_PER_SECOND * (seconds + WARMUP_S))
     batches = probe_batches(seed, sorted_keys, list(SIZES) * rounds)
@@ -72,13 +70,12 @@ def run(seed: int, seconds: float, trace: bool):
         layers.install()
     verdicts = []
     lat = {size: ([], []) for size in SIZES}  # size -> (untraced, traced)
-    gaps, windows = [], []
+    windows = []
     gc.collect()
     gc.freeze()
     used = first = warm_up(engine, batches, span, verdicts)
     wasted0 = engine.stats.wasted_reads
     start = time.perf_counter()
-    last_end = None
     for r in range(rounds - used // len(SIZES)):
         traced = trace and r % 2 == 1
         rec.enabled = traced
@@ -88,11 +85,7 @@ def run(seed: int, seconds: float, trace: bool):
             used += 1
             t0 = time.perf_counter()
             verdicts.append(engine.batch_range_empty(lo, lo + span))
-            t1 = time.perf_counter()
-            if last_end is not None:
-                gaps.append(t0 - last_end)
-            last_end = t1
-            lat[size][traced].append(t1 - t0)
+            lat[size][traced].append(time.perf_counter() - t0)
         rec.enabled = False
         if traced:
             windows.append((round_start, time.perf_counter()))
@@ -123,7 +116,7 @@ def run(seed: int, seconds: float, trace: bool):
         metrics["trace.p50_ratio"] = float(np.median(lat[MAIN][True]) / np.median(lat[MAIN][False]))
         window_s = sum(b - a for a, b in windows)
         print(layer_table(self_s, window_s))
-        rec.dump(common.WORK / f"trace-probe-batch-{seed}.json", windows)
+        rec.dump(common.WORK / f"trace-probe-batch-{seed}.json", windows=windows)
     else:
         ms = {size: np.asarray(lat[size][False]) * 1e3 for size in SIZES}
         metrics = {
@@ -135,15 +128,13 @@ def run(seed: int, seconds: float, trace: bool):
             "low_p90_ms": common.sliced_pct(ms[LOW], 90, "low_p90_ms"),
             "high_p50_ms": common.sliced_pct(ms[HIGH], 50, "high_p50_ms"),
             "high_p90_ms": common.sliced_pct(ms[HIGH], 90, "high_p90_ms"),
-            "gen_lag_p90_ms": common.pct(np.asarray(gaps) * 1e3, 90, "gen_lag_p90_ms"),
             "wasted_reads_per_kq": wasted * 1e3 / queries,
             "write_amp": engine.stats.write_amplification,
-            "filter_bits_per_key": engine.filter_bits_total / N_KEYS,
-            "disk_bytes_per_key": common.dir_bytes(directory) / N_KEYS,
+            "filter_bits_per_key": engine.filter_bits_total / common.N_KEYS,
+            "disk_bytes_per_key": common.dir_bytes(directory) / common.N_KEYS,
             "peak_rss_mb": common.vmhwm_mb(),
             "ok_frac": 1.0 - wrong / attempted,
         }
-        common.log("samples: " + ", ".join(f"{s}-range calls={len(ms[s])}" for s in SIZES)
-                   + f", gaps={len(gaps)}")
+        common.log("samples: " + ", ".join(f"{s}-range calls={len(ms[s])}" for s in SIZES))
     close()
     return metrics, attempted, wrong

@@ -2,7 +2,7 @@
 
 Run by :mod:`net_zipf` as a child process::
 
-    python3 perfbench/server_child.py --seed 1 --keys 200000 --dir D --dump F
+    python3 perfbench/server_child.py --seed 1 --dir D --dump F
 
 It pins itself to the last CPU it may use (the generator takes the
 first), bulk-loads the seed's keys into a persistent engine with the
@@ -12,7 +12,8 @@ compaction drain, starts the front door on a free local port and prints
 recording spans (installing the layer wrappers the first time),
 ``SIGUSR2`` stops recording, and ``SIGTERM`` shuts down like the CLI
 (drain, checkpoint, close) and writes ``--dump``: the server's stats
-and, when recorded, the spans, counters and traced windows.
+and, when recorded, the spans and counters. The client knows when its
+traced requests ran, so it sets the traced windows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import gc
 import os
 import signal
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +32,6 @@ ROOT = Path(__file__).resolve().parent.parent
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--keys", type=int, required=True)
     parser.add_argument("--dir", required=True)
     parser.add_argument("--dump", required=True)
     args = parser.parse_args()
@@ -47,7 +46,7 @@ def main() -> int:
 
     common.pin_to_cpu(-1)
     engine = common.build_engine(Path(args.dir), "full")
-    common.bulk_load(engine, make_keys(args.seed, args.keys))
+    common.bulk_load(engine, make_keys(args.seed, common.N_KEYS))
     service = RangeQueryService(engine, num_threads=len(os.sched_getaffinity(0)))
     service.wait_for_compactions(timeout=60.0)
     # As in the closed loops: set-up's objects leave the collector's
@@ -57,17 +56,13 @@ def main() -> int:
     gc.freeze()
     rec = Recorder()
     layers = Layers(rec)
-    windows = []
 
     def start_trace() -> None:
-        if not windows:
-            layers.install()
-        windows.append([time.perf_counter(), 0.0])
+        layers.install()
         rec.enabled = True
 
     def stop_trace() -> None:
         rec.enabled = False
-        windows[-1][1] = time.perf_counter()
 
     async def serve() -> dict:
         server = NetServer(service, config=ServerConfig())
@@ -88,7 +83,7 @@ def main() -> int:
     payload = {"server": server_stats, "snapshot": service.stats_snapshot()}
     service.close(checkpoint=True)
     engine.close(checkpoint=False)
-    rec.dump(args.dump, windows, payload)
+    rec.dump(args.dump, **payload)
     return 0
 
 

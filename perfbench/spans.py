@@ -23,7 +23,7 @@ import json
 import threading
 import time
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Span = Tuple[int, int, int, str, float, float]  # id, parent, rid, name, t0, t1
 
@@ -69,13 +69,12 @@ class Recorder:
 
         return run
 
-    def dump(self, path, windows, extra: Optional[dict] = None) -> None:
-        """Write the traced windows, spans and counters as JSON."""
+    def dump(self, path, **extra) -> None:
+        """Write the spans, counters and ``extra`` fields as JSON."""
         payload = {
-            "windows": [list(w) for w in windows],
             "spans": [list(s) for s in self.spans],
             "counters": dict(self.counters),
-            **(extra or {}),
+            **extra,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh)

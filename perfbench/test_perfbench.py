@@ -95,13 +95,28 @@ def test_oracle_follows_the_mutation_script():
         assert oracle.live_count(t) == len(live)
 
 
+def test_oracle_on_ranges_holding_several_keys():
+    pre = np.array([0, 5, 10, 40, 41], dtype=np.uint64)
+    ops = np.array([gen.PUT, gen.PUT, gen.DELETE, gen.PUT, gen.DELETE, gen.DELETE], dtype=np.uint8)
+    keys = np.array([3, 70, 3, 7, 70, 7], dtype=np.uint64)
+    oracle = Oracle(pre, ops, keys)
+    los = np.arange(0, 90, dtype=np.uint64)
+    live = set(pre.tolist())
+    for t in range(ops.size + 1):
+        brute = np.array([not any(lo <= k < lo + gen.RANGE_SIZE for k in live)
+                          for lo in los.tolist()])
+        assert np.array_equal(oracle.empty(los, t), brute)
+        if t < ops.size:
+            (live.add if ops[t] == gen.PUT else live.discard)(int(keys[t]))
+
+
 def _streams(seed):
     keys = gen.make_keys(seed, 3000)
     sk = np.sort(keys)
     hot = gen.zipf_hot_set(seed, sk, 64)
     script = gen.mutation_script(seed, sk, blocks=3, block=40)
     parts = [keys, hot, *gen.probe_batches(seed, sk, [256, 64]),
-             *gen.zipf_batches(seed, hot, [64, 32], 1.1),
+             *gen.zipf_batches(seed, hot, [64, 32]),
              script.ops, script.keys, script.probes, gen.empty_sweep(seed, sk, 100)]
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
