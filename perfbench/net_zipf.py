@@ -32,12 +32,21 @@ four threads and each hand-off stretches when the host stalls. Closed-
 loop batches put enough work behind each hand-off to stay inside the
 bounds, and pinning the server with a single query thread stops the
 threads queueing behind each other for the interpreter lock.
+
+Each frame wakes the server's CPU and then the client's. On this VM a
+halted vCPU took up to 2-4 ms to wake at the 99th percentile, and that
+tail moved with the host's load, so while the client runs an
+idle-priority busy loop on each CPU keeps the vCPUs from halting (wake-up
+p99 0.4-0.5 ms). At ``SCHED_IDLE`` the loops only take time nothing else
+wants.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
+import os
 import select
 import shutil
 import signal
@@ -65,6 +74,26 @@ CHILD = Path(__file__).resolve().parent / "server_child.py"
 READY_TIMEOUT = 120.0
 SWEEP_QUERIES = 100_000
 SWEEP_BATCH = 2000
+# Spins until its parent is gone, so a killed benchmark leaves none behind.
+SPIN = """import os, sys
+parent = os.getppid()
+os.sched_setaffinity(0, {int(sys.argv[1])})
+os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+while os.getppid() == parent:
+    pass
+"""
+
+
+@contextlib.contextmanager
+def idle_spinners(cpus):
+    """An idle-priority busy loop on each of ``cpus`` while the block runs."""
+    procs = [subprocess.Popen([sys.executable, "-c", SPIN, str(cpu)]) for cpu in cpus]
+    try:
+        yield
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
 
 
 class Server:
@@ -126,6 +155,7 @@ def run(seed: int, seconds: float, trace: bool):
         return server, close
 
     setup_s, server, close = common.median_setup(build)
+    spinning = idle_spinners(sorted(os.sched_getaffinity(0)))
     common.pin_to_cpu(0)
     verdicts = []
     lat = {size: ([], []) for size in SIZES}  # size -> (untraced, traced)
@@ -134,7 +164,7 @@ def run(seed: int, seconds: float, trace: bool):
     # stopped, so the signals' settling time stays out of the windows.
     windows = []
     try:
-        with SyncClient(server.host, server.port) as client:
+        with spinning, SyncClient(server.host, server.port) as client:
             used = 0
             start = time.perf_counter()
             while time.perf_counter() - start < WARMUP_S:
