@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from gen import RANGE_SIZE, UNIVERSE
+from speed import Speed
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench"
@@ -26,6 +27,7 @@ MEMTABLE_LIMIT = 2048   # the engine CLI's default --memtable-limit
 FANOUT = 4              # the engine CLI's default --fanout
 N_KEYS = 200_000        # keys in the probe-batch and net-zipf stores
 SETUP_REPEATS = 3
+LOAD_CHUNK = 10_000     # keys put between two reference-kernel samples
 
 # (name, unit) of every end-to-end metric, in BENCHMARK.json order.
 END_TO_END = [
@@ -68,13 +70,18 @@ def build_engine(directory: Path, compaction: str):
     return engine
 
 
-def bulk_load(engine, keys: np.ndarray) -> None:
-    """The CLI's bulk load: one put per key, flush, settle, checkpoint."""
-    for key in keys.tolist():
-        engine.put(key, b"v")
+def bulk_load(engine, keys: np.ndarray, speed: Speed) -> None:
+    """The CLI's bulk load: one put per key, flush, settle, checkpoint,
+    sampling the reference kernel every ``LOAD_CHUNK`` keys and at the end."""
+    keys = keys.tolist()
+    for i in range(0, len(keys), LOAD_CHUNK):
+        speed.sample()
+        for key in keys[i:i + LOAD_CHUNK]:
+            engine.put(key, b"v")
     engine.flush_all()
     engine.drain_compactions()
     engine.checkpoint()
+    speed.sample()
 
 
 def fresh_dir(name: str) -> Path:
@@ -100,19 +107,26 @@ def vmhwm_mb(pid: int | str = "self") -> float:
 
 def sliced_pct(values: Sequence[float], q: float, label: str) -> float:
     """Mean over consecutive slices of each slice's ``q``-th percentile,
-    each slice holding enough samples to put ten beyond it (at least 50).
+    each slice holding enough samples to put ten beyond it (at least 50),
+    leaving out the highest and the lowest tenth of the slices.
 
-    This host's speed drifts by about a fifth over a few seconds, so
-    latencies form a mixture of fast and slow stretches and a whole-run
-    percentile flips between them from run to run; averaging per-slice
-    percentiles weighs the stretches by the time spent in each instead.
+    The host's speed drifts within a run, and the scaling by the reference
+    kernel (:mod:`speed`) follows it only roughly, so a whole-run
+    percentile still flips between fast and slow stretches from run to
+    run; averaging per-slice percentiles weighs the stretches by the time
+    spent in each instead. The trim keeps a burst of slow calls, such as
+    ingest-mixed's compaction steps landing together, from moving the
+    mean: over six seeds it cut ingest-mixed's ``p90_ms`` spread from 0.15
+    to 0.07 and moved the other workloads' spreads by 0.02 at most.
     ``values`` must be in the order the samples were taken."""
     arr = np.asarray(values, dtype=np.float64)
     per_slice = max(50, int(np.ceil(10 * 100 / (100 - q))))
     if arr.size < per_slice:
         raise RuntimeError(f"{label}: {arr.size} samples, need {per_slice}")
     parts = np.array_split(arr, arr.size // per_slice)
-    return float(np.mean([np.percentile(part, q) for part in parts]))
+    pcts = np.sort([np.percentile(part, q) for part in parts])
+    trim = len(pcts) // 10
+    return float(np.mean(pcts[trim:len(pcts) - trim]))
 
 
 def pin_to_cpu(which: int) -> None:
@@ -125,23 +139,34 @@ def pin_to_cpu(which: int) -> None:
 
 
 def median_setup(build):
-    """Run ``build(i)`` ``SETUP_REPEATS`` times; each returns ``(result, close)``.
+    """Run ``build(i, speed)`` ``SETUP_REPEATS`` times, each with a fresh
+    :class:`Speed` that it samples; each returns ``(result, close)``.
 
-    Returns ``(median seconds, last result, its close)``. Every build but
-    the last is torn down through its ``close``, so only one engine is
-    alive when timing starts.
+    A build's time is its wall time less the kernel's, scaled by the
+    kernel's speed during the build. Returns ``(median scaled seconds,
+    last result, its close)``. Every build but the last is torn down
+    through its ``close``, so only one engine is alive when timing starts.
     """
+    raw: List[float] = []
     times: List[float] = []
     result = None
     for i in range(SETUP_REPEATS):
         if result is not None:
             result[1]()
         gc.collect()
+        speed = Speed()
         t0 = time.perf_counter()
-        result = build(i)
-        times.append(time.perf_counter() - t0)
-    log("setup_s samples: " + ", ".join(f"{t:.3f}" for t in times))
+        result = build(i, speed)
+        raw.append(time.perf_counter() - t0 - speed.spent)
+        times.append(raw[-1] * speed.scale())
+    log("setup_s samples: " + ", ".join(f"{t:.3f}" for t in times)
+        + " (raw " + ", ".join(f"{t:.3f}" for t in raw) + ")")
     return statistics.median(times), result[0], result[1]
+
+
+def scaled_ms(seconds: Sequence[float], scale: np.ndarray) -> np.ndarray:
+    """Call times in ms, each scaled to the reference speed."""
+    return np.asarray(seconds, dtype=np.float64) * scale * 1e3
 
 
 def log(msg: str) -> None:

@@ -23,6 +23,12 @@ A 64-range probe costs ~20 ms against this tree, so probing in 64-range
 batches as often would leave little time for the write path this
 workload exists to measure.
 
+Puts, deletes and probes are timed by the process's CPU time, as in
+:mod:`probe_batch` (they run in this thread and wait on nothing but the
+CPU); checkpoints, which wait for ``fsync``, by the wall clock. The
+reference kernel (:mod:`speed`) runs before every block, and each call's
+time is scaled by the host speed it gave around that block.
+
 The script length is fixed by ``--seconds`` (``BLOCKS_PER_SECOND``), so
 every run of one configuration does the same work; ``--seconds`` also
 caps the window if the program is slower than this host.
@@ -41,12 +47,13 @@ from gen import DELETE, RANGE_SIZE, empty_sweep, make_keys, mutation_script
 from layers import Layers, layer_metrics, layer_table
 from oracle import Oracle, wrong_verdicts
 from spans import Recorder
+from speed import Speed
 
 N_PRELOAD = 100_000
 BLOCK = 210
 CHECKPOINT_EVERY = 100
 BLOCKS_PER_SECOND = 44
-SWEEP_QUERIES = 100_000
+SWEEP_QUERIES = 200_000  # ~750 wasted reads: a count steady to ~5% across seeds
 SWEEP_BATCH = 2000
 
 
@@ -62,10 +69,10 @@ def run(seed: int, seconds: float, trace: bool):
     keys = script.keys.tolist()
     probes = [script.probes[b:b + 1] for b in range(blocks)]
 
-    def build(i):
+    def build(i, speed):
         directory = common.fresh_dir(f"ingest-mixed-{i}")
         engine = common.build_engine(directory, "leveled")
-        common.bulk_load(engine, preload)
+        common.bulk_load(engine, preload, speed)
 
         def close():
             engine.close(checkpoint=False)
@@ -81,7 +88,10 @@ def run(seed: int, seconds: float, trace: bool):
     verdicts = []
     # class -> (untraced, traced) call latencies
     lat = {name: ([], []) for name in ("put", "delete", "probe", "checkpoint")}
+    ends = {name: ([], []) for name in lat}  # samples of each class by each block's end
+    block_at = ([], [])  # (untraced, traced) block start times
     windows = []
+    speed = Speed()
     gc.collect()
     gc.freeze()
     start = time.perf_counter()
@@ -91,27 +101,31 @@ def run(seed: int, seconds: float, trace: bool):
         # checkpoint, so checkpoints fall on both sides of the overhead
         # ratio in turn.
         traced = trace and (b + b // CHECKPOINT_EVERY) % 2 == 1
+        speed.sample()
         rec.enabled = traced
         block_start = time.perf_counter()
+        block_at[traced].append(block_start)
         puts, deletes = lat["put"][traced], lat["delete"][traced]
         for i in range(b * BLOCK, (b + 1) * BLOCK):
             if ops[i] == DELETE:
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 delete(keys[i])
-                deletes.append(time.perf_counter() - t0)
+                deletes.append(time.process_time() - t0)
             else:
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 put(keys[i], b"w")
-                puts.append(time.perf_counter() - t0)
+                puts.append(time.process_time() - t0)
         lo = probes[b]
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         verdicts.append(engine.batch_range_empty(lo, lo + span))
-        lat["probe"][traced].append(time.perf_counter() - t0)
+        lat["probe"][traced].append(time.process_time() - t0)
         if (b + 1) % CHECKPOINT_EVERY == 0:
             t0 = time.perf_counter()
             engine.checkpoint()
             lat["checkpoint"][traced].append(time.perf_counter() - t0)
         rec.enabled = False
+        for name in lat:
+            ends[name][traced].append(len(lat[name][traced]))
         done = b + 1
         if traced:
             windows.append((block_start, time.perf_counter()))
@@ -129,9 +143,14 @@ def run(seed: int, seconds: float, trace: bool):
                 for b in range(done))
     mutations = t_end
 
-    def ops_per_s(traced):
+    def seconds_of(name, traced, scale=1.0):
+        """``name``'s call times, each scaled by its block's ``scale``."""
+        counts = np.diff(ends[name][traced], prepend=0)
+        return np.asarray(lat[name][traced]) * np.repeat(np.broadcast_to(scale, counts.shape), counts)
+
+    def ops_per_s(traced, scale=1.0):
         n_blocks = len(lat["probe"][traced])
-        busy = sum(sum(lat[name][traced]) for name in lat)
+        busy = sum(float(np.sum(seconds_of(name, traced, scale))) for name in lat)
         return n_blocks * (BLOCK + 1) / busy
 
     if trace:
@@ -154,10 +173,11 @@ def run(seed: int, seconds: float, trace: bool):
     wrong += wrong_verdicts(np.concatenate(swept), oracle.empty(sweep, t_end))
     engine.checkpoint()
     live = oracle.live_count(t_end)
-    ms = {name: np.asarray(lat[name][False]) * 1e3 for name in lat}
+    scale = speed.scale_at(block_at[False])
+    ms = {name: seconds_of(name, False, scale) * 1e3 for name in lat}
     metrics = {
         "setup_s": setup_s,
-        "ops_per_s": ops_per_s(False),
+        "ops_per_s": ops_per_s(False, scale),
         "p50_ms": common.sliced_pct(ms["probe"], 50, "p50_ms"),
         "p90_ms": common.sliced_pct(ms["probe"], 90, "p90_ms"),
         "low_p50_ms": common.sliced_pct(ms["put"], 50, "low_p50_ms"),
@@ -173,5 +193,7 @@ def run(seed: int, seconds: float, trace: bool):
     }
     common.log(f"samples: probes={len(ms['probe'])} puts={len(ms['put'])} "
                f"deletes={len(ms['delete'])} checkpoints={len(ms['checkpoint'])}")
+    common.log(f"raw: ops_per_s={ops_per_s(False):.1f} p50_ms={np.median(lat['probe'][False]) * 1e3:.4f} "
+               f"low_p50_ms={np.median(lat['put'][False]) * 1e3:.5f} kernel_ms={speed.kernel_s() * 1e3:.4f}")
     close()
     return metrics, mutations + done + sweep.size, wrong

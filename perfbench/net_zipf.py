@@ -39,6 +39,14 @@ tail moved with the host's load, so while the client runs an
 idle-priority busy loop on each CPU keeps the vCPUs from halting (wake-up
 p99 0.4-0.5 ms). At ``SCHED_IDLE`` the loops only take time nothing else
 wants.
+
+Before every round the client moves to the server's CPU to run the
+reference kernel (:mod:`speed`) there, and each frame's time is scaled
+by that CPU's speed within ``SPEED_WINDOW_S`` of the round. The client's
+own CPU time is 1-2% of a frame's, so its CPU's speed is left out. Over
+six seeds a two-second window halved the spread a half-second one left
+here, where every sample carries a move between CPUs. Set-up is scaled
+by the server child's kernel samples from its bulk load.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from gen import RANGE_SIZE, empty_sweep, make_keys, zipf_batches, zipf_hot_set
 from layers import layer_metrics, layer_table
 from oracle import Oracle, wrong_verdicts
 from spans import load_dump
+from speed import Speed
 
 N_HOT = 1024
 SIZES = (2000, 256, 512)
@@ -72,8 +81,9 @@ WARMUP_S = 2.0
 CYCLES = 5  # traced runs trace every other fifth of the window
 CHILD = Path(__file__).resolve().parent / "server_child.py"
 READY_TIMEOUT = 120.0
-SWEEP_QUERIES = 100_000
+SWEEP_QUERIES = 400_000  # ~750 wasted reads: a count steady to ~5% across seeds
 SWEEP_BATCH = 2000
+SPEED_WINDOW_S = 2.0
 # Spins until its parent is gone, so a killed benchmark leaves none behind.
 SPIN = """import os, sys
 parent = os.getppid()
@@ -99,7 +109,7 @@ def idle_spinners(cpus):
 class Server:
     """One server child process and the files it owns."""
 
-    def __init__(self, seed: int, index: int) -> None:
+    def __init__(self, seed: int, index: int, speed: Speed) -> None:
         self.directory = common.fresh_dir(f"net-zipf-{index}")
         self.dump = common.WORK / f"net-zipf-{index}.json"
         self.proc = subprocess.Popen(
@@ -107,15 +117,19 @@ class Server:
              "--dir", str(self.directory), "--dump", str(self.dump)],
             stdout=subprocess.PIPE, text=True,
         )
-        ready, _, _ = select.select([self.proc.stdout], [], [], READY_TIMEOUT)
-        line = self.proc.stdout.readline() if ready else ""
-        if not line.startswith("READY "):
+        try:
+            ready, _, _ = select.select([self.proc.stdout], [], [], READY_TIMEOUT)
+            line = self.proc.stdout.readline() if ready else ""
+            if not line.startswith("READY "):
+                raise RuntimeError(f"server child did not start: {line!r}")
+            _, self.host, port, samples = line.split(maxsplit=3)
+            self.port = int(port)
+            speed.absorb(samples)
+            with SyncClient(self.host, self.port) as client:
+                client.ping()
+        except BaseException:
             self.kill()
-            raise RuntimeError(f"server child did not start: {line!r}")
-        _, self.host, port = line.split()
-        self.port = int(port)
-        with SyncClient(self.host, self.port) as client:
-            client.ping()
+            raise
 
     def stop(self) -> None:
         """Graceful shutdown (drain, checkpoint, close, dump)."""
@@ -146,28 +160,32 @@ def run(seed: int, seconds: float, trace: bool):
     sweep = None if trace else empty_sweep(seed, sorted_keys, SWEEP_QUERIES)
     span = np.uint64(RANGE_SIZE - 1)
 
-    def build(i):
-        server = Server(seed, i)
+    def build(i, speed):
+        server = Server(seed, i, speed)
 
         def close():
             server.stop()
             server.remove()
         return server, close
 
-    setup_s, server, close = common.median_setup(build)
-    spinning = idle_spinners(sorted(os.sched_getaffinity(0)))
-    common.pin_to_cpu(0)
+    cpus = sorted(os.sched_getaffinity(0))
+    server_cpu = cpus[-1]  # where the server pins itself
+    speed = Speed()
     verdicts = []
     lat = {size: ([], []) for size in SIZES}  # size -> (untraced, traced)
+    round_at = ([], [])  # (untraced, traced) round start times
     # Traced stretches as the client saw them: from its first request
     # after the server started recording to its last response before it
     # stopped, so the signals' settling time stays out of the windows.
     windows = []
+    setup_s, server, close = common.median_setup(build)
     try:
-        with spinning, SyncClient(server.host, server.port) as client:
+        common.pin_to_cpu(0)  # after set-up: the server children inherit affinity
+        with idle_spinners(cpus), SyncClient(server.host, server.port) as client:
             used = 0
             start = time.perf_counter()
             while time.perf_counter() - start < WARMUP_S:
+                speed.sample(server_cpu)
                 for _ in SIZES:
                     lo = batches[used]
                     used += 1
@@ -190,6 +208,9 @@ def run(seed: int, seconds: float, trace: bool):
                     recording = traced
                     if recording:
                         windows.append([time.perf_counter(), 0.0])
+                if not traced:  # keep the kernel out of the traced windows
+                    speed.sample(server_cpu)
+                round_at[traced].append(time.perf_counter())
                 for size in SIZES:
                     lo = batches[used]
                     used += 1
@@ -222,9 +243,9 @@ def run(seed: int, seconds: float, trace: bool):
     wrong = wrong_verdicts(np.concatenate(verdicts), oracle.empty(np.concatenate(batches[:used])))
     attempted = sum(batch.size for batch in batches[:used])
 
-    def qps(traced):
+    def qps(traced, scale=1.0):
         n = sum(size * len(lat[size][traced]) for size in SIZES)
-        return n / sum(sum(lat[size][traced]) for size in SIZES)
+        return n / sum(float(np.sum(np.asarray(lat[size][traced]) * scale)) for size in SIZES)
 
     if trace:
         dump["windows"] = windows
@@ -240,10 +261,11 @@ def run(seed: int, seconds: float, trace: bool):
 
     wrong += wrong_verdicts(swept, oracle.empty(sweep))
     attempted += sweep.size
-    ms = {size: np.asarray(lat[size][False]) * 1e3 for size in SIZES}
+    scale = speed.scale_at(round_at[False], SPEED_WINDOW_S)
+    ms = {size: common.scaled_ms(lat[size][False], scale) for size in SIZES}
     metrics = {
         "setup_s": setup_s,
-        "ops_per_s": qps(False),
+        "ops_per_s": qps(False, scale),
         "p50_ms": common.sliced_pct(ms[MAIN], 50, "p50_ms"),
         "p90_ms": common.sliced_pct(ms[MAIN], 90, "p90_ms"),
         "low_p50_ms": common.sliced_pct(ms[LOW], 50, "low_p50_ms"),
@@ -259,4 +281,6 @@ def run(seed: int, seconds: float, trace: bool):
         "ok_frac": 1.0 - wrong / attempted,
     }
     common.log("samples: " + ", ".join(f"{s}-range frames={len(ms[s])}" for s in SIZES))
+    common.log(f"raw: ops_per_s={qps(False):.1f} p50_ms={np.median(lat[MAIN][False]) * 1e3:.3f} "
+               f"kernel_ms={speed.kernel_s() * 1e3:.4f}")
     return metrics, attempted, wrong

@@ -20,6 +20,10 @@ the run exit with status 1. With ``--trace 0`` the last stdout line is
 the JSON result with every end-to-end metric; with ``--trace 1`` it
 carries every per-layer metric, taken from traced stretches that
 alternate with untraced ones so the tracing overhead is measured too.
+End-to-end times (and the throughputs made from them) are scaled to a
+reference host speed that a fixed kernel, timed between the calls,
+measures (:mod:`speed`); the raw figures are logged to stderr. The
+in-process workloads time their calls by the process's CPU time.
 Scratch state and traced runs' span dumps live in ``.perfbench/`` under
 the repository root. The self-tests run with
 ``PYTHONPATH=src python -m pytest perfbench``.

@@ -8,18 +8,22 @@ It pins itself to the last CPU it may use (the generator takes the
 first), bulk-loads the seed's keys into a persistent engine with the
 ``serve`` CLI defaults and one query thread per CPU it has, lets
 compaction drain, starts the front door on a free local port and prints
-``READY <host> <port>``. Signals drive the rest: ``SIGUSR1`` starts
-recording spans (installing the layer wrappers the first time),
-``SIGUSR2`` stops recording, and ``SIGTERM`` shuts down like the CLI
-(drain, checkpoint, close) and writes ``--dump``: the server's stats
-and, when recorded, the spans and counters. The client knows when its
-traced requests ran, so it sets the traced windows.
+``READY <host> <port> <speed>``, ``<speed>`` being the reference
+kernel's samples from the bulk load (:meth:`speed.Speed.summary`).
+Signals drive the rest: ``SIGUSR1`` starts recording spans (installing
+the layer wrappers the first time), ``SIGUSR2`` stops recording, and
+``SIGTERM`` shuts down like the CLI (drain, checkpoint, close) and
+writes ``--dump``: the server's stats and, when recorded, the spans and
+counters. The client knows when its traced requests ran, so it sets the
+traced windows. The server also gets ``SIGTERM`` when the benchmark
+process dies.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import ctypes
 import gc
 import os
 import signal
@@ -27,6 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PR_SET_PDEATHSIG = 1
 
 
 def main() -> int:
@@ -35,6 +40,8 @@ def main() -> int:
     parser.add_argument("--dir", required=True)
     parser.add_argument("--dump", required=True)
     args = parser.parse_args()
+    # Shut down if the benchmark dies without stopping this server.
+    ctypes.CDLL(None).prctl(PR_SET_PDEATHSIG, signal.SIGTERM)
     sys.path.insert(0, str(ROOT / "src"))
 
     import common
@@ -43,12 +50,15 @@ def main() -> int:
     from repro.engine import RangeQueryService
     from repro.net import NetServer, ServerConfig
     from spans import Recorder
+    from speed import Speed
 
     common.pin_to_cpu(-1)
     engine = common.build_engine(Path(args.dir), "full")
-    common.bulk_load(engine, make_keys(args.seed, common.N_KEYS))
+    speed = Speed()
+    common.bulk_load(engine, make_keys(args.seed, common.N_KEYS), speed)
     service = RangeQueryService(engine, num_threads=len(os.sched_getaffinity(0)))
     service.wait_for_compactions(timeout=60.0)
+    speed.sample()
     # As in the closed loops: set-up's objects leave the collector's
     # generations, so a full collection cannot stall a request by
     # rescanning them.
@@ -68,7 +78,7 @@ def main() -> int:
         server = NetServer(service, config=ServerConfig())
         await server.start()
         host, port = server.address
-        print(f"READY {host} {port}", flush=True)
+        print(f"READY {host} {port} {speed.summary()}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGUSR1, start_trace)

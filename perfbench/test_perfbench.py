@@ -20,6 +20,7 @@ import pytest
 import common
 import gen
 import layers
+import speed
 from oracle import Oracle, wrong_verdicts
 from spans import Recorder, attribute
 
@@ -145,6 +146,32 @@ def test_metric_names_and_benchmark_json_agree():
     units = dict(common.END_TO_END + layers.PER_LAYER)
     for m in spec["end_to_end"] + spec["per_layer"]:
         assert m["unit"] == units[m["name"]]
+
+
+def test_speed_scale_follows_the_nearby_kernel_times():
+    s = speed.Speed()
+    s.at = [0.0, 0.5, 1.0, 10.0, 10.5]
+    s.took = [1e-3, 1e-3, 3e-3, 2e-3, 2e-3]
+    got = s.kernel_s_at([0.2, 10.2, 5.0])
+    # Medians within WINDOW_S; no sample near 5.0, so the nearest one (1.0).
+    assert got == pytest.approx([1e-3, 2e-3, 3e-3])
+    assert s.scale_at([10.2]) == pytest.approx([speed.NOMINAL_S / 2e-3])
+    other = speed.Speed()
+    other.spent, other.at, other.took = 0.25, [5.0], [4e-3]
+    s.absorb(other.summary())
+    assert s.spent == pytest.approx(0.25)
+    assert s.at == [0.0, 0.5, 1.0, 5.0, 10.0, 10.5]
+    assert s.kernel_s() == pytest.approx(2e-3)
+    assert s.kernel_s_at([5.0]) == pytest.approx([4e-3])
+
+
+def test_sliced_pct_trims_the_extreme_slices():
+    # Ten slices of 50 samples with medians 1..10; a burst makes slice 3 slow.
+    values = np.repeat(np.arange(1.0, 11.0), 50)
+    values[100:150] = 1000.0
+    assert common.sliced_pct(values, 50, "x") == pytest.approx(np.mean([2, 4, 5, 6, 7, 8, 9, 10]))
+    with pytest.raises(RuntimeError):
+        common.sliced_pct(values[:49], 50, "x")
 
 
 def test_layers_uninstall_restores_every_original():
