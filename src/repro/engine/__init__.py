@@ -13,7 +13,8 @@ serving heavy range-query traffic behind in-memory filters.
 * :mod:`~repro.engine.persist` — snapshot format for runs *and* their
   filters (reopened engines answer queries identically);
 * :func:`~repro.engine.batch.batch_range_empty` — vectorised emptiness
-  probes through the filters' batch API;
+  probes through the filters' batch API (sub-batches of a few ranges
+  take a scalar loop instead);
 * :class:`~repro.engine.scheduler.CompactionScheduler` — deferred
   compaction drained between batches (thread-safe queue);
 * :class:`~repro.engine.service.RangeQueryService` — the concurrent
@@ -31,9 +32,9 @@ serving heavy range-query traffic behind in-memory filters.
   they win;
 * :class:`~repro.engine.planner.BatchPlanner` — the batch query
   planner: a dedup/cover-merge rewrite pass, an epoch-tagged
-  negative-result cache keyed by ``runs_version``, and a cost model
-  choosing scalar/columnar/process execution per sub-batch
-  (``attach_planner`` on the engine; ``--plan`` on the CLI).
+  negative-result cache keyed by ``runs_version``, and the process-mode
+  service's worker-or-local dispatch per sub-batch (``attach_planner``
+  on the engine; ``--plan`` on the CLI).
 """
 
 from repro.engine.autotune import AutoTunePolicy, AutoTuner, Decision
@@ -57,7 +58,6 @@ from repro.engine.persist import (
 from repro.engine.planner import (
     BatchPlan,
     BatchPlanner,
-    CostModel,
     NegativeRangeCache,
     plan_batch,
 )
@@ -75,7 +75,6 @@ __all__ = [
     "BatchPlanner",
     "ColumnarPlan",
     "CompactionScheduler",
-    "CostModel",
     "Decision",
     "NegativeRangeCache",
     "OP_CLOCK",

@@ -46,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.sharding import ShardRouter
     from repro.lsm.store import LSMStore
 
+#: Sub-batches of at most this many ranges skip the columnar set-up (a
+#: handful of ``range_empty`` calls beats numpy's per-call overhead).
+SCALAR_CUTOFF = 8
+
 
 @dataclass(frozen=True)
 class ColumnarPlan:
@@ -252,18 +256,43 @@ def shard_batch_empty(
 ) -> np.ndarray:
     """The per-shard batch kernel: emptiness of each ``[q_lo[j], q_hi[j]]``.
 
+    A sub-batch of at most :data:`SCALAR_CUTOFF` ranges runs as a loop
+    of the exact :meth:`~repro.lsm.store.LSMStore.range_empty`; larger
+    ones run columnar (:func:`_columnar_empty`). Both lanes give the same
+    verdicts and the same :class:`~repro.lsm.store.IoStats` ledger, and
+    both report the sub-batch once to the shard's ``query_observer``.
+    Returns a boolean array aligned with the inputs (``True`` = provably
+    empty). This is the unit the concurrent service fans out: one call
+    per (shard, chunk), safe under that shard's read lock.
+    """
+    if q_lo.size <= SCALAR_CUTOFF:
+        empty = np.fromiter(
+            map(store.range_empty, q_lo.tolist(), q_hi.tolist()),
+            dtype=bool, count=int(q_lo.size),
+        )
+    else:
+        empty = _columnar_empty(store, q_lo, q_hi)
+    observer = store.query_observer
+    if observer is not None:
+        # Near-zero cost workload telemetry (two numpy reductions) for
+        # the per-shard auto-tuner; never consulted for correctness.
+        observer(q_lo, q_hi, empty)
+    return empty
+
+
+def _columnar_empty(
+    store: "LSMStore", q_lo: np.ndarray, q_hi: np.ndarray
+) -> np.ndarray:
+    """The columnar lane of :func:`shard_batch_empty`.
+
     Probes the memtable with one vectorised ``searchsorted``, walks the
     level topology in recency order consulting each run's filter once
     for the whole sub-batch, then verifies only the "maybe" minority
-    with the exact early-exit
-    :meth:`~repro.lsm.store.LSMStore.range_empty`. Before any filter is
+    with the exact early-exit ``range_empty``. Before any filter is
     asked, each run's key bounds prune the sub-batch vectorially — under
     leveled compaction a level is many key-disjoint slices, so most
     queries skip most slices on this fence check alone and each slice's
-    filter sees only the queries that can touch it. Returns a boolean
-    array aligned with the inputs (``True`` = provably empty). This is
-    the unit the concurrent service fans out: one call per (shard,
-    chunk), safe under that shard's read lock.
+    filter sees only the queries that can touch it.
     """
     # The memtable is exact (no false positives): any entry in range —
     # live or tombstone — sends the query to the verification path.
@@ -293,11 +322,6 @@ def shard_batch_empty(
     for j in np.flatnonzero(maybe):
         if not store.range_empty(int(q_lo[j]), int(q_hi[j])):
             empty[j] = False
-    observer = store.query_observer
-    if observer is not None:
-        # Near-zero cost workload telemetry (two numpy reductions) for
-        # the per-shard auto-tuner; never consulted for correctness.
-        observer(q_lo, q_hi, empty)
     return empty
 
 

@@ -545,11 +545,10 @@ class ShardedEngine:
 
         With one attached, :meth:`batch_range_empty` — here and in the
         serving layer — runs every batch through the planner's rewrite
-        pass, negative-result cache, and cost model
-        (:mod:`repro.engine.planner`). Attaching never changes query
-        results: the planner only reuses verdicts whose validity
-        conditions (``runs_version`` tag + memtable-overlap check) hold
-        at consult time.
+        pass and negative-result cache (:mod:`repro.engine.planner`).
+        Attaching never changes query results: the planner only reuses
+        verdicts whose validity conditions (``runs_version`` tag +
+        memtable-overlap check) hold at consult time.
         """
         if self._planner is not None:
             self._planner.detach()

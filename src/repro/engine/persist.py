@@ -47,12 +47,9 @@ survives until released; an *explicitly released* run raises
 :class:`~repro.errors.CorruptionError` on any further read instead of
 serving unmapped pages.)
 
-Older formats still load. Manifest version 1 (pre-slicing: per shard a
-``level0`` list plus a single ``bottom`` run) is normalised to the
-current shape — the bottom becomes a one-run L1. Run versions 1
-(no slice metadata), 2 (slice bounds, no checksum) and 3 (row-oriented,
-whole-blob crc32 trailer, whole-run pickled values) parse exactly as
-before; they are read whole rather than mapped.
+Only the formats this module writes load: run format v4 and manifest
+version 3. Any other version stamp raises
+:class:`~repro.errors.CorruptionError` naming the version.
 
 A run file embeds the run's *filter bytes* — every backend in
 :mod:`repro.filters.registry` (Grafite, Bucketing, SuRF, Rosetta,
@@ -76,7 +73,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import struct
 import zlib
 from pathlib import Path
@@ -89,9 +85,7 @@ from repro.core.serialization import (
     filter_from_bytes,
     filter_to_bytes,
     pack_int,
-    pack_words,
     unpack_int,
-    unpack_words,
 )
 from repro.errors import (
     ConfigError,
@@ -99,7 +93,6 @@ from repro.errors import (
     InvalidParameterError,
     ReproError,
 )
-from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.sstable import (
     BLOCK_ENTRIES,
     FilterFactory,
@@ -110,12 +103,12 @@ from repro.lsm.sstable import (
 from repro.lsm.store import LSMStore
 
 _RUN_MAGIC = b"RSST"
-_RUN_VERSION = 4          # v4 is columnar + mmap-able; v1/v2/v3 still load
+_RUN_VERSION = 4          # columnar + mmap-able; the only version read
 _V4_HEADER = 96           # magic(4) version(2) hdr_size(2) n(8) + 10 u64s
 
 MANIFEST_NAME = "MANIFEST.json"
 PREV_MANIFEST_NAME = "MANIFEST.prev.json"
-MANIFEST_VERSION = 3      # v3 adds a crc32 field; v1/v2 still load
+MANIFEST_VERSION = 3      # carries a crc32 field; the only version read
 
 #: Filter persistence modes recorded in a run file.
 _FILTER_NONE = 0       # the run never had a filter
@@ -274,7 +267,7 @@ def run_to_bytes(run: SSTable) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Run files — parsing (v4 zero-copy; v1–v3 legacy)
+# Run files — parsing (v4, zero-copy)
 # ----------------------------------------------------------------------
 def _restore_filter(
     filter_mode: int,
@@ -385,75 +378,6 @@ def _parse_run_v4(
     )
 
 
-def _parse_run_legacy(
-    buf: bytes,
-    version: int,
-    filter_factory: Optional[FilterFactory],
-    missing_filter: str,
-) -> SSTable:
-    """Row-oriented formats v1–v3 (tombstone bitmask + whole-run pickled
-    live values; v3 adds a crc32 trailer)."""
-    if version >= 3:
-        if len(buf) < 10:
-            raise CorruptionError("run blob too short to hold its checksum")
-        (recorded,) = struct.unpack_from("<I", buf, len(buf) - 4)
-        buf = buf[:-4]
-        actual = zlib.crc32(buf) & 0xFFFFFFFF
-        if actual != recorded:
-            raise CorruptionError(
-                f"run checksum mismatch: recorded {recorded:#010x}, "
-                f"computed {actual:#010x}"
-            )
-    offset = 6
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    universe, offset = unpack_int(buf, offset)
-    keys, offset = unpack_words(buf, offset)
-    if keys.size != n:
-        raise CorruptionError("run key count does not match header")
-    (mask_len,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    tombstone_mask = buf[offset:offset + mask_len]
-    if len(tombstone_mask) != mask_len:
-        raise CorruptionError("run tombstone mask truncated")
-    offset += mask_len
-    (values_len,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    if len(buf) < offset + values_len:
-        raise CorruptionError("run value section truncated")
-    live_values = pickle.loads(buf[offset:offset + values_len])
-    offset += values_len
-    slice_bounds = None
-    if version >= 2:
-        (has_bounds,) = struct.unpack_from("<B", buf, offset)
-        offset += 1
-        if has_bounds:
-            bounds_lo, offset = unpack_int(buf, offset)
-            bounds_hi, offset = unpack_int(buf, offset)
-            slice_bounds = (int(bounds_lo), int(bounds_hi))
-    filter_mode, filter_len = struct.unpack_from("<BQ", buf, offset)
-    offset += 9
-    filter_blob = buf[offset:offset + filter_len]
-    if len(filter_blob) != filter_len:
-        raise CorruptionError("run filter blob truncated")
-
-    values: List[Any] = []
-    live_iter = iter(live_values)
-    for i in range(n):
-        if tombstone_mask[i // 8] >> (i % 8) & 1:
-            values.append(TOMBSTONE)
-        else:
-            values.append(next(live_iter))
-
-    filt = _restore_filter(
-        filter_mode, filter_blob, keys, int(universe),
-        filter_factory, missing_filter,
-    )
-    return SSTable.from_parts(
-        keys, values, int(universe), filt, slice_bounds=slice_bounds
-    )
-
-
 def _parse_run(
     buf,
     filter_factory: Optional[FilterFactory],
@@ -465,15 +389,9 @@ def _parse_run(
     if head[:4] != _RUN_MAGIC:
         raise CorruptionError("not a serialised SSTable run (bad magic)")
     (version,) = struct.unpack_from("<H", head, 4)
-    if version == _RUN_VERSION:
-        return _parse_run_v4(
-            buf, filter_factory, missing_filter, backing=backing
-        )
-    if version in (1, 2, 3):
-        return _parse_run_legacy(
-            bytes(memoryview(buf)), version, filter_factory, missing_filter
-        )
-    raise CorruptionError(f"unsupported run format version {version}")
+    if version != _RUN_VERSION:
+        raise CorruptionError(f"unsupported run format version {version}")
+    return _parse_run_v4(buf, filter_factory, missing_filter, backing=backing)
 
 
 def run_from_bytes(
@@ -483,7 +401,7 @@ def run_from_bytes(
     missing_filter: str = "raise",
     backing=None,
 ) -> SSTable:
-    """Load a run serialised by :func:`run_to_bytes` (any version).
+    """Load a run serialised by :func:`run_to_bytes`.
 
     ``buf`` may be ``bytes`` or any contiguous buffer — notably an
     ``np.memmap`` of the run file, in which case a v4 run adopts the
@@ -491,10 +409,10 @@ def run_from_bytes(
     keeps the mapping alive for as long as any view needs it.
 
     Every stored checksum is verified before the bytes are trusted: the
-    v4 metadata crc and every per-block crc (eagerly — a later
-    lazily-discovered bad block could not roll the open back), or the
-    v3 whole-blob trailer. A mismatch — or any structural damage, in
-    any version — raises :class:`~repro.errors.CorruptionError`. The
+    metadata crc and every per-block crc (eagerly — a later
+    lazily-discovered bad block could not roll the open back). A
+    mismatch, any structural damage, or a version stamp other than v4
+    raises :class:`~repro.errors.CorruptionError`. The
     caller (shard loading in :meth:`ShardedEngine.open`) treats that as
     "this checkpoint epoch is bad" and rolls back rather than serving a
     partially-decoded run.
@@ -525,8 +443,8 @@ def run_from_bytes(
     except ReproError:
         raise
     except Exception as exc:
-        # struct.error, pickle errors, numpy shape errors, StopIteration
-        # from the live-value zip — all mean the bytes are not a run.
+        # struct.error, numpy shape errors — all mean the bytes are not
+        # a run.
         raise CorruptionError(f"run blob failed to parse: {exc!r}") from exc
 
 
@@ -547,12 +465,9 @@ def load_manifest(
 ) -> Optional[Dict[str, Any]]:
     """Read a manifest or return ``None`` when the dir has none.
 
-    Accepts every manifest version. A version-3 manifest must carry a
-    matching ``crc32`` field or :class:`~repro.errors.CorruptionError`
-    is raised; unparseable JSON raises the same. A version-1 manifest
-    (pre-slicing: per shard ``{"level0": [...], "bottom": name}``) is
-    normalised in memory to the current shape — the single bottom run
-    becomes a one-run L1 — so every caller sees one topology format.
+    The manifest must be version 3 and carry a matching ``crc32``
+    field; any other version, a checksum mismatch or unparseable JSON
+    raises :class:`~repro.errors.CorruptionError`.
 
     ``name`` selects which manifest file to read: the default current
     epoch, or :data:`PREV_MANIFEST_NAME` for the retained previous one.
@@ -568,20 +483,15 @@ def load_manifest(
     if not isinstance(manifest, dict):
         raise CorruptionError(f"{path}: manifest is not a JSON object")
     version = manifest.get("manifest_version")
-    if version not in (1, 2, MANIFEST_VERSION):
+    if version != MANIFEST_VERSION:
         raise CorruptionError(f"{path}: unsupported manifest version {version}")
-    if version >= 3:
-        recorded = manifest.get("crc32")
-        actual = manifest_crc(manifest)
-        if recorded != actual:
-            raise CorruptionError(
-                f"{path}: manifest checksum mismatch: recorded "
-                f"{recorded!r}, computed {actual:#010x}"
-            )
-    if version == 1:
-        for entry in manifest.get("shards", []):
-            bottom = entry.pop("bottom", None)
-            entry["levels"] = [[bottom]] if bottom is not None else []
+    recorded = manifest.get("crc32")
+    actual = manifest_crc(manifest)
+    if recorded != actual:
+        raise CorruptionError(
+            f"{path}: manifest checksum mismatch: recorded "
+            f"{recorded!r}, computed {actual:#010x}"
+        )
     return manifest
 
 
@@ -741,8 +651,7 @@ def load_shard(
     run's backing, and the run is stamped with its
     :func:`stable_run_id` for the shared block cache. When a fault plan
     targets the file, loading falls back to the byte-reading seam so
-    injected bit flips and EIO are observed. Legacy v1–v3 files are read
-    whole, as always.
+    injected bit flips and EIO are observed.
 
     The per-shard granularity is what the process-mode serving workers
     use: each worker owns a subset of the shards and loads only those
@@ -840,7 +749,7 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     """Verify every persisted artifact in a checkpoint directory.
 
     Checks, without mutating anything: the current manifest parses and
-    its crc32 matches (v3); every run file each retained manifest
+    its crc32 matches; every run file each retained manifest
     references exists, passes its checksums — for a v4 run that means
     the metadata crc *and every per-block crc32*, so a flip in any
     single block is pinpointed — and parses structurally (filters are
@@ -930,42 +839,3 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     else:
         report["wal"] = "missing"
     return report
-
-
-# ----------------------------------------------------------------------
-# Legacy writer (fixture generation for format-compat tests)
-# ----------------------------------------------------------------------
-def _run_to_bytes_v3(run: SSTable) -> bytes:
-    """Serialise a run in the retired row-oriented v3 format.
-
-    Kept (private) so the format-compatibility suite can generate
-    genuine v1–v3 snapshots to prove they still reopen byte-for-byte;
-    production writes always use v4.
-    """
-    n = len(run)
-    keys = np.asarray(run.keys_view(), dtype=np.uint64)
-    tombstone_mask = bytearray((n + 7) // 8)
-    live_values: List[Any] = []
-    for i, (_, value) in enumerate(run.entries()):
-        if value is TOMBSTONE:
-            tombstone_mask[i // 8] |= 1 << (i % 8)
-        else:
-            live_values.append(value)
-    values_blob = pickle.dumps(live_values, protocol=pickle.HIGHEST_PROTOCOL)
-    filter_mode, filter_blob = _filter_parts(run)
-    parts = [
-        _RUN_MAGIC,
-        struct.pack("<H", 3),
-        struct.pack("<Q", n),
-        pack_int(run.universe),
-        pack_words(keys),
-        struct.pack("<Q", len(tombstone_mask)),
-        bytes(tombstone_mask),
-        struct.pack("<Q", len(values_blob)),
-        values_blob,
-        _bounds_part(run),
-        struct.pack("<BQ", filter_mode, len(filter_blob)),
-        filter_blob,
-    ]
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)

@@ -1,4 +1,4 @@
-"""Batch query planner: rewrite passes, negative-result cache, cost model.
+"""Batch query planner: rewrite passes, negative-result cache, dispatch.
 
 The columnar batch path (:mod:`repro.engine.batch`) executes whatever
 the caller hands it, verbatim. Skewed serving traffic — the Zipfian
@@ -28,10 +28,12 @@ applied to range-emptiness batches):
    inside the queried range (writes do not bump the version; the
    overlap check is what makes replaying a cached verdict exact).
    Containment counts: a cached ``[0, 100]`` answers ``[10, 20]``.
-3. **cost model** — :class:`CostModel` picks scalar / columnar /
-   process-mode execution for each per-shard sub-batch from its size,
-   duplicate ratio, and memtable-overlap fraction, replacing the
-   service's hardcoded "process iff workers exist" dispatch.
+3. **dispatch** — :meth:`BatchPlanner.choose_mode` sends a per-shard
+   sub-batch of the process-mode service to the snapshot workers when
+   it is large enough to pay the round trip and its memtable overlap is
+   low; everything else runs locally, where
+   :func:`~repro.engine.batch.shard_batch_empty` picks its own scalar
+   or columnar lane by size.
 
 Exactness is preserved end to end: every verdict the planner emits is
 either the executor's own answer or a cached/covering verdict whose
@@ -59,6 +61,13 @@ Executor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Yields a held read guard for one shard (the service's RWLock).
 LockProvider = Callable[[int], ContextManager[None]]
+
+#: A process-mode sub-batch below this many ranges stays local: the
+#: workers' marshalling round trip is not amortised.
+PROCESS_FLOOR = 64
+#: Above this memtable-overlap fraction a snapshot worker would bounce
+#: most queries back to the local exact path anyway.
+OVERLAP_CEILING = 0.5
 
 
 def _merge_intervals(
@@ -286,86 +295,18 @@ class NegativeRangeCache:
         return self.hits / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Chooses how a per-shard sub-batch executes.
-
-    ``scalar_cutoff``: at or below this many *distinct* queries the
-    python loop beats the columnar kernel's setup cost (a handful of
-    searchsorteds loses to numpy dispatch overhead).
-    ``process_floor``: below this many distinct queries the process
-    pool's per-batch marshalling round-trip is not amortised.
-    ``overlap_ceiling``: above this memtable-overlap fraction a process
-    worker would bounce most queries back to the local exact path
-    anyway (snapshot workers cannot see unflushed writes), so the
-    round-trip buys nothing.
-    """
-
-    scalar_cutoff: int = 8
-    process_floor: int = 64
-    overlap_ceiling: float = 0.5
-
-    def choose(
-        self,
-        *,
-        batch_size: int,
-        duplicate_ratio: float = 0.0,
-        memtable_overlap: float = 0.0,
-        process_available: bool = False,
-    ) -> str:
-        """Pick ``"scalar"`` / ``"columnar"`` / ``"process"`` for a sub-batch.
-
-        ``duplicate_ratio`` discounts the effective size: the columnar
-        kernel and the process round-trip pay per row, but after the
-        planner's rewrite the rows worth paying for are the distinct
-        ones.
-        """
-        distinct = batch_size * (1.0 - duplicate_ratio)
-        if distinct <= self.scalar_cutoff:
-            return "scalar"
-        if (
-            process_available
-            and distinct >= self.process_floor
-            and memtable_overlap <= self.overlap_ceiling
-        ):
-            return "process"
-        return "columnar"
-
-
-def duplicate_ratio(los: np.ndarray, his: np.ndarray) -> float:
-    """Fraction of exact-duplicate (lo, hi) pairs in a column pair."""
-    n = int(los.size)
-    if n < 2:
-        return 0.0
-    order = np.lexsort((his, los))
-    slo, shi = los[order], his[order]
-    n_uniq = 1 + int(
-        np.count_nonzero((slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1]))
-    )
-    return 1.0 - n_uniq / n
-
-
 class BatchPlanner:
     """The discrete-pass batch optimizer in front of the executor.
 
     Attach one to a :class:`~repro.engine.engine.ShardedEngine` (via
     :meth:`~repro.engine.engine.ShardedEngine.attach_planner`); the
     engine's and service's ``batch_range_empty`` then run every batch
-    through :meth:`execute`. ``merge=False`` keeps the dedup pass but
-    skips cover-merging; ``cache_capacity=0`` disables the negative
+    through :meth:`execute`. ``cache_capacity=0`` disables the negative
     cache. One planner serves one engine — the cache is keyed by shard
     id and tagged by that engine's shards' ``runs_version``.
     """
 
-    def __init__(
-        self,
-        *,
-        merge: bool = True,
-        cache_capacity: int = 4096,
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
-        self.merge = bool(merge)
-        self.cost_model = cost_model or CostModel()
+    def __init__(self, *, cache_capacity: int = 4096) -> None:
         self._cache: Optional[NegativeRangeCache] = (
             NegativeRangeCache(cache_capacity) if cache_capacity > 0 else None
         )
@@ -377,9 +318,7 @@ class BatchPlanner:
         self._covers_merged = 0
         self._executed_probes = 0
         self._reasked = 0
-        self._mode_counts: Dict[str, int] = {
-            "scalar": 0, "columnar": 0, "process": 0,
-        }
+        self._mode_counts: Dict[str, int] = {"local": 0, "process": 0}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -433,26 +372,21 @@ class BatchPlanner:
             lambda sid: contextlib.nullcontext()
         )
         versions = self._versions_snapshot()
-        if self.merge:
-            self._covers_merged += plan.n_unique - plan.n_covers
-            cover_empty = self._answer(
-                plan.cover_lo, plan.cover_hi, executor, locks, versions
-            )
-            uniq_empty = cover_empty[plan.cover_of]
-            members = np.bincount(plan.cover_of, minlength=plan.n_covers)
-            # A non-empty multi-member cover proves nothing about its
-            # members; re-ask exactly those. Sole members *are* their
-            # cover, so their verdict is already exact.
-            need = np.flatnonzero(~uniq_empty & (members[plan.cover_of] > 1))
-            if need.size:
-                self._reasked += int(need.size)
-                uniq_empty[need] = self._answer(
-                    plan.uniq_lo[need], plan.uniq_hi[need],
-                    executor, locks, versions,
-                )
-        else:
-            uniq_empty = self._answer(
-                plan.uniq_lo, plan.uniq_hi, executor, locks, versions
+        self._covers_merged += plan.n_unique - plan.n_covers
+        cover_empty = self._answer(
+            plan.cover_lo, plan.cover_hi, executor, locks, versions
+        )
+        uniq_empty = cover_empty[plan.cover_of]
+        members = np.bincount(plan.cover_of, minlength=plan.n_covers)
+        # A non-empty multi-member cover proves nothing about its
+        # members; re-ask exactly those. Sole members *are* their
+        # cover, so their verdict is already exact.
+        need = np.flatnonzero(~uniq_empty & (members[plan.cover_of] > 1))
+        if need.size:
+            self._reasked += int(need.size)
+            uniq_empty[need] = self._answer(
+                plan.uniq_lo[need], plan.uniq_hi[need],
+                executor, locks, versions,
             )
         return uniq_empty[plan.inverse]
 
@@ -561,21 +495,21 @@ class BatchPlanner:
         *,
         process_available: bool,
     ) -> str:
-        """Cost-model dispatch for one per-shard sub-batch.
+        """``"process"`` or ``"local"`` for one per-shard sub-batch.
 
-        Feeds the model the sub-batch's observed size, duplicate ratio
-        and memtable-overlap fraction, and tallies the decision for
-        :meth:`stats_snapshot`.
+        Process needs a worker pool, at least :data:`PROCESS_FLOOR`
+        ranges (the rewrite pass already folded duplicates) and a
+        memtable overlap of at most :data:`OVERLAP_CEILING`; the overlap
+        is only probed once the first two hold. Tallies the decision
+        for :meth:`stats_snapshot`.
         """
-        overlap = 0.0
-        if q_lo.size:
-            overlap = float(memtable_overlaps(store, q_lo, q_hi).mean())
-        mode = self.cost_model.choose(
-            batch_size=int(q_lo.size),
-            duplicate_ratio=duplicate_ratio(q_lo, q_hi),
-            memtable_overlap=overlap,
-            process_available=process_available,
-        )
+        mode = "local"
+        if (
+            process_available
+            and q_lo.size >= PROCESS_FLOOR
+            and memtable_overlaps(store, q_lo, q_hi).mean() <= OVERLAP_CEILING
+        ):
+            mode = "process"
         self._mode_counts[mode] += 1
         return mode
 
@@ -594,7 +528,6 @@ class BatchPlanner:
                 invalidations=self._cache.invalidations,
             )
         return {
-            "merge": self.merge,
             "batches": self._batches,
             "queries": self._queries,
             "duplicates_folded": self._duplicates_folded,

@@ -406,45 +406,15 @@ class RangeQueryService:
             store = self._engine.shards[sid]
             planner = self._engine.planner
             if planner is not None:
-                # Cost-model dispatch: the planner picks the execution
-                # strategy per sub-batch from its observed size,
-                # duplicate ratio and memtable-overlap fraction.
                 mode = planner.choose_mode(
                     store, q_lo, q_hi,
                     process_available=self._workers is not None,
                 )
             else:
-                mode = "process" if self._workers is not None else "columnar"
+                mode = "process" if self._workers is not None else "local"
             if mode == "process":
                 return qid, self._shard_empty_process(sid, q_lo, q_hi)
-            if mode == "scalar":
-                return qid, self._shard_empty_scalar(store, q_lo, q_hi)
             return qid, shard_batch_empty(store, q_lo, q_hi)
-
-    @staticmethod
-    def _shard_empty_scalar(
-        store, q_lo: np.ndarray, q_hi: np.ndarray
-    ) -> np.ndarray:
-        """Tiny sub-batches skip the columnar kernel's setup cost.
-
-        A plain loop over the exact scalar path — identical verdicts
-        and identical per-run ledger accounting — that still reports
-        the sub-batch to the shard's query observer, so the auto-tuner
-        sees the same telemetry whichever strategy the cost model
-        picked.
-        """
-        empty = np.fromiter(
-            (
-                store.range_empty(int(lo), int(hi))
-                for lo, hi in zip(q_lo, q_hi)
-            ),
-            dtype=bool,
-            count=int(q_lo.size),
-        )
-        observer = store.query_observer
-        if observer is not None:
-            observer(q_lo, q_hi, empty)
-        return empty
 
     def _shard_empty_process(
         self, sid: int, q_lo: np.ndarray, q_hi: np.ndarray

@@ -28,8 +28,7 @@ back end that sidesteps the GIL entirely:
   silently sends that shard's traffic back to the locked in-process
   path until the next checkpoint re-syncs the workers
   (:meth:`ShardWorkerPool.reload`). Workers load whatever topology the
-  manifest records (old single-bottom checkpoints included) and never
-  compact it: they own no policy, only read-only runs.
+  manifest records and never compact it: they own no policy, only read-only runs.
 
 Workers answer *run-set* emptiness. That equals full emptiness exactly
 when the shard's memtable has no entry (live or tombstone) inside the

@@ -478,8 +478,8 @@ def slice_spans(
 
     Each slice carries the bounds it was created with
     (:attr:`~repro.lsm.sstable.SSTable.slice_bounds`); a run adopted
-    into a leveled level without them (e.g. a pre-slicing bottom run
-    from an old checkpoint) falls back to spans derived from the slices'
+    into a leveled level without them (e.g. the bottom run of a
+    full-merge checkpoint reopened as leveled) falls back to spans derived from the slices'
     key bounds: slice ``i`` owns from its first key (0 for the first
     slice) up to just before slice ``i + 1``'s first key (``universe-1``
     for the last). Either way the spans tile ``[0, universe)`` with no

@@ -437,32 +437,6 @@ class SSTable:
         )
 
     @classmethod
-    def from_parts(
-        cls,
-        keys: np.ndarray,
-        values: List[Any],
-        universe: int,
-        filt: Optional[RangeFilter] = None,
-        *,
-        slice_bounds: Optional[Tuple[int, int]] = None,
-    ) -> "SSTable":
-        """Rebuild a run around an existing filter instance.
-
-        The recovery path (:mod:`repro.engine.persist`) deserialises the
-        filter that guarded the run when it was snapshotted; rebuilding it
-        from the keys would draw fresh hash constants and change which
-        probes false-positive after a reopen.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(values) != keys.size:
-            raise ValueError("keys and values must have the same length")
-        tags, va, vb, vexp, heap = encode_values(values)
-        return cls.from_columns(
-            keys, tags, va, vb, vexp, heap, universe, filt,
-            slice_bounds=slice_bounds,
-        )
-
-    @classmethod
     def from_columns(
         cls,
         keys: np.ndarray,

@@ -202,7 +202,6 @@ class LSMStore:
         universe: int,
         *,
         level0: Sequence[SSTable],
-        bottom: Optional[SSTable] = None,
         levels: Optional[Sequence[Sequence[SSTable]]] = None,
         memtable_limit: int = 1024,
         compaction_fanout: int = 4,
@@ -216,14 +215,10 @@ class LSMStore:
         This is the recovery path of :mod:`repro.engine.persist`: runs
         (and their filters) come back from disk exactly as snapshotted,
         so queries after a reopen behave identically to before it.
-        ``levels`` is the full deep-level topology (L1 first);
-        ``bottom`` is the pre-slicing single-bottom shorthand kept for
-        old callers and old manifests — passing both is an error.
+        ``levels`` is the full deep-level topology (L1 first).
         ``ttl_now`` restores the logical TTL clock the manifest
         recorded, so expired entries stay invisible across a reopen.
         """
-        if bottom is not None and levels is not None:
-            raise InvalidParameterError("pass bottom or levels, not both")
         store = cls(
             universe,
             memtable_limit=memtable_limit,
@@ -236,8 +231,6 @@ class LSMStore:
         store._level0 = list(level0)
         if levels is not None:
             store._levels = [list(level) for level in levels if level]
-        elif bottom is not None:
-            store._levels = [[bottom]]
         return store
 
     # ------------------------------------------------------------------

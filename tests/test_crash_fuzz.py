@@ -271,121 +271,6 @@ def test_wal_truncation_tiered_topology(tmp_path):
     )
 
 
-# ----------------------------------------------------------------------
-# Pre-slicing (version 1) checkpoints
-# ----------------------------------------------------------------------
-def _v2_run_to_v1(buf: bytes) -> bytes:
-    """Rewrite a current run file in the pre-slicing version-1 layout.
-
-    The run is first re-serialised through the retired row-oriented v3
-    writer (production files are columnar v4 now), then byte-surgered:
-    everything except the version stamp, the slice-bounds section, and
-    the v3 crc trailer is kept bit-identical — exactly what a run file
-    written before the slicing and checksum PRs looks like."""
-    import struct
-
-    from repro.core.serialization import unpack_int, unpack_words
-
-    assert buf[:4] == b"RSST"
-    (version,) = struct.unpack_from("<H", buf, 4)
-    if version == 4:
-        run = persist.run_from_bytes(buf, missing_filter="drop")
-        buf = persist._run_to_bytes_v3(run)
-        (version,) = struct.unpack_from("<H", buf, 4)
-    assert version == 3
-    buf = buf[:-4]  # v1 has no crc32 trailer
-    offset = 6 + 8  # header + entry count
-    _, offset = unpack_int(buf, offset)     # universe
-    _, offset = unpack_words(buf, offset)   # keys
-    (mask_len,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8 + mask_len
-    (values_len,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8 + values_len
-    bounds_start = offset
-    (has_bounds,) = struct.unpack_from("<B", buf, offset)
-    offset += 1
-    if has_bounds:
-        _, offset = unpack_int(buf, offset)
-        _, offset = unpack_int(buf, offset)
-    return buf[:4] + struct.pack("<H", 1) + buf[6:bounds_start] + buf[offset:]
-
-
-def _downgrade_snapshot_to_v1(db: Path) -> None:
-    """Rewrite an on-disk checkpoint as the seed (pre-PR) format wrote it:
-    manifest version 1 with per-shard ``level0`` + single ``bottom``, no
-    ``compaction`` record, and version-1 run files."""
-    import json
-
-    manifest = json.loads((db / persist.MANIFEST_NAME).read_text())
-    assert manifest["manifest_version"] == 3
-    manifest["manifest_version"] = 1
-    manifest.pop("compaction", None)
-    manifest.pop("crc32", None)  # the seed format carried no checksum
-    (db / persist.PREV_MANIFEST_NAME).unlink(missing_ok=True)
-    for sid, entry in enumerate(manifest["shards"]):
-        levels = entry.pop("levels")
-        assert len(levels) <= 1 and all(len(names) <= 1 for names in levels), (
-            "the v1 format can only express a single bottom run"
-        )
-        entry["bottom"] = levels[0][0] if levels and levels[0] else None
-        shard_dir = db / f"shard-{sid:04d}"
-        for sst in shard_dir.glob("*.sst"):
-            sst.write_bytes(_v2_run_to_v1(sst.read_bytes()))
-    (db / persist.MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
-
-
-def test_v1_single_bottom_checkpoint_reopens_byte_for_byte(tmp_path):
-    """A pre-PR checkpoint (v1 manifest, v1 run files, single bottom run)
-    must reopen under the default FullMergePolicy with the exact state
-    and the exact filter bytes it was written with."""
-    from repro.core.serialization import filter_to_bytes
-
-    db = tmp_path / "db"
-    states, _, _ = record_run(
-        db, n_ops=50, checkpoint_every=25, filter_factory=grafite_factory
-    )
-    # Settle every shard to the single-bottom topology v1 can express,
-    # then checkpoint cleanly.
-    engine = ShardedEngine.open(db, filter_factory=grafite_factory)
-    for store in engine.shards:
-        store.request_compaction()
-    engine.drain_compactions()
-    engine.close()  # checkpoints
-    reference = recovered_state(db, grafite_factory)
-    assert reference == states[-1]
-    def filter_blobs(engine):
-        return [
-            [filter_to_bytes(run.filter) for run in store.level0_runs]
-            + ([filter_to_bytes(store.bottom_run.filter)]
-               if store.bottom_run else [])
-            for store in engine.shards
-        ]
-
-    engine = ShardedEngine.open(db, filter_factory=grafite_factory)
-    before = filter_blobs(engine)
-    engine.close(checkpoint=False)
-
-    _downgrade_snapshot_to_v1(db)
-
-    engine = ShardedEngine.open(db, filter_factory=grafite_factory)
-    try:
-        assert engine.compaction_policy.name == "full"
-        assert filter_blobs(engine) == before, (
-            "filters did not restore byte-for-byte from v1"
-        )
-        assert {k: v for k, v in engine.range_scan(0, UNIVERSE - 1)} == reference
-        # The reopened engine keeps working: write, compact, re-checkpoint
-        # — and the next checkpoint is written in the current format.
-        engine.put(123, "post-upgrade")
-        engine.checkpoint()
-    finally:
-        engine.close(checkpoint=False)
-    manifest = persist.load_manifest(db)
-    assert manifest["generation"] >= 2
-    upgraded = recovered_state(db, grafite_factory)
-    assert upgraded == {**reference, 123: "post-upgrade"}
-
-
 def test_truncation_inside_header(tmp_path):
     """A crash before the WAL header finished must not brick recovery —
     the log restarts and only unacknowledged post-checkpoint writes are

@@ -544,8 +544,8 @@ def test_differential_engine_planner_persistent(tmp_path):
 def test_differential_service_planner(num_threads):
     """`serve --plan`'s configuration: the planner's passes run on the
     service's calling thread, cache consultation borrows the per-shard
-    read locks, and the cost model dispatches sub-batches between the
-    scalar and columnar kernels mid-stream."""
+    read locks, and sub-batches take the scalar or the columnar lane of
+    the shard kernel by size mid-stream."""
     rng = np.random.default_rng(SEED + 43)
     replay(
         ServiceTarget(num_threads, planner=True),
@@ -554,7 +554,7 @@ def test_differential_service_planner(num_threads):
 
 
 def test_differential_service_planner_process(tmp_path):
-    """Planner over process mode: the cost model routes big clean
+    """Planner over process mode: ``choose_mode`` routes big clean
     sub-batches to snapshot workers and overlapping/small ones to the
     local kernels, under checkpoint-epoch churn."""
     rng = np.random.default_rng(SEED + 47)

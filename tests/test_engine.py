@@ -296,6 +296,76 @@ class TestShardedEngine:
         )
         assert batch_store.stats.reads_performed == 0
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 64])
+    def test_scalar_and_columnar_lanes_match_a_range_empty_loop(
+        self, n, monkeypatch
+    ):
+        """Both lanes of ``shard_batch_empty`` — a loop for up to
+        ``SCALAR_CUTOFF`` ranges, columnar above — give a loop of
+        ``range_empty``'s verdicts and move the ledger the same way, on
+        a leveled shard with several runs, live and tombstoned memtable
+        entries and a block cache."""
+        from repro.engine import batch as batch_mod
+        from repro.lsm.cache import BlockCache
+        from repro.lsm.compaction import LeveledPolicy
+
+        universe = 2**20
+        columnar_calls = []
+        columnar = batch_mod._columnar_empty
+        monkeypatch.setattr(
+            batch_mod, "_columnar_empty",
+            lambda *args: columnar_calls.append(1) or columnar(*args),
+        )
+
+        def build():
+            store = LSMStore(
+                universe, memtable_limit=50, filter_factory=grafite_factory,
+                compaction_policy=LeveledPolicy(slice_target=40),
+            )
+            rng = np.random.default_rng(3)
+            for key in rng.choice(universe, 1200, replace=False):
+                store.put(int(key), b"v")
+            for key in range(0, 20_000, 1000):
+                store.delete(key)  # tombstones in runs
+            for key in (600_000, 600_100):
+                store.put(key, b"m")  # live memtable entries
+            for key in (700_000, 700_500):
+                store.delete(key)  # tombstoned memtable entries
+            store.attach_cache(BlockCache(64, num_stripes=2))
+            return store
+
+        loop_store, batch_store = build(), build()
+        assert len(batch_store._memtable) > 0
+        assert batch_store.run_count > 2
+        rng = np.random.default_rng(n)
+        fixed = [600_050, 700_000, 700_400, 5_000, 0]
+        los = np.concatenate((
+            np.asarray(fixed, dtype=np.uint64),
+            rng.integers(0, universe - 300, max(n - len(fixed), 0),
+                         dtype=np.uint64),
+        ))[:n]
+        his = los + rng.integers(0, 256, n).astype(np.uint64)
+        fields = ("reads_performed", "reads_avoided", "wasted_reads",
+                  "cache_hits", "cache_misses")
+
+        def ledger(store):
+            return [getattr(store.stats, f) for f in fields]
+
+        before = ledger(loop_store)
+        want = [loop_store.range_empty(int(lo), int(hi))
+                for lo, hi in zip(los, his)]
+        loop_delta = np.subtract(ledger(loop_store), before)
+        before = ledger(batch_store)
+        got = batch_mod.shard_batch_empty(batch_store, los, his)
+        batch_delta = np.subtract(ledger(batch_store), before)
+
+        assert got.tolist() == want
+        assert dict(zip(fields, batch_delta)) == dict(zip(fields, loop_delta))
+        if n >= len(fixed):
+            assert not all(want) and any(want)
+            assert batch_delta[0] > 0 and batch_delta[1] > 0
+        assert len(columnar_calls) == int(n > batch_mod.SCALAR_CUTOFF)
+
     def test_batch_sees_memtable_and_tombstones(self):
         engine = ShardedEngine(1000, num_shards=2, memtable_limit=100)
         engine.put(700, "unflushed")

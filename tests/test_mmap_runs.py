@@ -6,16 +6,17 @@ Three hazards specific to memory-mapped storage, each pinned here:
   must answer every query identically to the engine that wrote it, and
   its runs must actually be backed by the mapping (zero-copy, not a
   read-into-heap fallback);
-* **format compatibility** — v3 (row-oriented) run files written by the
-  retired legacy writer still load, byte-for-byte equivalent, and the
-  next checkpoint rewrites them as v4 without changing any answer
-  (v1/v2 reopen fidelity lives in ``test_crash_fuzz``);
+* **one format** — a run file stamped with a retired version (v1–v3)
+  or a manifest stamped version 1 or 2 is rejected as corrupt, by the
+  loaders, by ``ShardedEngine.open`` and by the scrub;
 * **unmap discipline** — unlinking a mapped run file must not break
   in-flight readers (POSIX keeps mapped pages alive), and a run that
   has been explicitly :meth:`~repro.lsm.sstable.SSTable.release`-d must
   raise :class:`~repro.errors.CorruptionError` cleanly on any further
   read — never serve stale bytes or segfault.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -83,38 +84,47 @@ def test_v4_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
         assert run.shared_id is not None, "persisted run lost its shared_id"
 
 
-def test_v3_run_files_still_load_and_upgrade_to_v4(tmp_path):
-    engine, keys = build_db(tmp_path / "db")
-    want = probe_all(engine, keys)
-
-    # Downgrade every run blob to the retired row-oriented v3 format.
-    downgraded = 0
-    for sst in (tmp_path / "db").glob("shard-*/*.sst"):
-        run = persist.run_from_bytes(sst.read_bytes())
-        sst.write_bytes(persist._run_to_bytes_v3(run))
-        downgraded += 1
-    assert downgraded > 0
-
-    reopened = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
-    assert probe_all(reopened, keys) == want
-    for run in all_runs(reopened):
-        # Legacy blobs decode into heap arrays — no mapping to adopt.
-        assert not isinstance(run._backing, np.memmap)
-
-    # The next checkpoint rewrites the runs in the current (v4) format.
-    # (The previous epoch's v3 files stay on disk for rollback, so only
-    # inspect the files the new manifest actually references.)
-    reopened.checkpoint()
-    manifest = persist.load_manifest(tmp_path / "db")
-    versions = set()
-    for sid, names in persist.referenced_runs(manifest).items():
-        for name in names:
-            buf = (tmp_path / "db" / f"shard-{sid:04d}" / name).read_bytes()
-            assert buf[:4] == b"RSST"
-            versions.add(int.from_bytes(buf[4:6], "little"))
-    assert versions == {4}
-    again = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
-    assert probe_all(again, keys) == want
+@pytest.mark.parametrize(
+    "kind, version",
+    [("run", 1), ("run", 2), ("run", 3), ("manifest", 1), ("manifest", 2)],
+    ids=["run-v1", "run-v2", "run-v3", "manifest-v1", "manifest-v2"],
+)
+def test_retired_format_is_rejected(tmp_path, kind, version):
+    """Only run format v4 and manifest version 3 load. A retired version
+    stamp is corruption: the loader names it, ``open`` finds no intact
+    epoch to roll back to, and the scrub reports the damage."""
+    db = tmp_path / "db"
+    engine, _ = build_db(db)
+    engine.close(checkpoint=False)
+    msg = f"version {version}"
+    if kind == "run":
+        # Drop the retained previous epoch: nothing intact to roll back to.
+        (db / persist.PREV_MANIFEST_NAME).unlink()
+        ssts = list(db.glob("shard-*/*.sst"))
+        assert ssts
+        for sst in ssts:
+            buf = bytearray(sst.read_bytes())
+            buf[4:6] = version.to_bytes(2, "little")
+            sst.write_bytes(bytes(buf))
+        with pytest.raises(CorruptionError, match=msg):
+            persist.run_from_bytes(ssts[0].read_bytes())
+    else:
+        for name in (persist.MANIFEST_NAME, persist.PREV_MANIFEST_NAME):
+            path = db / name
+            if not path.exists():
+                continue
+            manifest = json.loads(path.read_text())
+            manifest["manifest_version"] = version
+            # A valid checksum, so only the version can be at fault.
+            manifest["crc32"] = persist.manifest_crc(manifest)
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptionError, match=msg):
+            persist.load_manifest(db)
+    with pytest.raises(CorruptionError, match=msg):
+        ShardedEngine.open(db, filter_factory=grafite_factory)
+    report = persist.scrub_snapshot(db)
+    assert report["ok"] is False
+    assert any(msg in err for err in report["errors"])
 
 
 def test_unlink_mid_read_keeps_mapped_pages_alive(tmp_path):

@@ -1,10 +1,10 @@
-"""Tests for the batch query planner (rewrite, negative cache, cost model).
+"""Tests for the batch query planner (rewrite, negative cache, dispatch).
 
 The planner's contract is exactness: every pass — dedup scatter-back,
 cover merging with the re-ask round, negative-cache replay under the
 version/memtable validity conditions — must leave the verdict column
 bit-identical to the unplanned executor. The suites here check the
-passes in isolation (plan_batch / NegativeRangeCache / CostModel units)
+passes in isolation (plan_batch / NegativeRangeCache / choose_mode units)
 and end to end (hypothesis equivalence against a planner-less twin
 engine, cache invalidation through real flushes and writes).
 """
@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from repro.core.grafite import Grafite
 from repro.engine import (
     BatchPlanner,
-    CostModel,
     NegativeRangeCache,
     RangeQueryService,
     ShardedEngine,
     plan_batch,
 )
-from repro.engine.planner import _merge_intervals, duplicate_ratio
+from repro.engine import planner as planner_mod
+from repro.engine.planner import PROCESS_FLOOR, _merge_intervals
 
 UNIVERSE = 2**24
 U64_MAX = 2**64 - 1
@@ -143,14 +143,6 @@ class TestMergeIntervals:
         assert los.size == 0 and his.size == 0
 
 
-class TestDuplicateRatio:
-    def test_values(self):
-        assert duplicate_ratio(u64([]), u64([])) == 0.0
-        assert duplicate_ratio(u64([1]), u64([2])) == 0.0
-        assert duplicate_ratio(u64([1, 1]), u64([2, 2])) == pytest.approx(0.5)
-        assert duplicate_ratio(u64([1, 2]), u64([2, 3])) == 0.0
-
-
 # ----------------------------------------------------------------------
 # The negative cache
 # ----------------------------------------------------------------------
@@ -218,33 +210,64 @@ class TestNegativeRangeCache:
 
 
 # ----------------------------------------------------------------------
-# The cost model
+# Worker-or-local dispatch
 # ----------------------------------------------------------------------
-class TestCostModel:
-    def test_tiny_batches_go_scalar(self):
-        model = CostModel()
-        assert model.choose(batch_size=3) == "scalar"
-        assert model.choose(batch_size=8) == "scalar"
+class TestChooseMode:
+    def _ranges(self, n, start=1_000):
+        los = u64(range(start, start + 100 * n, 100))
+        return los, los + np.uint64(10)
 
-    def test_duplicates_discount_the_size(self):
-        model = CostModel()
-        # 100 rows but 95% duplicates: 5 distinct -> scalar territory.
-        assert model.choose(batch_size=100, duplicate_ratio=0.95) == "scalar"
-        assert model.choose(batch_size=100, duplicate_ratio=0.0,
-                            process_available=True) == "process"
+    def test_thread_mode_is_local_without_probing_memtable(self, monkeypatch):
+        def no_probe(*args):
+            raise AssertionError("thread mode probed the memtable")
 
-    def test_process_needs_availability_size_and_clean_memtables(self):
-        model = CostModel()
-        assert model.choose(batch_size=500) == "columnar"
-        assert model.choose(
-            batch_size=500, process_available=True
+        monkeypatch.setattr(planner_mod, "memtable_overlaps", no_probe)
+        planner = BatchPlanner()
+        store = build_engine([5]).shards[0]
+        for n in (1, PROCESS_FLOOR, 500):
+            q_lo, q_hi = self._ranges(n)
+            assert planner.choose_mode(
+                store, q_lo, q_hi, process_available=False
+            ) == "local"
+        assert planner.stats_snapshot()["modes"] == {"local": 3, "process": 0}
+
+    def test_process_needs_the_size_floor(self, monkeypatch):
+        probed = []
+
+        def overlaps(store, q_lo, q_hi):
+            probed.append(q_lo.size)
+            return np.zeros(q_lo.size, dtype=bool)
+
+        monkeypatch.setattr(planner_mod, "memtable_overlaps", overlaps)
+        planner = BatchPlanner()
+        store = build_engine([5]).shards[0]
+        small = self._ranges(PROCESS_FLOOR - 1)
+        assert planner.choose_mode(
+            store, *small, process_available=True
+        ) == "local"
+        assert probed == []  # below the floor the overlap is never probed
+        full = self._ranges(PROCESS_FLOOR)
+        assert planner.choose_mode(
+            store, *full, process_available=True
         ) == "process"
-        assert model.choose(
-            batch_size=500, process_available=True, memtable_overlap=0.9
-        ) == "columnar"
-        assert model.choose(
-            batch_size=32, process_available=True
-        ) == "columnar"
+        assert probed == [PROCESS_FLOOR]
+
+    def test_process_needs_a_clean_memtable(self):
+        planner = BatchPlanner()
+        engine = build_engine([], num_shards=1)
+        store = engine.shards[0]
+        q_lo, q_hi = self._ranges(PROCESS_FLOOR)
+        assert planner.choose_mode(
+            store, q_lo, q_hi, process_available=True
+        ) == "process"
+        # Unflushed writes inside most of the ranges: a snapshot worker
+        # would bounce them back, so the sub-batch stays local.
+        for lo in q_lo[: PROCESS_FLOOR * 3 // 4]:
+            engine.put(int(lo) + 5, "x")
+        assert len(store._memtable) > 0
+        assert planner.choose_mode(
+            store, q_lo, q_hi, process_available=True
+        ) == "local"
 
 
 # ----------------------------------------------------------------------
@@ -268,11 +291,9 @@ def duplicate_heavy_batches():
     "planner_kwargs",
     [
         {},  # full pipeline
-        {"merge": False},  # dedup only
         {"cache_capacity": 0},  # no negative cache
-        {"merge": False, "cache_capacity": 0},  # bare dedup
     ],
-    ids=["full", "no-merge", "no-cache", "dedup-only"],
+    ids=["full", "no-cache"],
 )
 @given(batch=duplicate_heavy_batches(), data=st.data())
 @settings(max_examples=25, deadline=None)
@@ -393,7 +414,7 @@ class TestPlannerServiceIntegration:
         assert planner is not None
         assert planner["queries"] == 3
         assert planner["negative_cache"]["enabled"]
-        # The cost model tallied the per-shard dispatch decisions.
+        # The planner tallied the per-shard dispatch decisions.
         assert sum(planner["modes"].values()) > 0
 
     def test_service_without_planner_reports_none(self):
