@@ -302,8 +302,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan", action=argparse.BooleanOptionalAction, default=True,
         help="run probe batches through the query planner — dedup/merge "
-        "rewrite, negative-result cache, cost-model dispatch "
-        "(--no-plan executes batches verbatim)",
+        "rewrite and negative-result cache (--no-plan executes batches "
+        "verbatim)",
     )
     parser.add_argument("--bits-per-key", type=float, default=16.0)
     parser.add_argument("--range-size", type=int, default=32)
@@ -704,15 +704,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """The same workload, served concurrently by a RangeQueryService."""
     from repro.engine import RangeQueryService
 
-    if args.listen is not None:
-        if args.mode == "process" and args.dir is None:
-            print(
-                "serve: --mode process needs --dir (snapshot workers open "
-                "the shards from the engine's checkpoint directory)",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_listen(args)
     if args.mode == "process" and args.dir is None:
         print(
             "serve: --mode process needs --dir (snapshot workers open the "
@@ -720,6 +711,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.listen is not None:
+        return _serve_listen(args)
     universe = _universe(args)
     keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
     engine = _build_engine(args)

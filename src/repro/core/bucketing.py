@@ -70,7 +70,7 @@ class Bucketing(RangeFilter):
     # Construction
     # ------------------------------------------------------------------
     def _encode(self, arr: np.ndarray) -> EliasFano:
-        """Elias-Fano encode the deduplicated marked-bucket indices."""
+        """Elias-Fano encode the unique marked-bucket indices."""
         bucket_universe = (self._universe - 1) // self._s + 1
         if arr.size == 0:
             return EliasFano([], universe=bucket_universe)

@@ -19,8 +19,8 @@ serving heavy range-query traffic behind in-memory filters.
   compaction drained between batches (thread-safe queue);
 * :class:`~repro.engine.service.RangeQueryService` — the concurrent
   serving layer: thread-pool query fan-out behind per-shard
-  reader/writer locks, a background compaction worker, and a sharded
-  block cache in front of the simulated disk;
+  reader/writer locks, a background compaction worker, and one block
+  cache per serving mode in front of the simulated disk;
 * :class:`~repro.engine.workers.ShardWorkerPool` — process-mode back
   end: per-shard snapshot workers behind ``multiprocessing``
   shared-memory query rings, invalidated by the checkpoint-epoch

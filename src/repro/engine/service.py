@@ -20,10 +20,11 @@ with the three pieces a serving tier adds:
   keeping compaction latency off the query path — and, under the sliced
   leveled policy, keeping any single lock hold proportional to one
   step's rewrite rather than a whole-shard merge;
-* **a sharded block cache** (:class:`~repro.lsm.cache.BlockCache`) in
-  front of the simulated SSTable disk, attached to every shard, with
-  hit/miss counters folded into the engine's
-  :class:`~repro.lsm.store.IoStats`;
+* **one block cache** in front of the simulated SSTable disk, attached
+  to every shard, with hit/miss counters folded into the engine's
+  :class:`~repro.lsm.store.IoStats` — the sharded in-process
+  :class:`~repro.lsm.cache.BlockCache` in thread mode, one
+  :class:`~repro.lsm.cache.SharedBlockCache` slab in process mode;
 * optionally, with ``mode="process"``, **a pool of per-shard snapshot
   worker processes** (:mod:`repro.engine.workers`) that answer
   CPU-bound batch probes outside the GIL. Workers hold the shard's runs
@@ -71,6 +72,9 @@ from repro.engine.workers import ShardWorkerPool, WorkerError
 from repro.errors import InvalidParameterError
 from repro.lsm.cache import BlockCache, SharedBlockCache
 from repro.lsm.store import IoStats
+
+#: Lock stripes of a cache the service builds.
+CACHE_STRIPES = 8
 
 
 class RWLock:
@@ -149,13 +153,19 @@ class RangeQueryService:
         compactions in the background regardless.
     cache_blocks:
         Block-cache capacity (in SSTable blocks) shared by all shards;
-        ``0`` disables the cache. A cache already attached to the engine
-        (via :meth:`ShardedEngine.attach_block_cache`) is kept as-is and
-        this parameter is ignored — the service never replaces a cache
-        the caller configured.
-    cache_stripes / miss_latency:
-        Forwarded to :class:`~repro.lsm.cache.BlockCache`;
-        ``miss_latency`` simulates the storage device on cache misses.
+        ``0`` disables the cache. Thread mode builds a
+        :class:`~repro.lsm.cache.BlockCache`; process mode builds one
+        :class:`~repro.lsm.cache.SharedBlockCache` slab that the parent
+        *and* every snapshot worker attach to, so one admission warms
+        all processes. The service detaches the cache it built on
+        :meth:`close` (and unlinks a slab). A cache already attached to
+        the engine (via :meth:`ShardedEngine.attach_block_cache`) is
+        kept as-is and this parameter is ignored — the service never
+        replaces a cache the caller configured; in process mode it must
+        be a :class:`~repro.lsm.cache.SharedBlockCache`.
+    miss_latency:
+        Seconds a built cache sleeps per miss, simulating the storage
+        device.
     compaction_poll:
         Idle back-off of the compaction worker between queue checks.
     mode:
@@ -168,15 +178,6 @@ class RangeQueryService:
     num_workers:
         Worker processes in process mode (default: ``num_threads``,
         capped at the shard count). Ignored in thread mode.
-    shared_cache:
-        Process mode only. ``True`` (default) homes the block cache in
-        a :class:`~repro.lsm.cache.SharedBlockCache` shared-memory slab
-        that the parent *and* every snapshot worker attach to — one
-        admission warms all processes, and cache memory is one slab
-        instead of one replica per worker. ``False`` keeps the legacy
-        duplicated per-worker caches (each worker gets a private
-        ``cache_blocks``-block replica). Ignored in thread mode and
-        when the caller pre-attached a cache to the engine.
     """
 
     def __init__(
@@ -185,12 +186,10 @@ class RangeQueryService:
         *,
         num_threads: int = 4,
         cache_blocks: int = 4096,
-        cache_stripes: int = 8,
         miss_latency: float = 0.0,
         compaction_poll: float = 0.01,
         mode: str = "thread",
         num_workers: Optional[int] = None,
-        shared_cache: bool = True,
     ) -> None:
         if num_threads < 1:
             raise InvalidParameterError("num_threads must be >= 1")
@@ -203,26 +202,25 @@ class RangeQueryService:
                 "mode='process' needs a persistent engine: the snapshot "
                 "workers open the shards from its checkpoint directory"
             )
+        cache = engine.block_cache
+        if mode == "process" and cache is not None and not isinstance(
+            cache, SharedBlockCache
+        ):
+            raise InvalidParameterError(
+                "mode='process' serves from one SharedBlockCache slab, but "
+                f"the engine has a {type(cache).__name__} attached"
+            )
         self._engine = engine
         self._mode = mode
         self._num_threads = int(num_threads)
         self._locks = [RWLock() for _ in engine.shards]
-        self._cache: Optional[BlockCache] = engine.block_cache
-        self._owns_shared_cache = False
-        if self._cache is None and cache_blocks:
-            if mode == "process" and shared_cache:
-                self._cache = SharedBlockCache(
-                    cache_blocks,
-                    num_stripes=cache_stripes,
-                    miss_latency=miss_latency,
-                )
-                self._owns_shared_cache = True
-            else:
-                self._cache = BlockCache(
-                    cache_blocks,
-                    num_stripes=cache_stripes,
-                    miss_latency=miss_latency,
-                )
+        self._cache = cache
+        self._owns_cache = cache is None and bool(cache_blocks)
+        if self._owns_cache:
+            cache_class = SharedBlockCache if mode == "process" else BlockCache
+            self._cache = cache_class(
+                cache_blocks, num_stripes=CACHE_STRIPES, miss_latency=miss_latency
+            )
             engine.attach_block_cache(self._cache)
         self._workers: Optional[ShardWorkerPool] = None
         self._synced_versions: List[int] = []
@@ -232,37 +230,22 @@ class RangeQueryService:
         if mode == "process":
             # Seed the workers with a fresh checkpoint, then fork them
             # *before* any thread of ours exists (fork safety). Workers
-            # replicate the block-cache configuration so their run reads
-            # pay the same simulated device cost as the in-process path.
+            # attach to the slab, so their run reads pay the same
+            # simulated device cost as the in-process path.
             try:
                 engine.checkpoint()
                 self._workers = ShardWorkerPool(
                     engine.directory,
                     engine.num_shards,
                     num_workers if num_workers is not None else self._num_threads,
-                    cache_blocks=(
-                        self._cache.capacity_blocks
-                        if self._cache is not None else 0
-                    ),
-                    cache_stripes=(
-                        self._cache.num_stripes if self._cache is not None else 4
-                    ),
-                    miss_latency=(
-                        self._cache.miss_latency if self._cache is not None else 0.0
-                    ),
-                    shared_cache=(
-                        self._cache
-                        if isinstance(self._cache, SharedBlockCache) else None
-                    ),
+                    shared_cache=self._cache,
                 )
                 self._sync_workers()
             except BaseException:
                 # The constructor owns the slab until __init__ returns:
                 # release it (and the engine's reference to it) rather
                 # than leaking the shared-memory segment.
-                if self._owns_shared_cache and self._cache is not None:
-                    engine.attach_block_cache(None)
-                    self._cache.close()
+                self._release_cache()
                 raise
         self._pool = ThreadPoolExecutor(
             max_workers=self._num_threads, thread_name_prefix="repro-query"
@@ -280,6 +263,15 @@ class RangeQueryService:
             target=self._compaction_loop, name="repro-compactor", daemon=True
         )
         self._compactor.start()
+
+    def _release_cache(self) -> None:
+        """Detach the cache this service built; unlink it if a slab."""
+        if self._owns_cache:
+            self._owns_cache = False
+            self._engine.attach_block_cache(None)
+            if isinstance(self._cache, SharedBlockCache):
+                self._cache.close()
+            self._cache = None
 
     def _sync_workers(self) -> None:
         """Checkpoint-epoch handshake: point workers at the new snapshot.
@@ -659,10 +651,10 @@ class RangeQueryService:
         """Stop the worker and pool; optionally checkpoint first.
 
         The engine itself stays usable (single-threaded) after the
-        service closes; the block cache stays attached, which never
-        changes results — except a service-owned *shared* cache, whose
-        shared-memory slab must be unlinked: it is detached from the
-        engine and destroyed once the workers borrowing it are gone.
+        service closes. A cache the service built is detached from the
+        engine — a shared-memory slab is also unlinked, once the workers
+        borrowing it are gone — so a later service builds its own; a
+        caller-attached cache stays attached.
         """
         if self._closed:
             return
@@ -674,10 +666,7 @@ class RangeQueryService:
         self._pool.shutdown(wait=True)
         if self._workers is not None:
             self._workers.close()
-        if self._owns_shared_cache and self._cache is not None:
-            self._engine.attach_block_cache(None)
-            self._cache.close()
-            self._cache = None
+        self._release_cache()
 
     def __enter__(self) -> "RangeQueryService":
         return self
@@ -726,7 +715,7 @@ class RangeQueryService:
         return self._local_queries
 
     @property
-    def cache(self) -> Optional[BlockCache]:
+    def cache(self) -> Optional[BlockCache | SharedBlockCache]:
         return self._cache
 
     @property

@@ -130,9 +130,6 @@ def worker_main(
     slot_count: int,
     slot_capacity: int,
     start_method: str = "fork",
-    cache_blocks: int = 0,
-    cache_stripes: int = 4,
-    miss_latency: float = 0.0,
     shared_cache_name: Optional[str] = None,
     shared_cache_locks: Optional[Sequence[object]] = None,
 ) -> None:
@@ -147,47 +144,38 @@ def worker_main(
     and acks ``("done", seq, slot, count)`` once the verdict bitmap and
     stats delta are in the response slot.
 
-    ``cache_blocks``/``cache_stripes``/``miss_latency`` replicate the
-    parent's block-cache configuration in this process, so worker-side
-    run verification pays the same simulated device cost as the locked
-    in-process path would (thread vs. process comparisons stay honest)
-    and cache hit/miss counts ship back in the stats delta. The replica
-    is per-worker and survives reloads; entries of superseded runs age
-    out by LRU since run uids never repeat.
-
-    With ``shared_cache_name`` set the worker instead *attaches* to the
+    With ``shared_cache_name`` set the worker *attaches* to the
     parent's :class:`~repro.lsm.cache.SharedBlockCache` slab
     (``shared_cache_locks`` are the creator's stripe locks, inherited
     through the process args): every worker — and the parent's locked
     in-process path — then reads and warms one cache, so a block
-    admitted anywhere is a hit everywhere. The parent owns the slab's
-    lifetime; the worker only closes its attachment.
+    admitted anywhere is a hit everywhere. The slab header carries the
+    owner's ``miss_latency``, so worker-side run verification pays the
+    same simulated device cost as the in-process path, and cache
+    hit/miss counts ship back in the stats delta. The attachment
+    survives reloads; the parent owns the slab's lifetime and the
+    worker only closes its attachment. Without a slab the worker reads
+    its runs uncached.
     """
     # Imported here, not at module top: under the spawn start method the
     # child pays these imports once at boot, and under fork they are
     # already resolved — either way the hot loop below never imports.
     from repro.engine import persist
     from repro.engine.batch import shard_batch_empty
-    from repro.lsm.cache import BlockCache, SharedBlockCache
+    from repro.lsm.cache import SharedBlockCache
 
     req = _attach(req_name, unregister=start_method != "fork")
     resp = _attach(resp_name, unregister=start_method != "fork")
     bounds, verdicts, stats = _ring_views(
         req.buf, resp.buf, slot_count, slot_capacity
     )
+    cache = None
     if shared_cache_name is not None:
         cache = SharedBlockCache.attach(
             shared_cache_name,
             list(shared_cache_locks or []),
-            miss_latency=miss_latency,
             unregister=start_method != "fork",
         )
-    elif cache_blocks:
-        cache = BlockCache(
-            cache_blocks, num_stripes=cache_stripes, miss_latency=miss_latency
-        )
-    else:
-        cache = None
     stores: Dict[int, object] = {}
     try:
         while True:
@@ -254,7 +242,7 @@ def worker_main(
                 conn.send(("error", f"unknown request {tag!r}"))
     finally:
         conn.close()
-        if isinstance(cache, SharedBlockCache):
+        if cache is not None:
             cache.close()  # attachment only; the parent owns the slab
         req.close()
         resp.close()
@@ -325,17 +313,12 @@ class ShardWorkerPool:
     slot_count / slot_capacity:
         Ring geometry per worker: how many chunks may be in flight and
         how many queries fit one chunk.
-    cache_blocks / cache_stripes / miss_latency:
-        Replicate the serving tier's block-cache configuration inside
-        each worker process (``0`` blocks disables), so worker-side run
-        verification pays the same simulated device cost as the
-        in-process path and ships cache hit/miss counts home.
     shared_cache:
         A parent-owned :class:`~repro.lsm.cache.SharedBlockCache` every
-        worker attaches to instead of building a private replica
-        (``cache_blocks`` is then ignored). One slab serves all workers
-        and the parent: an admission anywhere is a hit everywhere, and
-        total cache memory stays one slab instead of one per process.
+        worker attaches to (``None``: workers read uncached). One slab
+        serves all workers and the parent: an admission anywhere is a
+        hit everywhere, total cache memory stays one slab, and the
+        slab's own ``miss_latency`` is the device cost every worker pays.
     """
 
     def __init__(
@@ -346,9 +329,6 @@ class ShardWorkerPool:
         *,
         slot_count: int = 4,
         slot_capacity: int = 8192,
-        cache_blocks: int = 0,
-        cache_stripes: int = 4,
-        miss_latency: float = 0.0,
         shared_cache: Optional["SharedBlockCache"] = None,
     ) -> None:
         if num_workers < 1:
@@ -386,8 +366,6 @@ class ShardWorkerPool:
                             req_shm.name, resp_shm.name,
                             self._slot_count, self._slot_capacity,
                             self._start_method,
-                            0 if shared_cache is not None else int(cache_blocks),
-                            int(cache_stripes), float(miss_latency),
                             shared_cache.name if shared_cache is not None else None,
                             list(shared_cache.locks) if shared_cache is not None else None,
                         ),

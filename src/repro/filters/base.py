@@ -25,7 +25,7 @@ from repro.errors import InvalidKeyError, InvalidQueryError
 
 
 def as_key_array(keys: Sequence[int] | np.ndarray, universe: int) -> np.ndarray | list:
-    """Validate and normalise input keys to a sorted, deduplicated sequence.
+    """Validate and normalise input keys to a sorted, duplicate-free sequence.
 
     Keys must be integers in ``[0, universe)``. The paper works with the
     *set* ``S``, so duplicates are removed here, once, for all filters.
@@ -52,7 +52,7 @@ def as_key_array(keys: Sequence[int] | np.ndarray, universe: int) -> np.ndarray 
             raise InvalidKeyError(
                 f"key {int(arr.max())} outside universe [0, {universe})"
             )
-        arr = np.unique(arr)  # sorted + deduplicated
+        arr = np.unique(arr)  # sorted + duplicate-free
     return arr
 
 

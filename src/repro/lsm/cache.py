@@ -75,7 +75,62 @@ class _Stripe:
         self.misses = 0
 
 
-class BlockCache:
+class _CacheCommon:
+    """What both caches share: the settings checks, the range read over
+    ``get_block`` and the counter views."""
+
+    @staticmethod
+    def _check_settings(
+        capacity_blocks: int, num_stripes: int, miss_latency: float
+    ) -> None:
+        if capacity_blocks < 1:
+            raise InvalidParameterError("capacity_blocks must be >= 1")
+        if num_stripes < 1:
+            raise InvalidParameterError("num_stripes must be >= 1")
+        if miss_latency < 0:
+            raise InvalidParameterError("miss_latency must be >= 0")
+
+    def scan(self, run: SSTable, lo: int, hi: int) -> Tuple[Matches, int, int]:
+        """Range read of ``[lo, hi]`` through the cache.
+
+        Returns ``(matches, hits, misses)``; ``matches`` is a lazy
+        :class:`~repro.lsm.sstable.Matches` view over the cached blocks
+        — entry-equal to what ``run.scan(lo, hi)`` yields, but fetched
+        block-by-block so repeated probes of a hot region stop touching
+        the simulated disk, and decoded only if the caller actually
+        materialises values.
+        """
+        span = run.block_span(lo, hi)
+        if span is None:
+            return Matches([]), 0, 0
+        hits = misses = 0
+        segments: List[Tuple[Block, int, int]] = []
+        for index in range(span[0], span[1] + 1):
+            block, hit = self.get_block(run, index)
+            if hit:
+                hits += 1
+            else:
+                misses += 1
+            start, stop = block.range_indices(lo, hi)
+            segments.append((block, start, stop))
+        return Matches(segments), hits, misses
+
+    @property
+    def miss_latency(self) -> float:
+        return self._miss_latency
+
+    @property
+    def hit_ratio(self) -> float:
+        hits = self.hits
+        total = hits + self.misses
+        return hits / total if total else 0.0
+
+    def stats(self) -> Dict[str, int]:
+        """Snapshot of the hit/miss counters and the resident blocks."""
+        return {"hits": self.hits, "misses": self.misses, "resident": len(self)}
+
+
+class BlockCache(_CacheCommon):
     """Sharded LRU cache over immutable SSTable block views.
 
     Parameters
@@ -100,12 +155,7 @@ class BlockCache:
         num_stripes: int = 8,
         miss_latency: float = 0.0,
     ) -> None:
-        if capacity_blocks < 1:
-            raise InvalidParameterError("capacity_blocks must be >= 1")
-        if num_stripes < 1:
-            raise InvalidParameterError("num_stripes must be >= 1")
-        if miss_latency < 0:
-            raise InvalidParameterError("miss_latency must be >= 0")
+        self._check_settings(capacity_blocks, num_stripes, miss_latency)
         self._num_stripes = min(int(num_stripes), int(capacity_blocks))
         # Distribute the capacity exactly: the first (capacity % stripes)
         # stripes hold one extra block, so the total never rounds down.
@@ -148,31 +198,6 @@ class BlockCache:
                 stripe.blocks.popitem(last=False)
         return block, False
 
-    def scan(self, run: SSTable, lo: int, hi: int) -> Tuple[Matches, int, int]:
-        """Range read of ``[lo, hi]`` through the cache.
-
-        Returns ``(matches, hits, misses)``; ``matches`` is a lazy
-        :class:`~repro.lsm.sstable.Matches` view over the cached blocks
-        — entry-equal to what ``run.scan(lo, hi)`` yields, but fetched
-        block-by-block so repeated probes of a hot region stop touching
-        the simulated disk, and decoded only if the caller actually
-        materialises values.
-        """
-        span = run.block_span(lo, hi)
-        if span is None:
-            return Matches([]), 0, 0
-        hits = misses = 0
-        segments: List[Tuple[Block, int, int]] = []
-        for index in range(span[0], span[1] + 1):
-            block, hit = self.get_block(run, index)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            start, stop = block.range_indices(lo, hi)
-            segments.append((block, start, stop))
-        return Matches(segments), hits, misses
-
     # ------------------------------------------------------------------
     # Introspection / maintenance
     # ------------------------------------------------------------------
@@ -183,10 +208,6 @@ class BlockCache:
     @property
     def num_stripes(self) -> int:
         return self._num_stripes
-
-    @property
-    def miss_latency(self) -> float:
-        return self._miss_latency
 
     def __len__(self) -> int:
         """Blocks currently resident."""
@@ -199,15 +220,6 @@ class BlockCache:
     @property
     def misses(self) -> int:
         return sum(stripe.misses for stripe in self._stripes)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, int]:
-        """Snapshot of the cache-wide counters."""
-        return {"hits": self.hits, "misses": self.misses, "resident": len(self)}
 
     def clear(self) -> None:
         """Evict everything and zero the counters (benchmark hygiene)."""
@@ -244,6 +256,7 @@ _H_NSLOTS = 1
 _H_SLOT_BYTES = 2
 _H_NSETS = 3
 _H_TICK = 4
+_H_MISS_LATENCY = 5  # float64 bits: seconds slept per miss
 _HDR_FIELDS = 8
 _HDR_BYTES = _HDR_FIELDS * 8
 
@@ -261,10 +274,10 @@ def _mix_key(uid64: int, block: int) -> int:
     ) & _U64
 
 
-class SharedBlockCache:
+class SharedBlockCache(_CacheCommon):
     """A block cache whose storage lives in one shared-memory slab.
 
-    Duck-types :class:`BlockCache` (``get_block`` / ``scan`` /
+    Shares :class:`BlockCache`'s API (``get_block`` / ``scan`` /
     counters), so :class:`~repro.lsm.store.LSMStore` and the serving
     layer use either interchangeably. The slab is divided into
     ``capacity_blocks`` fixed-size slots grouped into small
@@ -273,7 +286,8 @@ class SharedBlockCache:
     cross-process locks, readers are lock-free behind per-slot seqlock
     versions. A block whose packed payload exceeds ``slot_bytes``
     bypasses the slab (served straight from the run, counted as a
-    miss).
+    miss). The slab header records ``miss_latency``, so every
+    attachment charges the owner's simulated device cost.
 
     Identity: runs restored from a checkpoint carry a stable
     ``shared_id`` digest of their run-file name, so every attached
@@ -298,40 +312,27 @@ class SharedBlockCache:
         miss_latency: float = 0.0,
         slot_bytes: int = 16384,
     ) -> None:
-        if capacity_blocks < 1:
-            raise InvalidParameterError("capacity_blocks must be >= 1")
-        if num_stripes < 1:
-            raise InvalidParameterError("num_stripes must be >= 1")
-        if miss_latency < 0:
-            raise InvalidParameterError("miss_latency must be >= 0")
+        self._check_settings(capacity_blocks, num_stripes, miss_latency)
         if slot_bytes < 1024:
             raise InvalidParameterError("slot_bytes must be >= 1024")
         nslots = int(capacity_blocks)
         nsets = max(1, nslots // self.WAYS)
         size = _HDR_BYTES + nslots * _SLOT_FIELDS * 8 + nslots * int(slot_bytes)
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self._owner = True
-        self._locks = [MPLock() for _ in range(min(int(num_stripes), nsets))]
-        self._miss_latency = float(miss_latency)
-        self._local_salt = int.from_bytes(os.urandom(8), "little") | 1
-        self._hits = 0
-        self._misses = 0
-        self._closed = False
-        self._bind_views()
+        self._bind(
+            shared_memory.SharedMemory(create=True, size=size),
+            [MPLock() for _ in range(min(int(num_stripes), nsets))],
+            owner=True,
+        )
         self._hdr[_H_MAGIC] = _SLAB_MAGIC
         self._hdr[_H_NSLOTS] = nslots
         self._hdr[_H_SLOT_BYTES] = int(slot_bytes)
         self._hdr[_H_NSETS] = nsets
+        self._hdr.view(np.float64)[_H_MISS_LATENCY] = float(miss_latency)
         self._geometry()
 
     @classmethod
     def attach(
-        cls,
-        name: str,
-        locks: List[Any],
-        *,
-        miss_latency: float = 0.0,
-        unregister: bool = False,
+        cls, name: str, locks: List[Any], *, unregister: bool = False
     ) -> "SharedBlockCache":
         """Attach to an existing slab by segment ``name``.
 
@@ -341,38 +342,38 @@ class SharedBlockCache:
         so a *spawned* worker exiting does not destroy the segment it
         merely borrowed — the creating process owns cleanup.
         """
-        cache = cls.__new__(cls)
-        cache._shm = shared_memory.SharedMemory(name=name)
+        shm = shared_memory.SharedMemory(name=name)
         if unregister:
             try:  # pragma: no cover - start-method dependent
                 from multiprocessing import resource_tracker
 
-                resource_tracker.unregister(cache._shm._name, "shared_memory")
+                resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:
                 pass
-        cache._owner = False
-        cache._locks = list(locks)
-        cache._miss_latency = float(miss_latency)
-        cache._local_salt = int.from_bytes(os.urandom(8), "little") | 1
-        cache._hits = 0
-        cache._misses = 0
-        cache._closed = False
-        cache._bind_views()
+        cache = cls.__new__(cls)
+        cache._bind(shm, locks, owner=False)
         if int(cache._hdr[_H_MAGIC]) != _SLAB_MAGIC:
             cache.close()
             raise InvalidParameterError(f"{name} is not a SharedBlockCache slab")
         cache._geometry()
         return cache
 
-    def _bind_views(self) -> None:
-        buf = self._shm.buf
-        self._hdr = np.frombuffer(buf, dtype=np.uint64, count=_HDR_FIELDS)
-        self._buf = buf
+    def _bind(self, shm, locks: List[Any], *, owner: bool) -> None:
+        self._shm = shm
+        self._owner = owner
+        self._locks = list(locks)
+        self._local_salt = int.from_bytes(os.urandom(8), "little") | 1
+        self._hits = 0
+        self._misses = 0
+        self._closed = False
+        self._buf = shm.buf
+        self._hdr = np.frombuffer(self._buf, dtype=np.uint64, count=_HDR_FIELDS)
 
     def _geometry(self) -> None:
         self._nslots = int(self._hdr[_H_NSLOTS])
         self._slot_bytes = int(self._hdr[_H_SLOT_BYTES])
         self._nsets = int(self._hdr[_H_NSETS])
+        self._miss_latency = float(self._hdr.view(np.float64)[_H_MISS_LATENCY])
         self._slots = np.frombuffer(
             self._buf, dtype=np.uint64, offset=_HDR_BYTES,
             count=self._nslots * _SLOT_FIELDS,
@@ -478,24 +479,6 @@ class SharedBlockCache:
             self._slot_payload(victim, len(payload))[:] = payload
             slots[victim, _F_VERSION] = int(slots[victim, _F_VERSION]) + 1
 
-    def scan(self, run: SSTable, lo: int, hi: int) -> Tuple[Matches, int, int]:
-        """Range read of ``[lo, hi]`` through the slab; same contract as
-        :meth:`BlockCache.scan`."""
-        span = run.block_span(lo, hi)
-        if span is None:
-            return Matches([]), 0, 0
-        hits = misses = 0
-        segments: List[Tuple[Block, int, int]] = []
-        for index in range(span[0], span[1] + 1):
-            block, hit = self.get_block(run, index)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            start, stop = block.range_indices(lo, hi)
-            segments.append((block, start, stop))
-        return Matches(segments), hits, misses
-
     # ------------------------------------------------------------------
     # Introspection / maintenance
     # ------------------------------------------------------------------
@@ -521,10 +504,6 @@ class SharedBlockCache:
     def slot_bytes(self) -> int:
         return self._slot_bytes
 
-    @property
-    def miss_latency(self) -> float:
-        return self._miss_latency
-
     def __len__(self) -> int:
         """Blocks currently resident in the slab (all attachments)."""
         return int((self._slots[:, _F_LEN] != 0).sum())
@@ -537,15 +516,6 @@ class SharedBlockCache:
     @property
     def misses(self) -> int:
         return self._misses
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, int]:
-        """Snapshot of this attachment's counters + slab residency."""
-        return {"hits": self._hits, "misses": self._misses, "resident": len(self)}
 
     def clear(self) -> None:
         """Empty every slot and zero this attachment's counters."""

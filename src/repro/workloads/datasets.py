@@ -18,7 +18,7 @@ DESIGN.md §5 for the substitution rationale):
   outliers, matching the paper's description of Fb ("mean value ~2^38,
   ... exclude the last 21 keys that are larger").
 
-Every generator returns a sorted, deduplicated ``uint64`` array and is
+Every generator returns a sorted, duplicate-free ``uint64`` array and is
 deterministic given ``seed``. Because sampling then deduplicating can
 lose a few keys, generators oversample and trim to exactly ``n`` unless
 the requested density makes that impossible.

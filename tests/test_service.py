@@ -335,6 +335,23 @@ class TestRangeQueryService:
             assert svc.get(1) == "x"
         assert engine.block_cache is None
 
+    def test_close_detaches_the_cache_it_built(self):
+        """A closed service leaves no cache behind, so the next service
+        on the same engine builds its own at its own capacity; a cache
+        the caller attached stays attached."""
+        engine = build_engine()
+        with RangeQueryService(engine, cache_blocks=32) as svc:
+            assert engine.block_cache is svc.cache
+        assert engine.block_cache is None
+        with RangeQueryService(engine, cache_blocks=64) as svc:
+            assert svc.cache.capacity_blocks == 64
+        assert engine.block_cache is None
+        mine = BlockCache(16)
+        engine.attach_block_cache(mine)
+        with RangeQueryService(engine, cache_blocks=64) as svc:
+            assert svc.cache is mine
+        assert engine.block_cache is mine
+
     def test_concurrent_hammer(self):
         """Writers on disjoint key slices race readers and the compactor;
         the final state must be exactly the union of all writes."""

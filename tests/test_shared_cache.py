@@ -22,7 +22,7 @@ from multiprocessing import shared_memory
 
 from repro.engine import RangeQueryService, ShardedEngine, persist
 from repro.errors import InvalidParameterError
-from repro.lsm.cache import SharedBlockCache
+from repro.lsm.cache import BlockCache, SharedBlockCache
 from repro.lsm.sstable import BLOCK_ENTRIES, SSTable
 
 UNIVERSE = 2**32
@@ -192,6 +192,20 @@ def test_attachment_close_leaves_slab_alive(tmp_path):
         shared_memory.SharedMemory(name=name)
 
 
+def test_attachment_reads_miss_latency_from_the_slab():
+    """The owner's ``miss_latency`` lives in the slab header, so an
+    attachment cannot be configured to disagree with it."""
+    owner = SharedBlockCache(capacity_blocks=8, miss_latency=0.00025)
+    try:
+        attachment = SharedBlockCache.attach(owner.name, owner.locks)
+        try:
+            assert attachment.miss_latency == owner.miss_latency == 0.00025
+        finally:
+            attachment.close()
+    finally:
+        owner.close()
+
+
 def test_attach_rejects_foreign_segment():
     shm = shared_memory.SharedMemory(create=True, size=4096)
     try:
@@ -229,6 +243,19 @@ def test_rejected_process_service_releases_its_slab():
     assert engine.block_cache is None
 
 
+def test_process_service_rejects_a_private_cache(tmp_path):
+    """Process mode serves from one slab: a pre-attached in-process
+    ``BlockCache`` is refused, not silently copied into each worker, and
+    the engine keeps the cache the caller attached."""
+    engine = build_service_engine(tmp_path / "db")
+    private = BlockCache(64)
+    engine.attach_block_cache(private)
+    with pytest.raises(InvalidParameterError, match="BlockCache"):
+        RangeQueryService(engine, mode="process", num_workers=1)
+    assert engine.block_cache is private
+    assert all(store.cache is private for store in engine.shards)
+
+
 def build_service_engine(path):
     rng = np.random.default_rng(21)
     keys = np.unique(rng.integers(0, UNIVERSE, 3_000, dtype=np.uint64))
@@ -261,7 +288,6 @@ def test_process_service_shares_one_slab_end_to_end(tmp_path):
         miss_latency=0.0,
         mode="process",
         num_workers=2,
-        shared_cache=True,
     ) as service:
         slab = service.cache
         assert isinstance(slab, SharedBlockCache)
@@ -276,7 +302,7 @@ def test_process_service_shares_one_slab_end_to_end(tmp_path):
         assert after.cache_hits > warm.cache_hits
         snapshot = service.stats_snapshot()
         assert snapshot["cache"]["capacity_blocks"] == 256
-    engine.attach_block_cache(None)
-    # Service close unlinked the slab: nothing leaked past the owner.
+    # Service close detached and unlinked the slab: nothing leaked.
+    assert engine.block_cache is None
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=slab_name)

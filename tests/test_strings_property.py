@@ -231,3 +231,62 @@ def test_codec_inverted_ranges_raise(a, b, width):
     lo, hi = (a, b) if a < b else (b, a)
     with pytest.raises(InvalidQueryError):
         codec.encode_range(hi, lo)
+
+
+# ----------------------------------------------------------------------
+# StringView prefix probes against a brute-force prefix oracle
+# ----------------------------------------------------------------------
+PREFIX_KEYS = [
+    b"a", b"ab", b"abc", b"abd", b"abzz", b"b", b"ba", b"bab", b"c\xff",
+    b"cat", b"catx", b"dog", b"dogs", b"e", b"\x01\x02", b"zz\x01",
+]
+PREFIXES = [
+    b"",       # every stored key
+    b"a", b"ab", b"abz", b"b", b"ca", b"cat", b"c\xff", b"do", b"\x01",
+    b"q",      # matches nothing
+    b"abc\x01",  # full-width, matches nothing
+    b"catxy",  # over-width: encode_prefix is None
+]
+
+
+@pytest.mark.parametrize("front", ["engine", "service"])
+def test_string_view_prefix_probes_match_brute_force(front):
+    from repro.core.grafite import Grafite
+    from repro.engine import RangeQueryService, ShardedEngine
+
+    codec = StringKeyCodec(width=4)
+    engine = ShardedEngine(
+        codec.universe,
+        num_shards=3,
+        memtable_limit=4,
+        filter_factory=lambda keys, universe: Grafite(
+            keys, universe, bits_per_key=14, max_range_size=64, seed=7
+        ),
+        key_codec=codec,
+    )
+    service = None
+    if front == "service":
+        service = RangeQueryService(engine, num_threads=2)
+    view = (service or engine).strings
+    try:
+        stored = {}
+        for i, key in enumerate(PREFIX_KEYS):
+            view.put(key, i)
+            stored[key] = i
+        for key in (b"abd", b"dogs"):  # tombstones must hide their keys
+            view.delete(key)
+            del stored[key]
+        assert codec.encode_prefix(b"catxy") is None
+        for prefix in PREFIXES:
+            want = sorted(
+                (k, v) for k, v in stored.items() if k.startswith(prefix)
+            )
+            assert view.prefix_scan(prefix) == want, prefix
+            assert view.prefix_empty(prefix) == (not want), prefix
+        assert view.prefix_empty(b"catxy") and view.prefix_scan(b"catxy") == []
+        assert not view.prefix_empty(b"")
+        assert len(view.prefix_scan(b"")) == len(stored)
+        assert view.prefix_empty(b"q") and view.prefix_scan(b"q") == []
+    finally:
+        if service is not None:
+            service.close()
