@@ -1,7 +1,7 @@
 """Batch query planner bench: probe reduction at equal verdicts.
 
 The planner (:mod:`repro.engine.planner`) fronts the columnar batch
-path with a dedup/cover-merge rewrite and a ``runs_version``-tagged
+path with a dedup pass and a ``runs_version``-tagged
 negative-result cache. This bench drives the workload shape the net
 front door's batching windows actually produce — Zipfian
 duplicate-heavy batches mixed with a recurring set of provably-empty

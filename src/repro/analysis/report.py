@@ -87,7 +87,7 @@ def format_write_amp(
 def format_planner_summary(planner: Optional[dict]) -> str:
     """One-cell summary of a planner's ``stats_snapshot()`` dict.
 
-    Renders the rewrite pass's fold counts and the negative cache's hit
+    Renders the dedup pass's fold count and the negative cache's hit
     rate in the form the ``engine``/``serve`` report tables show —
     ``"off"`` when no planner is attached (``None``).
     """
@@ -98,7 +98,6 @@ def format_planner_summary(planner: Optional[dict]) -> str:
         f"{planner.get('queries', 0):,} queries -> "
         f"{planner.get('executed_probes', 0):,} probes",
         f"{planner.get('duplicates_folded', 0):,} dups folded",
-        f"{planner.get('covers_merged', 0):,} covers merged",
     ]
     if negcache.get("enabled"):
         parts.append(f"negcache {negcache.get('hit_rate', 0.0):.1%} hit")

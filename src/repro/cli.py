@@ -449,6 +449,24 @@ def _engine_filter_spec(args: argparse.Namespace):
     )
 
 
+def _bulk_load(target, keys: np.ndarray, rng: np.random.Generator) -> float:
+    """Put ``keys`` through ``target`` in shuffled order and flush.
+
+    Returns the put + flush seconds. A persistent target then
+    checkpoints, as an operator would before opening the doors — in
+    process mode this is also what hands the loaded run sets to the
+    snapshot workers.
+    """
+    t0 = time.perf_counter()
+    for key in keys[rng.permutation(keys.size)]:
+        target.put(int(key), b"v")
+    target.flush_all()
+    load_seconds = time.perf_counter() - t0
+    if getattr(target, "engine", target).directory is not None:
+        target.checkpoint()
+    return load_seconds
+
+
 def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
     """Bulk-load then run write/probe batches through ``target``.
 
@@ -458,20 +476,7 @@ def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
     """
     universe = _universe(args)
     rng = np.random.default_rng(args.seed + 1)
-
-    t0 = time.perf_counter()
-    arrival = keys[rng.permutation(keys.size)]
-    for key in arrival:
-        target.put(int(key), b"v")
-    target.flush_all()
-    load_seconds = time.perf_counter() - t0
-
-    # A persistent target checkpoints after the bulk load, as an operator
-    # would before opening the doors — in process mode this is also what
-    # hands the loaded run sets to the snapshot workers.
-    if getattr(target, "engine", target).directory is not None:
-        target.checkpoint()
-
+    load_seconds = _bulk_load(target, keys, rng)
     write_seconds = 0.0
     probe_seconds = 0.0
     probes = empties = 0
@@ -566,6 +571,20 @@ def _build_engine(args: argparse.Namespace):
     return engine
 
 
+def _build_service(args: argparse.Namespace, engine):
+    """Wrap ``engine`` in the RangeQueryService both serve paths share."""
+    from repro.engine import RangeQueryService
+
+    return RangeQueryService(
+        engine,
+        num_threads=args.threads,
+        cache_blocks=args.cache_blocks,
+        miss_latency=args.miss_latency_us * 1e-6,
+        mode=args.mode,
+        num_workers=args.workers,
+    )
+
+
 def cmd_engine(args: argparse.Namespace) -> int:
     """Drive a mixed read/write workload against a sharded engine."""
     universe = _universe(args)
@@ -595,7 +614,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
 
 def _parse_hostport(spec: str) -> tuple:
     host, sep, port = spec.rpartition(":")
-    if not sep or not port.lstrip("-").isdigit():
+    if not sep or not port.isdigit() or int(port) > 65535:
         raise SystemExit(f"expected HOST:PORT, got {spec!r}")
     return host or "127.0.0.1", int(port)
 
@@ -635,27 +654,14 @@ def _serve_listen(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.engine import RangeQueryService
     from repro.net import NetServer, ServerConfig
 
     host, port = _parse_hostport(args.listen)
     universe = _universe(args)
     keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
     engine = _build_engine(args)
-    rng = np.random.default_rng(args.seed + 1)
-    for key in keys[rng.permutation(keys.size)]:
-        engine.put(int(key), b"v")
-    engine.flush_all()
-    if engine.directory is not None:
-        engine.checkpoint()
-    service = RangeQueryService(
-        engine,
-        num_threads=args.threads,
-        cache_blocks=args.cache_blocks,
-        miss_latency=args.miss_latency_us * 1e-6,
-        mode=args.mode,
-        num_workers=args.workers,
-    )
+    _bulk_load(engine, keys, np.random.default_rng(args.seed + 1))
+    service = _build_service(args, engine)
     config = ServerConfig(
         batch_window=args.batch_window_us * 1e-6,
         max_batch=args.max_batch,
@@ -702,8 +708,6 @@ def _serve_listen(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """The same workload, served concurrently by a RangeQueryService."""
-    from repro.engine import RangeQueryService
-
     if args.mode == "process" and args.dir is None:
         print(
             "serve: --mode process needs --dir (snapshot workers open the "
@@ -716,14 +720,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     universe = _universe(args)
     keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
     engine = _build_engine(args)
-    service = RangeQueryService(
-        engine,
-        num_threads=args.threads,
-        cache_blocks=args.cache_blocks,
-        miss_latency=args.miss_latency_us * 1e-6,
-        mode=args.mode,
-        num_workers=args.workers,
-    )
+    service = _build_service(args, engine)
     try:
         metrics = _drive_workload(service, args, keys)
         service.wait_for_compactions(timeout=30.0)

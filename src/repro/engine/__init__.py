@@ -31,7 +31,7 @@ serving heavy range-query traffic behind in-memory filters.
   and the heuristic backends of :mod:`repro.filters.registry` where
   they win;
 * :class:`~repro.engine.planner.BatchPlanner` — the batch query
-  planner: a dedup/cover-merge rewrite pass, an epoch-tagged
+  planner: a dedup pass, an epoch-tagged
   negative-result cache keyed by ``runs_version``, and the process-mode
   service's worker-or-local dispatch per sub-batch (``attach_planner``
   on the engine; ``--plan`` on the CLI).

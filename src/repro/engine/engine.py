@@ -544,7 +544,7 @@ class ShardedEngine:
         """Install (or remove, with ``None``) a batch query planner.
 
         With one attached, :meth:`batch_range_empty` — here and in the
-        serving layer — runs every batch through the planner's rewrite
+        serving layer — runs every batch through the planner's dedup
         pass and negative-result cache (:mod:`repro.engine.planner`).
         Attaching never changes query results: the planner only reuses
         verdicts whose validity conditions (``runs_version`` tag +

@@ -1,24 +1,22 @@
-"""Batch query planner: rewrite passes, negative-result cache, dispatch.
+"""Batch query planner: dedup, negative-result cache, dispatch.
 
 The columnar batch path (:mod:`repro.engine.batch`) executes whatever
 the caller hands it, verbatim. Skewed serving traffic — the Zipfian
 batches the net front door's batching windows coalesce — is full of
-exact duplicates and overlapping near-duplicates, and a range-emptiness
-workload has a property no key-value cache enjoys: emptiness verdicts
-*compose*. An empty covering range proves every contained range empty,
-and "``[a, b]`` was empty" stays true for as long as the shard's run
-set is unchanged and no memtable write landed inside ``[a, b]``. The
-planner exploits both, as a pipeline of discrete passes in front of
-the executor (the staged rewrite/optimize shape of a SQL planner,
-applied to range-emptiness batches):
+exact duplicates, and a range-emptiness workload has a property no
+key-value cache enjoys: emptiness verdicts *compose*. An empty range
+proves every contained range empty, and "``[a, b]`` was empty" stays
+true for as long as the shard's run set is unchanged and no memtable
+write landed inside ``[a, b]``. The planner exploits both, as a
+pipeline of discrete passes in front of the executor:
 
-1. **rewrite** — :func:`plan_batch` lexsorts the batch, folds exact
-   duplicates, and merges overlapping/*adjacent* unique ranges into
-   disjoint covering segments. The executor is asked about covers; an
-   empty cover's verdict scatters to every member for free, a
-   non-empty cover triggers a second round that re-asks only its
-   members (sole-member covers are already exact). All numpy, no
-   per-query python objects.
+1. **dedup** — :func:`plan_batch` lexsorts the batch and folds exact
+   duplicates; the executor is asked about each distinct ``(lo, hi)``
+   pair once and the verdicts scatter back through ``inverse``. Ranges
+   are never widened: a filter's false-positive probability grows with
+   the queried width, so a cover merged from overlapping ranges is
+   rarely proven empty and its members would be asked again. All
+   numpy, no per-query python objects.
 2. **negative cache** — :class:`NegativeRangeCache`, a per-shard
    sorted-disjoint-interval structure of ranges proven empty, tagged
    with the shard's :attr:`~repro.lsm.store.LSMStore.runs_version` at
@@ -36,10 +34,9 @@ applied to range-emptiness batches):
    or columnar lane by size.
 
 Exactness is preserved end to end: every verdict the planner emits is
-either the executor's own answer or a cached/covering verdict whose
-validity conditions are checked at hit time. The hypothesis
-equivalence suite and the planner-enabled differential streams hold it
-to that.
+either the executor's own answer or a cached verdict whose validity
+conditions are checked at hit time. The hypothesis equivalence suite
+and the planner-enabled differential streams hold it to that.
 """
 
 from __future__ import annotations
@@ -101,24 +98,16 @@ def _merge_intervals(
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """The rewrite pass's output: dedup map plus covering segments.
+    """The dedup pass's output.
 
     ``uniq_lo`` / ``uniq_hi`` are the distinct (lo, hi) pairs of the
     batch in lexicographic order; ``inverse`` scatters unique verdicts
-    back to original positions. ``cover_of[u]`` names the disjoint
-    covering segment (``cover_lo`` / ``cover_hi``) containing unique
-    pair ``u``; covers merge overlapping *and adjacent* uniques, so an
-    empty cover proves every member empty while a non-empty cover only
-    means "some member *might* be non-empty" — the planner re-asks
-    those members individually.
+    back to original positions.
     """
 
     uniq_lo: np.ndarray   # uint64 distinct lower bounds, lexsorted
     uniq_hi: np.ndarray   # uint64 distinct upper bounds
     inverse: np.ndarray   # int64, original position -> unique index
-    cover_of: np.ndarray  # int64, unique index -> cover index
-    cover_lo: np.ndarray  # uint64 disjoint cover lower bounds, sorted
-    cover_hi: np.ndarray  # uint64 disjoint cover upper bounds
     n_queries: int
 
     @property
@@ -126,65 +115,27 @@ class BatchPlan:
         """Distinct (lo, hi) pairs in the batch."""
         return int(self.uniq_lo.size)
 
-    @property
-    def n_covers(self) -> int:
-        """Disjoint covering segments after the merge pass."""
-        return int(self.cover_lo.size)
-
-    @property
-    def duplicate_ratio(self) -> float:
-        """Fraction of the batch that is an exact duplicate."""
-        if self.n_queries == 0:
-            return 0.0
-        return 1.0 - self.n_unique / self.n_queries
-
 
 def plan_batch(los: np.ndarray, his: np.ndarray) -> BatchPlan:
-    """The rewrite pass: dedup + cover-merge one validated batch.
+    """The dedup pass: fold exact duplicates of one validated batch.
 
-    Pure and allocation-lean: one ``lexsort`` for the dedup, one
-    ``cummax`` sweep for the merge. Inputs must already be uint64
-    columns with ``lo <= hi`` (the caller runs
+    One ``lexsort``, no per-query python objects. Inputs must already
+    be uint64 columns with ``lo <= hi`` (the caller runs
     :func:`~repro.engine.batch.validate_batch_bounds` first).
     """
     n = int(los.size)
     if n == 0:
         empty_u = np.zeros(0, dtype=np.uint64)
-        empty_i = np.zeros(0, dtype=np.int64)
-        return BatchPlan(empty_u, empty_u, empty_i, empty_i, empty_u,
-                         empty_u, 0)
+        return BatchPlan(empty_u, empty_u, np.zeros(0, dtype=np.int64), 0)
     order = np.lexsort((his, los))
     slo, shi = los[order], his[order]
     new = np.ones(n, dtype=bool)
     if n > 1:
         new[1:] = (slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])
     uidx = np.flatnonzero(new)
-    uniq_lo, uniq_hi = slo[uidx], shi[uidx]
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    # Covers over the (already sorted, distinct) unique pairs: the same
-    # cummax sweep as _merge_intervals, but keeping the member map.
-    m = int(uniq_lo.size)
-    cummax = np.maximum.accumulate(uniq_hi)
-    starts = np.ones(m, dtype=bool)
-    if m > 1:
-        prev = cummax[:-1]
-        gt = uniq_lo[1:] > prev
-        gap = np.zeros(m - 1, dtype=bool)
-        gap[gt] = (uniq_lo[1:][gt] - prev[gt]) > np.uint64(1)
-        starts[1:] = gap
-    cover_of = (np.cumsum(starts) - 1).astype(np.int64)
-    sidx = np.flatnonzero(starts)
-    ends = np.concatenate((sidx[1:], [m])) - 1
-    return BatchPlan(
-        uniq_lo=uniq_lo,
-        uniq_hi=uniq_hi,
-        inverse=inverse,
-        cover_of=cover_of,
-        cover_lo=uniq_lo[sidx],
-        cover_hi=cummax[ends],
-        n_queries=n,
-    )
+    return BatchPlan(slo[uidx], shi[uidx], inverse, n)
 
 
 class NegativeRangeCache:
@@ -272,12 +223,6 @@ class NegativeRangeCache:
             self._shards[sid] = (int(version), mlos, mhis)
             self.insertions += int(q_lo.size)
 
-    def drop_shard(self, sid: int) -> None:
-        """Forget one shard's intervals (manual invalidation hook)."""
-        with self._mutex:
-            if self._shards.pop(sid, None) is not None:
-                self.invalidations += 1
-
     def clear(self) -> None:
         """Forget everything; counters keep accumulating."""
         with self._mutex:
@@ -315,9 +260,7 @@ class BatchPlanner:
         self._batches = 0
         self._queries = 0
         self._duplicates_folded = 0
-        self._covers_merged = 0
         self._executed_probes = 0
-        self._reasked = 0
         self._mode_counts: Dict[str, int] = {"local": 0, "process": 0}
 
     # -- lifecycle ----------------------------------------------------
@@ -353,9 +296,9 @@ class BatchPlanner:
     ) -> np.ndarray:
         """Answer a validated batch through the pass pipeline.
 
-        ``executor`` answers a (possibly rewritten) column pair exactly
-        — the engine's raw columnar path or the service's locking
-        fan-out. ``lock_provider`` (the service passes its per-shard
+        ``executor`` answers the batch's distinct pairs exactly — the
+        engine's raw columnar path or the service's locking fan-out.
+        ``lock_provider`` (the service passes its per-shard
         read-lock guards) makes cache consultation safe against
         concurrent flush/compaction; without one, single-threaded
         callers get plain no-op guards. Returns the per-query verdict
@@ -368,55 +311,25 @@ class BatchPlanner:
         self._queries += n
         plan = plan_batch(los, his)
         self._duplicates_folded += n - plan.n_unique
-        locks: LockProvider = lock_provider or (
-            lambda sid: contextlib.nullcontext()
-        )
+        q_lo, q_hi = plan.uniq_lo, plan.uniq_hi
+        cached = self._cache is not None and self._engine is not None
         versions = self._versions_snapshot()
-        self._covers_merged += plan.n_unique - plan.n_covers
-        cover_empty = self._answer(
-            plan.cover_lo, plan.cover_hi, executor, locks, versions
-        )
-        uniq_empty = cover_empty[plan.cover_of]
-        members = np.bincount(plan.cover_of, minlength=plan.n_covers)
-        # A non-empty multi-member cover proves nothing about its
-        # members; re-ask exactly those. Sole members *are* their
-        # cover, so their verdict is already exact.
-        need = np.flatnonzero(~uniq_empty & (members[plan.cover_of] > 1))
-        if need.size:
-            self._reasked += int(need.size)
-            uniq_empty[need] = self._answer(
-                plan.uniq_lo[need], plan.uniq_hi[need],
-                executor, locks, versions,
+        if cached:
+            out = self._consult(
+                q_lo, q_hi,
+                lock_provider or (lambda sid: contextlib.nullcontext()),
             )
-        return uniq_empty[plan.inverse]
-
-    def _answer(
-        self,
-        q_lo: np.ndarray,
-        q_hi: np.ndarray,
-        executor: Executor,
-        locks: LockProvider,
-        versions: Dict[int, int],
-    ) -> np.ndarray:
-        """Cache-consult, execute the remainder, record fresh empties."""
-        out = np.zeros(int(q_lo.size), dtype=bool)
-        known = np.zeros(int(q_lo.size), dtype=bool)
-        if self._cache is not None and self._engine is not None:
-            hits = self._consult(q_lo, q_hi, locks)
-            out[hits] = True
-            known[hits] = True
-        todo = np.flatnonzero(~known)
+        else:
+            out = np.zeros(plan.n_unique, dtype=bool)
+        todo = np.flatnonzero(~out)
         if todo.size:
             result = np.asarray(executor(q_lo[todo], q_hi[todo]), dtype=bool)
             out[todo] = result
             self._executed_probes += int(todo.size)
-            if self._cache is not None and self._engine is not None:
-                proved = result
-                if proved.any():
-                    self._record_empties(
-                        q_lo[todo][proved], q_hi[todo][proved], versions
-                    )
-        return out
+            if cached and result.any():
+                proved = todo[result]
+                self._record_empties(q_lo[proved], q_hi[proved], versions)
+        return out[plan.inverse]
 
     def _consult(
         self, q_lo: np.ndarray, q_hi: np.ndarray, locks: LockProvider
@@ -498,7 +411,7 @@ class BatchPlanner:
         """``"process"`` or ``"local"`` for one per-shard sub-batch.
 
         Process needs a worker pool, at least :data:`PROCESS_FLOOR`
-        ranges (the rewrite pass already folded duplicates) and a
+        ranges (the dedup pass already folded duplicates) and a
         memtable overlap of at most :data:`OVERLAP_CEILING`; the overlap
         is only probed once the first two hold. Tallies the decision
         for :meth:`stats_snapshot`.
@@ -531,9 +444,7 @@ class BatchPlanner:
             "batches": self._batches,
             "queries": self._queries,
             "duplicates_folded": self._duplicates_folded,
-            "covers_merged": self._covers_merged,
             "executed_probes": self._executed_probes,
-            "reasked_members": self._reasked,
             "modes": dict(self._mode_counts),
             "negative_cache": cache,
         }

@@ -19,8 +19,8 @@ the shard if the policy still sees pressure.
 
 The queue is thread-safe: writers :meth:`notify` from pool threads while
 the worker :meth:`pop`-s, so every ``_pending`` access happens under one
-lock. Running the compaction itself is *not* this class's
-job under concurrency — the caller must hold whatever lock makes
+lock. Making a step safe under concurrency is *not* this class's job:
+the caller of :meth:`run_step` must hold whatever lock makes
 ``store.compact_step()`` safe (:meth:`drain` is the single-threaded
 convenience that skips that ceremony).
 """
@@ -145,17 +145,6 @@ class CompactionScheduler:
             shard_id = next(iter(self._pending))
             return shard_id, self._pending.pop(shard_id)
 
-    def record_compactions(self, count: int = 1) -> None:
-        """Fold compaction steps an external worker ran into the ledger."""
-        with self._lock:
-            self._drained_total += count
-
-    def record_throttle(self, count: int = 1) -> None:
-        """Fold rate-limiter deferrals an external worker hit into the
-        ledger (diagnostics only; the work stays queued)."""
-        with self._lock:
-            self._throttled_total += count
-
     @property
     def rate_limiter(self) -> Optional[TokenBucket]:
         """The compaction rate limiter, when one is configured."""
@@ -180,8 +169,26 @@ class CompactionScheduler:
         limiter = self._rate_limiter
         if limiter is None or limiter.ready():
             return 0.0
-        self.record_throttle(1)
+        with self._lock:
+            self._throttled_total += 1
         return limiter.eta()
+
+    def run_step(self, store: LSMStore) -> bool:
+        """One :meth:`~repro.lsm.store.LSMStore.compact_step`, recorded
+        in the ledger and debited from the rate limiter.
+
+        Returns whether a step ran. The caller holds whatever lock makes
+        the step safe (:meth:`drain` holds none).
+        """
+        before = store.stats.entries_compacted
+        if not store.compact_step():
+            return False
+        with self._lock:
+            self._drained_total += 1
+        limiter = self._rate_limiter
+        if limiter is not None:
+            limiter.debit(store.stats.entries_compacted - before)
+        return True
 
     def drain(self, max_steps: Optional[int] = None) -> int:
         """Run pending compaction steps (all, or at most ``max_steps``).
@@ -211,19 +218,14 @@ class CompactionScheduler:
                     # must never sleep on the query path.
                     throttled = True
                     break
-                before = store.stats.entries_compacted
-                if not store.compact_step():
+                if not self.run_step(store):
                     break
                 done += 1
-                limiter = self._rate_limiter
-                if limiter is not None:
-                    limiter.debit(store.stats.entries_compacted - before)
             if store.needs_compaction:  # step budget ran out mid-shard
                 self.notify(shard_id, store)
                 break
             if throttled:
                 break
-        self.record_compactions(done)
         return done
 
     @property
@@ -234,8 +236,7 @@ class CompactionScheduler:
 
     @property
     def compactions_run(self) -> int:
-        """Total compaction steps performed through :meth:`drain` or
-        recorded by a background worker via :meth:`record_compactions`."""
+        """Total compaction steps run through :meth:`run_step`."""
         with self._lock:
             return self._drained_total
 

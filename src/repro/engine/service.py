@@ -626,15 +626,8 @@ class RangeQueryService:
             sid, store = item
             try:
                 with self._locks[sid].write_locked():
-                    before = store.stats.entries_compacted
-                    if store.needs_compaction and store.compact_step():
-                        scheduler.record_compactions(1)
+                    if store.needs_compaction and scheduler.run_step(store):
                         self._background_compactions += 1
-                        limiter = scheduler.rate_limiter
-                        if limiter is not None:
-                            limiter.debit(
-                                store.stats.entries_compacted - before
-                            )
             finally:
                 with self._work_mutex:
                     # Re-queue *before* dropping the in-flight flag so

@@ -44,9 +44,7 @@ class FilterBackend:
     """Registry entry: how to build a backend and what to expect of it."""
 
     key: str                 #: lowercase CLI name
-    display_name: str        #: the name the paper's figures use
     robust: bool             #: distribution-free FPR bound (adversarial-safe)
-    batch_native: bool       #: has a vectorised ``may_contain_range_batch``
     serializable: bool       #: covered by :mod:`repro.core.serialization`
     paper_figure: str        #: where the paper evaluates it
     summary: str             #: one-line behaviour note for docs/CLI help
@@ -192,44 +190,44 @@ BACKENDS: Dict[str, FilterBackend] = {
     backend.key: backend
     for backend in (
         FilterBackend(
-            key="grafite", display_name="Grafite", robust=True,
-            batch_native=True, serializable=True, paper_figure="Fig. 5-7",
+            key="grafite", robust=True, serializable=True,
+            paper_figure="Fig. 5-7",
             summary="optimal robust filter; FPR bound holds under any workload",
             build=_build_grafite,
         ),
         FilterBackend(
-            key="bucketing", display_name="Bucketing", robust=False,
-            batch_native=True, serializable=True, paper_figure="Fig. 4, 6",
+            key="bucketing", robust=False, serializable=True,
+            paper_figure="Fig. 4, 6",
             summary="one-bit-per-bucket heuristic; best at tiny budgets",
             build=_build_bucketing,
         ),
         FilterBackend(
-            key="surf", display_name="SuRF", robust=False,
-            batch_native=False, serializable=True, paper_figure="Fig. 3-4",
+            key="surf", robust=False, serializable=True,
+            paper_figure="Fig. 3-4",
             summary="truncated succinct trie; collapses under correlation",
             build=_build_surf,
         ),
         FilterBackend(
-            key="rosetta", display_name="Rosetta", robust=True,
-            batch_native=False, serializable=True, paper_figure="Fig. 5",
+            key="rosetta", robust=True, serializable=True,
+            paper_figure="Fig. 5",
             summary="per-level Blooms; robust but slow for large ranges",
             build=_build_rosetta,
         ),
         FilterBackend(
-            key="proteus", display_name="Proteus", robust=False,
-            batch_native=False, serializable=True, paper_figure="Fig. 4",
+            key="proteus", robust=False, serializable=True,
+            paper_figure="Fig. 4",
             summary="self-designing trie+Bloom; overfits its tuning sample",
             build=_build_proteus,
         ),
         FilterBackend(
-            key="snarf", display_name="SNARF", robust=False,
-            batch_native=False, serializable=True, paper_figure="Fig. 3-4",
+            key="snarf", robust=False, serializable=True,
+            paper_figure="Fig. 3-4",
             summary="learned-CDF bit array; strong on short uncorrelated ranges",
             build=_build_snarf,
         ),
         FilterBackend(
-            key="rencoder", display_name="REncoder", robust=True,
-            batch_native=False, serializable=True, paper_figure="Fig. 5",
+            key="rencoder", robust=True, serializable=True,
+            paper_figure="Fig. 5",
             summary="local-tree bit array; robust for large ranges",
             build=_build_rencoder,
         ),

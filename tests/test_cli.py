@@ -114,6 +114,35 @@ class TestEngineCommand:
         assert (tmp_path / "db" / "MANIFEST.json").exists()
 
 
+class TestServeCommand:
+    SERVE_ARGS = ["serve", "--batches", "2", "--batch-size", "200",
+                  "--writes-per-batch", "50", "--memtable-limit", "128",
+                  "--threads", "2"] + COMMON
+
+    def test_thread_mode_in_memory(self):
+        code, out = run_cli(self.SERVE_ARGS + ["--n", "1000"])
+        assert code == 0
+        assert "concurrent serving workload" in out
+        assert any(
+            line.startswith("[serve] mode=thread ") for line in out.splitlines()
+        )
+
+    def test_process_mode_needs_a_directory(self, capsys):
+        assert run_cli(self.SERVE_ARGS + ["--mode", "process"])[0] == 2
+        assert "--mode process needs --dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-5", "http"])
+@pytest.mark.parametrize(
+    "argv",
+    [["loadgen", "--connect"], ["serve", "--listen"]],
+    ids=["loadgen-connect", "serve-listen"],
+)
+def test_out_of_range_port_is_rejected(argv, port):
+    with pytest.raises(SystemExit, match="expected HOST:PORT"):
+        run_cli(argv + [f"127.0.0.1:{port}"] + COMMON)
+
+
 class TestScrubCommand:
     ENGINE_ARGS = TestEngineCommand.ENGINE_ARGS
 

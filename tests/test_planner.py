@@ -1,12 +1,12 @@
-"""Tests for the batch query planner (rewrite, negative cache, dispatch).
+"""Tests for the batch query planner (dedup, negative cache, dispatch).
 
 The planner's contract is exactness: every pass — dedup scatter-back,
-cover merging with the re-ask round, negative-cache replay under the
-version/memtable validity conditions — must leave the verdict column
-bit-identical to the unplanned executor. The suites here check the
-passes in isolation (plan_batch / NegativeRangeCache / choose_mode units)
-and end to end (hypothesis equivalence against a planner-less twin
-engine, cache invalidation through real flushes and writes).
+negative-cache replay under the version/memtable validity conditions —
+must leave the verdict column bit-identical to the unplanned executor.
+The suites here check the passes in isolation (plan_batch /
+NegativeRangeCache / choose_mode units) and end to end (hypothesis
+equivalence against a planner-less twin engine, cache invalidation
+through real flushes and writes).
 """
 
 import numpy as np
@@ -51,7 +51,7 @@ def u64(values):
 
 
 # ----------------------------------------------------------------------
-# The rewrite pass
+# The dedup pass
 # ----------------------------------------------------------------------
 class TestPlanBatch:
     def test_dedup_and_inverse_scatter(self):
@@ -66,42 +66,11 @@ class TestPlanBatch:
         np.testing.assert_array_equal(
             verdicts[plan.inverse], [False, True, False, True, True]
         )
-        assert plan.duplicate_ratio == pytest.approx(2 / 5)
-
-    def test_overlapping_and_adjacent_ranges_merge(self):
-        #  [0,10] overlaps [5,20]; [21,30] is adjacent to their cover;
-        #  [100,110] stands alone.
-        plan = plan_batch(u64([0, 5, 21, 100]), u64([10, 20, 30, 110]))
-        assert plan.n_covers == 2
-        np.testing.assert_array_equal(plan.cover_lo, [0, 100])
-        np.testing.assert_array_equal(plan.cover_hi, [30, 110])
-        np.testing.assert_array_equal(plan.cover_of, [0, 0, 0, 1])
-
-    def test_contained_range_folds_into_cover(self):
-        plan = plan_batch(u64([0, 3]), u64([100, 7]))
-        assert plan.n_covers == 1
-        np.testing.assert_array_equal(plan.cover_lo, [0])
-        np.testing.assert_array_equal(plan.cover_hi, [100])
-
-    def test_uint64_top_edge(self):
-        # Bounds hugging 2**64 - 1 must not overflow the adjacency test.
-        plan = plan_batch(
-            u64([U64_MAX - 10, U64_MAX - 4, 0]),
-            u64([U64_MAX - 5, U64_MAX, 1]),
-        )
-        assert plan.n_covers == 2
-        np.testing.assert_array_equal(plan.cover_lo, [0, U64_MAX - 10])
-        np.testing.assert_array_equal(plan.cover_hi, [1, U64_MAX])
-
-    def test_disjoint_ranges_stay_separate(self):
-        # A gap of exactly 2 must NOT merge ([0,5] and [8,10]).
-        plan = plan_batch(u64([0, 8]), u64([5, 10]))
-        assert plan.n_covers == 2
 
     def test_empty_batch(self):
         plan = plan_batch(u64([]), u64([]))
         assert plan.n_queries == 0 and plan.n_unique == 0
-        assert plan.n_covers == 0 and plan.duplicate_ratio == 0.0
+        assert plan.inverse.size == 0
 
     @given(
         pairs=st.lists(
@@ -121,15 +90,6 @@ class TestPlanBatch:
         # The inverse map reproduces the original columns exactly.
         np.testing.assert_array_equal(plan.uniq_lo[plan.inverse], los)
         np.testing.assert_array_equal(plan.uniq_hi[plan.inverse], his)
-        # Covers are sorted, disjoint, non-adjacent, and contain their
-        # members.
-        if plan.n_covers > 1:
-            assert bool(
-                (plan.cover_lo[1:].astype(object)
-                 - plan.cover_hi[:-1].astype(object) > 1).all()
-            )
-        assert bool((plan.cover_lo[plan.cover_of] <= plan.uniq_lo).all())
-        assert bool((plan.cover_hi[plan.cover_of] >= plan.uniq_hi).all())
 
 
 class TestMergeIntervals:
@@ -141,6 +101,47 @@ class TestMergeIntervals:
     def test_empty(self):
         los, his = _merge_intervals(u64([]), u64([]))
         assert los.size == 0 and his.size == 0
+
+    def test_uint64_top_edge(self):
+        # Bounds hugging 2**64 - 1 must not overflow the adjacency test:
+        # [MAX-10, MAX-5] and [MAX-4, MAX] are adjacent and coalesce.
+        los, his = _merge_intervals(
+            u64([U64_MAX - 10, U64_MAX - 4, 0]),
+            u64([U64_MAX - 5, U64_MAX, 1]),
+        )
+        np.testing.assert_array_equal(los, [0, U64_MAX - 10])
+        np.testing.assert_array_equal(his, [1, U64_MAX])
+
+    def test_disjoint_ranges_stay_separate(self):
+        # A gap of exactly 2 must NOT merge ([0,5] and [8,10]).
+        los, his = _merge_intervals(u64([0, 8]), u64([5, 10]))
+        np.testing.assert_array_equal(los, [0, 8])
+        np.testing.assert_array_equal(his, [5, 10])
+
+
+def test_executor_is_asked_each_distinct_pair_once():
+    # Exact duplicates, plus overlapping ([0,10]/[5,20]), adjacent
+    # ([21,30]) and contained ([120,130], [140,150] in [100,200])
+    # ranges: the executor sees exactly the distinct pairs, never a
+    # widened range, and each member keeps its own verdict.
+    keys = np.array([3, 125], dtype=np.uint64)
+    los = u64([0, 5, 21, 100, 120, 5, 0, 140, 120, 300])
+    his = u64([10, 20, 30, 200, 130, 20, 10, 150, 130, 300])
+    asked = []
+
+    def executor(q_lo, q_hi):
+        asked.extend(zip(q_lo.tolist(), q_hi.tolist()))
+        return np.array([
+            not ((keys >= lo) & (keys <= hi)).any()
+            for lo, hi in zip(q_lo, q_hi)
+        ])
+
+    verdict = BatchPlanner().execute(los, his, executor)
+    assert sorted(asked) == sorted(set(zip(los.tolist(), his.tolist())))
+    np.testing.assert_array_equal(
+        verdict,
+        [False, True, True, False, False, True, False, True, False, True],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -197,16 +198,13 @@ class TestNegativeRangeCache:
         cache.record(0, 1, u64([0]), u64([10]))
         assert cache.n_intervals == 0
 
-    def test_drop_shard_and_clear(self):
+    def test_clear(self):
         cache = NegativeRangeCache()
         cache.record(0, 1, u64([0]), u64([10]))
         cache.record(1, 1, u64([0]), u64([10]))
-        cache.drop_shard(0)
-        assert cache.invalidations == 1
-        assert not cache.lookup(0, 1, u64([5]), u64([6])).any()
-        assert cache.lookup(1, 1, u64([5]), u64([6])).all()
         cache.clear()
         assert cache.n_intervals == 0
+        assert not cache.lookup(1, 1, u64([5]), u64([6])).any()
 
 
 # ----------------------------------------------------------------------
@@ -366,19 +364,6 @@ class TestPlannerEngineIntegration:
         hits_before = planner.cache.hits
         assert engine.batch_range_empty(u64([100]), u64([200])).all()
         assert planner.cache.hits > hits_before
-
-    def test_covering_merge_reask_round(self):
-        planner = BatchPlanner()
-        engine = build_engine([150], planner=planner)
-        # [100,160] and [155,300] merge into cover [100,300], which is
-        # non-empty (key 150) — proving nothing about the members, so
-        # the re-ask round answers them individually: [100,160] holds
-        # the key, [155,300] and the separately-covered [400,500] do not.
-        verdict = engine.batch_range_empty(
-            u64([100, 155, 400]), u64([160, 300, 500])
-        )
-        np.testing.assert_array_equal(verdict, [False, True, True])
-        assert planner.stats_snapshot()["reasked_members"] > 0
 
     def test_attach_different_engine_clears_cache(self):
         planner = BatchPlanner()

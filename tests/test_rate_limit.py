@@ -9,6 +9,8 @@ queued, and `ShardedEngine(compaction_rate=...)` (and `.open`) install a
 bucket the service surfaces through `stats_snapshot()`.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,24 @@ def test_service_snapshot_surfaces_rate_limit_and_levels():
         levels = snapshot["engine"]["levels"]
         assert levels and levels[0]["level"] == 0
     engine.scheduler.set_rate_limiter(None)
+
+
+def test_service_background_step_debits_the_bucket():
+    # A rate far below one step's rewrite size: the first background
+    # step overdraws the bucket, and the refill cannot catch up.
+    engine = ShardedEngine(
+        UNIVERSE, num_shards=2, memtable_limit=64,
+        compaction_fanout=2, filter_factory=None,
+        compaction_rate=1e-3,
+    )
+    limiter = engine.scheduler.rate_limiter
+    seed_engine(engine)
+    engine.flush_all()
+    assert len(engine.scheduler) > 0
+    with RangeQueryService(engine, num_threads=2) as service:
+        deadline = time.monotonic() + 30.0
+        while service.background_compactions == 0:
+            assert time.monotonic() < deadline, "no background step ran"
+            time.sleep(0.01)
+        assert limiter.balance < limiter.burst
+        assert engine.scheduler.compactions_run >= 1
