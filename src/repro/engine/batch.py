@@ -19,9 +19,13 @@ the whole pipeline by moving the batch as structure-of-arrays columns:
    thousands of queries; the memtable is probed with one
    ``searchsorted`` over its cached key column;
 3. only queries some filter (or the memtable) flagged as "maybe
-   non-empty" fall back to the exact early-exit
-   :meth:`~repro.lsm.store.LSMStore.range_empty` — under a well-sized
-   filter that is the FPR-sized minority;
+   non-empty" are verified exactly — under a well-sized filter that is
+   the FPR-sized minority. The filter verdicts are reused, never
+   probed again: each run is read once for all still-open queries with
+   :meth:`~repro.lsm.sstable.SSTable.scan_batch` (a ``searchsorted``
+   pair and a liveness reduce), and only memtable overlaps, queries
+   whose newest matching run holds only dead keys, and stores with a
+   block cache take the store's scalar run walk;
 4. per-shard verdicts are scattered back into the result bitmap by the
    position column (``empty[qid[~sub_empty]] = False``), which AND-folds
    a straddler's segments for free.
@@ -35,7 +39,7 @@ path's accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from repro.errors import InvalidQueryError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.engine import ShardedEngine
     from repro.engine.sharding import ShardRouter
+    from repro.lsm.sstable import SSTable
     from repro.lsm.store import LSMStore
 
 #: Sub-batches of at most this many ranges skip the columnar set-up (a
@@ -259,8 +264,9 @@ def shard_batch_empty(
     A sub-batch of at most :data:`SCALAR_CUTOFF` ranges runs as a loop
     of the exact :meth:`~repro.lsm.store.LSMStore.range_empty`; larger
     ones run columnar (:func:`_columnar_empty`). Both lanes give the same
-    verdicts and the same :class:`~repro.lsm.store.IoStats` ledger, and
-    both report the sub-batch once to the shard's ``query_observer``.
+    verdicts, the same :class:`~repro.lsm.store.IoStats` ledger and the
+    same per-run I/O counts, and both report the sub-batch once to the
+    shard's ``query_observer``.
     Returns a boolean array aligned with the inputs (``True`` = provably
     empty). This is the unit the concurrent service fans out: one call
     per (shard, chunk), safe under that shard's read lock.
@@ -285,44 +291,123 @@ def _columnar_empty(
 ) -> np.ndarray:
     """The columnar lane of :func:`shard_batch_empty`.
 
-    Probes the memtable with one vectorised ``searchsorted``, walks the
-    level topology in recency order consulting each run's filter once
-    for the whole sub-batch, then verifies only the "maybe" minority
-    with the exact early-exit ``range_empty``. Before any filter is
-    asked, each run's key bounds prune the sub-batch vectorially — under
-    leveled compaction a level is many key-disjoint slices, so most
-    queries skip most slices on this fence check alone and each slice's
-    filter sees only the queries that can touch it.
+    Probes the memtable with one vectorised ``searchsorted``, then walks
+    the level topology in recency order consulting each run's filter
+    once for the whole sub-batch. Before any filter is asked, each run's
+    key bounds prune the sub-batch vectorially — under leveled
+    compaction a level is many key-disjoint slices, so most queries skip
+    most slices on this fence check alone and each slice's filter sees
+    only the queries that can touch it. The per-run verdicts are kept:
+    the "maybe" minority is then verified exactly without a second
+    filter probe, in columns by :func:`_verify_columns` or, with a block
+    cache attached, through the cache one query at a time.
     """
     # The memtable is exact (no false positives): any entry in range —
     # live or tombstone — sends the query to the verification path.
-    maybe = memtable_overlaps(store, q_lo, q_hi)
-    all_runs = store._runs()
-    runs = [run for run in all_runs if run.key_bounds is not None]
+    overlap = memtable_overlaps(store, q_lo, q_hi)
+    maybe = overlap.copy()
+    runs = store._runs()
+    must_read: List[Optional[np.ndarray]] = []  # per run; None: no query
     for run in runs:
-        lo_bound, hi_bound = run.key_bounds
-        hits = (q_lo <= np.uint64(hi_bound)) & (q_hi >= np.uint64(lo_bound))
-        if not hits.any():
-            continue  # the whole sub-batch misses this run/slice
-        if run.filter is None:
-            maybe |= hits  # unfiltered run: every overlapping probe reads it
+        bounds = run.key_bounds
+        if bounds is None:
+            must_read.append(None)
+            continue
+        hits = (q_lo <= np.uint64(bounds[1])) & (q_hi >= np.uint64(bounds[0]))
+        if run.filter is None or not hits.any():
+            must = hits  # no filter: every overlapping probe reads the run
         elif bool(hits.all()):
-            maybe |= run.filter.may_contain_range_batch(q_lo, q_hi)
+            must = run.filter.may_contain_range_batch(q_lo, q_hi)
         else:
             idx = np.flatnonzero(hits)
-            sub = run.filter.may_contain_range_batch(q_lo[idx], q_hi[idx])
-            maybe[idx[sub]] = True
+            must = np.zeros(q_lo.size, dtype=bool)
+            must[idx[run.filter.may_contain_range_batch(q_lo[idx], q_hi[idx])]] = True
+        if must.any():
+            maybe |= must
+            must_read.append(must)
+        else:
+            must_read.append(None)
     # Queries every filter pruned are empty with zero I/O performed:
     # one avoided read per (query, run) pair, as in the scalar path —
     # which also credits keyless (empty) runs its fence check skips, so
     # the ledger the auto-tuner diffs must count *all* runs here too.
     clean = int((~maybe).sum())
-    store.stats.reads_avoided += clean * len(all_runs)
+    store.stats.reads_avoided += clean * len(runs)
     empty = np.ones(q_lo.size, dtype=bool)
-    for j in np.flatnonzero(maybe):
-        if not store.range_empty(int(q_lo[j]), int(q_hi[j])):
-            empty[j] = False
+    if store.cache is None:
+        # The memtable has an opinion on the overlapping queries: they
+        # take the scalar walk; the rest verify in columns.
+        scalar = np.flatnonzero(overlap)
+        _verify_columns(store, runs, must_read, q_lo, q_hi,
+                        np.flatnonzero(maybe & ~overlap), empty)
+    else:
+        # Block-granular reads through the cache, in query order, so the
+        # hits and misses are those of a range_empty loop.
+        scalar = np.flatnonzero(maybe)
+    for j in scalar.tolist():
+        lo, hi = int(q_lo[j]), int(q_hi[j])
+        shadowed = store._memtable_shadowed(lo, hi)
+        empty[j] = shadowed is not None and store._walk_runs(
+            runs, lo, hi, shadowed, _verdicts(must_read, j)
+        )
     return empty
+
+
+def _verdicts(
+    must_read: List[Optional[np.ndarray]], j: int, first: int = 0
+) -> List[bool]:
+    """Query ``j``'s filter verdicts for ``runs[first:]``."""
+    return [must is not None and bool(must[j]) for must in must_read[first:]]
+
+
+def _verify_columns(
+    store: "LSMStore",
+    runs: List["SSTable"],
+    must_read: List[Optional[np.ndarray]],
+    q_lo: np.ndarray,
+    q_hi: np.ndarray,
+    open_q: np.ndarray,
+    empty: np.ndarray,
+) -> None:
+    """Exact verification of the queries ``open_q`` with column reads.
+
+    Walks ``runs`` newest first over the still-open queries. The ones a
+    run's filter flagged read it with one :meth:`SSTable.scan_batch`; a
+    query closes as non-empty (``empty[j] = False``) when this newest
+    matching run holds a live entry in range. When every matched entry
+    is tombstoned or expired, the query is handed to the store's scalar
+    walk from the next run on, with those keys shadowed. Queries no run
+    matches stay empty. The ledger moves as a ``range_empty`` loop's.
+    """
+    stats = store.stats
+    now = store.ttl_now
+    for r, (run, must) in enumerate(zip(runs, must_read)):
+        if open_q.size == 0:
+            return
+        if must is None:
+            stats.reads_avoided += int(open_q.size)
+            continue
+        taken = np.flatnonzero(must[open_q])
+        stats.reads_avoided += int(open_q.size - taken.size)
+        if taken.size == 0:
+            continue
+        take = open_q[taken]
+        stats.reads_performed += int(take.size)
+        starts, stops, live = run.scan_batch(q_lo[take], q_hi[take], now)
+        matched = stops > starts
+        stats.wasted_reads += int(take.size - matched.sum())
+        empty[take[live]] = False
+        keys = run.keys_view()
+        for i in np.flatnonzero(matched & ~live).tolist():
+            j = int(take[i])
+            shadowed = set(keys[starts[i]:stops[i]].tolist())
+            empty[j] = store._walk_runs(
+                runs[r + 1:], int(q_lo[j]), int(q_hi[j]), shadowed,
+                _verdicts(must_read, j, r + 1),
+            )
+        keep = np.ones(open_q.size, dtype=bool)
+        keep[taken[matched]] = False
+        open_q = open_q[keep]
 
 
 def batch_range_empty(

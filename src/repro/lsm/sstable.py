@@ -199,6 +199,17 @@ def _max_expiry_from_columns(tags: np.ndarray, vexp: np.ndarray) -> Optional[int
     return int(vexp[live].max())
 
 
+def _u64(bound: int):
+    """A key bound for ``np.searchsorted`` over a ``uint64`` key column.
+
+    numpy compares a Python ``int`` against a ``uint64`` array through a
+    slow generic path (tens of microseconds on a 200k-key run against a
+    few for an ``np.uint64``). Bounds outside ``[0, 2**64)`` stay Python
+    ints, which numpy still orders correctly.
+    """
+    return np.uint64(bound) if 0 <= bound <= _U64_MAX else bound
+
+
 def _live_mask(tags: np.ndarray, vexp: np.ndarray, now: int) -> np.ndarray:
     """Vectorised liveness at logical time ``now``: not a tombstone, and
     either immortal or not yet expired (``now < expires_at``)."""
@@ -252,8 +263,8 @@ class Block:
 
     def range_indices(self, lo: int, hi: int) -> Tuple[int, int]:
         """Block-local ``[start, stop)`` of keys inside ``[lo, hi]``."""
-        start = int(np.searchsorted(self.keys, lo, side="left"))
-        stop = int(np.searchsorted(self.keys, hi, side="right"))
+        start = int(np.searchsorted(self.keys, _u64(lo), side="left"))
+        stop = int(np.searchsorted(self.keys, _u64(hi), side="right"))
         return start, stop
 
     def live_mask(self, now: int) -> np.ndarray:
@@ -595,7 +606,7 @@ class SSTable:
         """Point lookup; counts one I/O."""
         self._check_open()
         self.io_reads += 1
-        idx = int(np.searchsorted(self._keys, key))
+        idx = int(np.searchsorted(self._keys, _u64(key)))
         if idx < self._keys.size and int(self._keys[idx]) == key:
             return True, self._decode(idx)
         return False, None
@@ -611,9 +622,37 @@ class SSTable:
         zero-copy :class:`Matches` view of the matching entries."""
         self._check_open()
         self.io_reads += 1
-        start = int(np.searchsorted(self._keys, lo, side="left"))
-        stop = int(np.searchsorted(self._keys, hi, side="right"))
+        start = int(np.searchsorted(self._keys, _u64(lo), side="left"))
+        stop = int(np.searchsorted(self._keys, _u64(hi), side="right"))
         return Matches([(self._whole_view(), start, stop)])
+
+    def scan_batch(
+        self, los: np.ndarray, his: np.ndarray, now: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Range scans of every ``[los[j], his[j]]`` at once; counts one
+        I/O per range, as that many :meth:`scan` calls would.
+
+        ``los``/``his`` are ``uint64`` columns. One ``searchsorted`` pair
+        locates every range and one gather of the matched entries' tag
+        and expiry columns reduces liveness per range. Returns ``(starts,
+        stops, live)``: range ``j`` matched entries ``starts[j]:stops[j]``
+        and ``live[j]`` says whether any of them is live at logical time
+        ``now``.
+        """
+        self._check_open()
+        self.io_reads += int(los.size)
+        starts = np.searchsorted(self._keys, los, side="left")
+        stops = np.searchsorted(self._keys, his, side="right")
+        counts = stops - starts
+        live = np.zeros(los.size, dtype=bool)
+        hit = np.flatnonzero(counts)
+        if hit.size:
+            seg = counts[hit]
+            first = np.cumsum(seg) - seg  # each range's offset in the gather
+            flat = np.repeat(starts[hit] - first, seg) + np.arange(int(seg.sum()))
+            mask = _live_mask(self._tags[flat], self._vexp[flat], now)
+            live[hit] = np.logical_or.reduceat(mask, first)
+        return starts, stops, live
 
     def _whole_view(self) -> Block:
         """One :class:`Block` view spanning the entire run (internal)."""
@@ -644,11 +683,13 @@ class SSTable:
         """
         self._check_open()
         self.io_reads += 1
-        start = 0 if lo is None else int(np.searchsorted(self._keys, lo, side="left"))
+        start = (
+            0 if lo is None
+            else int(np.searchsorted(self._keys, _u64(lo), side="left"))
+        )
         stop = (
-            self._keys.size
-            if hi is None
-            else int(np.searchsorted(self._keys, hi, side="right"))
+            self._keys.size if hi is None
+            else int(np.searchsorted(self._keys, _u64(hi), side="right"))
         )
         for i in range(start, stop):
             yield int(self._keys[i]), self._decode(i)
@@ -675,8 +716,8 @@ class SSTable:
             return None
         fences = self._keys[::BLOCK_ENTRIES]
         # Block whose first key <= bound, i.e. the candidate block.
-        first = int(np.searchsorted(fences, lo, side="right")) - 1
-        last = int(np.searchsorted(fences, hi, side="right")) - 1
+        first = int(np.searchsorted(fences, _u64(lo), side="right")) - 1
+        last = int(np.searchsorted(fences, _u64(hi), side="right")) - 1
         if last < 0:
             return None  # the whole range sits before the first key
         return max(first, 0), last

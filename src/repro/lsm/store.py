@@ -800,19 +800,52 @@ class LSMStore:
             raise InvalidQueryError(f"probe range has lo={lo} > hi={hi}")
         self._check_key(lo)
         self._check_key(hi)
+        shadowed = self._memtable_shadowed(lo, hi)
+        return shadowed is not None and self._walk_runs(
+            self._runs(), lo, hi, shadowed
+        )
+
+    def _memtable_shadowed(self, lo: int, hi: int) -> Optional[set]:
+        """The memtable's part of :meth:`range_empty`: ``None`` when it
+        holds a live key in ``[lo, hi]``, else the keys in range it
+        tombstoned or saw expire (they shadow older versions)."""
         shadowed: set[int] = set()
         for key, value in self._memtable.scan(lo, hi):
             if self._is_live(value):
-                return False  # newest version of this key, and it is live
-            shadowed.add(key)  # tombstoned or expired: shadows older versions
-        for run in self._runs():  # recency order
-            if self._prune(run, lo, hi):
-                self.stats.reads_avoided += 1
+                return None  # newest version of this key, and it is live
+            shadowed.add(key)
+        return shadowed
+
+    def _walk_runs(
+        self,
+        runs: Sequence[SSTable],
+        lo: int,
+        hi: int,
+        shadowed: set,
+        verdicts: Optional[Sequence[bool]] = None,
+    ) -> bool:
+        """The run walk of :meth:`range_empty`: ``runs`` newest first,
+        ``False`` at the first key whose newest version is live.
+
+        ``shadowed`` holds the keys a newer source already decided dead;
+        the walk adds to it. ``verdicts[i]``, when given, is a batch
+        filter pass's answer for ``runs[i]`` (``True`` = must read it) and
+        stands in for the fence and filter check, so the batch lanes
+        never probe a filter twice. The ledger moves exactly as without.
+        """
+        stats = self.stats
+        for i, run in enumerate(runs):
+            if verdicts is not None:
+                must_read = verdicts[i]
+            else:
+                must_read = not self._prune(run, lo, hi)
+            if not must_read:
+                stats.reads_avoided += 1
                 continue
-            self.stats.reads_performed += 1
+            stats.reads_performed += 1
             matches = self._run_scan(run, lo, hi)
             if not matches:
-                self.stats.wasted_reads += 1
+                stats.wasted_reads += 1
                 continue
             if not shadowed:
                 # Nothing can shadow these entries, so the probe only

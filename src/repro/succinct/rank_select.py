@@ -91,7 +91,7 @@ class RankSelect:
         self._bv = bitvector
         pops = popcount_words(bitvector.words)
         self._cum1 = np.concatenate(([0], np.cumsum(pops, dtype=np.int64)))
-        self._cum0 = None  # zeros-before-word counts, built on first batch select0
+        self._cum0 = None  # zeros-before-word counts, built on first select0
         ones = int(self._cum1[-1])
         # Padding bits in the last word are zero, so they never inflate the
         # ones count; zeros are defined over the payload length only.
@@ -164,17 +164,9 @@ class RankSelect:
         """Position of the (k+1)-th clear bit (``k`` is 0-indexed)."""
         if not 0 <= k < self._num_zeros:
             raise IndexError(f"select0 argument {k} out of range [0, {self._num_zeros})")
-        # Zeros before word w: 64*w - cum1[w]. Monotone in w, so binary search.
-        lo, hi = 0, self._cum1.size - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            zeros_before = mid * _WORD_BITS - int(self._cum1[mid])
-            if zeros_before <= k:
-                lo = mid
-            else:
-                hi = mid
-        word_index = lo
-        in_word_rank = k - (word_index * _WORD_BITS - int(self._cum1[word_index]))
+        zeros_cum = self._zeros_cum()
+        word_index = int(np.searchsorted(zeros_cum, k, side="right")) - 1
+        in_word_rank = k - int(zeros_cum[word_index])
         word = (~int(self._bv.words[word_index])) & 0xFFFFFFFFFFFFFFFF
         return word_index * _WORD_BITS + self._select_in_word(word, in_word_rank)
 
@@ -219,7 +211,8 @@ class RankSelect:
         return word_idx * _WORD_BITS + _select_in_words_batch(words, in_rank)
 
     def _zeros_cum(self) -> np.ndarray:
-        """Zeros before each word boundary (lazy companion of ``_cum1``)."""
+        """Zeros before each word boundary (lazy companion of ``_cum1``;
+        monotone, so ``select0`` locates its word with one search)."""
         if self._cum0 is None:
             self._cum0 = (
                 np.arange(self._cum1.size, dtype=np.int64) * _WORD_BITS - self._cum1

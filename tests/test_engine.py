@@ -296,18 +296,23 @@ class TestShardedEngine:
         )
         assert batch_store.stats.reads_performed == 0
 
-    @pytest.mark.parametrize("n", [1, 8, 9, 64])
+    @pytest.mark.parametrize("n, cached", [
+        *(pytest.param(n, True, id=str(n)) for n in (1, 8, 9, 64)),
+        *(pytest.param(n, False, id=f"{n}-uncached") for n in (1, 8, 9, 64)),
+    ])
     def test_scalar_and_columnar_lanes_match_a_range_empty_loop(
-        self, n, monkeypatch
+        self, n, cached, monkeypatch
     ):
         """Both lanes of ``shard_batch_empty`` — a loop for up to
         ``SCALAR_CUTOFF`` ranges, columnar above — give a loop of
-        ``range_empty``'s verdicts and move the ledger the same way, on
-        a leveled shard with several runs, live and tombstoned memtable
-        entries and a block cache."""
+        ``range_empty``'s verdicts and move the ledger and every run's
+        I/O counter the same way, with and without a block cache, on a
+        leveled shard under a newer run that tombstones and expires
+        older live keys, with live and tombstoned memtable entries."""
         from repro.engine import batch as batch_mod
         from repro.lsm.cache import BlockCache
         from repro.lsm.compaction import LeveledPolicy
+        from repro.lsm.ttl import ExpiringValue
 
         universe = 2**20
         columnar_calls = []
@@ -316,55 +321,141 @@ class TestShardedEngine:
             batch_mod, "_columnar_empty",
             lambda *args: columnar_calls.append(1) or columnar(*args),
         )
+        walked = []  # run count of every scalar walk
+        walk = LSMStore._walk_runs
+        monkeypatch.setattr(
+            LSMStore, "_walk_runs",
+            lambda self, runs, *args: walked.append(len(runs)) or walk(self, runs, *args),
+        )
+        keys = np.random.default_rng(3).choice(universe, 1200, replace=False).tolist()
 
         def build():
             store = LSMStore(
                 universe, memtable_limit=50, filter_factory=grafite_factory,
                 compaction_policy=LeveledPolicy(slice_target=40),
+                auto_compact=False,
             )
-            rng = np.random.default_rng(3)
-            for key in rng.choice(universe, 1200, replace=False):
-                store.put(int(key), b"v")
+            for key in keys:
+                store.put(key, b"v")
+            store.compact()
+            # One newer run: tombstones (some over older live keys) and
+            # entries that expire, over older live keys and over none.
             for key in range(0, 20_000, 1000):
-                store.delete(key)  # tombstones in runs
+                store.delete(key)
+            for key in keys[:4]:
+                store.delete(key)
+            for key in keys[4:8] + [900_001]:
+                store.put(key, ExpiringValue(b"t", 5))
+            store.flush()
+            store.set_ttl_now(10)
             for key in (600_000, 600_100):
                 store.put(key, b"m")  # live memtable entries
             for key in (700_000, 700_500):
                 store.delete(key)  # tombstoned memtable entries
-            store.attach_cache(BlockCache(64, num_stripes=2))
+            if cached:
+                store.attach_cache(BlockCache(64, num_stripes=2))
             return store
 
         loop_store, batch_store = build(), build()
         assert len(batch_store._memtable) > 0
         assert batch_store.run_count > 2
         rng = np.random.default_rng(n)
-        fixed = [600_050, 700_000, 700_400, 5_000, 0]
+        fixed = [
+            (keys[0], keys[0]), (keys[4], keys[4]), (900_001, 900_001),
+            (600_050, 600_100), (700_000, 700_000), (700_400, 700_600),
+            (keys[1] - 5, keys[1] + 200), (5_000, 5_100), (0, 10),
+        ]
         los = np.concatenate((
-            np.asarray(fixed, dtype=np.uint64),
+            np.asarray([lo for lo, _ in fixed], dtype=np.uint64),
             rng.integers(0, universe - 300, max(n - len(fixed), 0),
                          dtype=np.uint64),
         ))[:n]
-        his = los + rng.integers(0, 256, n).astype(np.uint64)
+        his = np.concatenate((
+            np.asarray([hi for _, hi in fixed], dtype=np.uint64),
+            los[len(fixed):] + rng.integers(0, 256, max(n - len(fixed), 0)).astype(np.uint64),
+        ))[:n]
         fields = ("reads_performed", "reads_avoided", "wasted_reads",
                   "cache_hits", "cache_misses")
 
         def ledger(store):
-            return [getattr(store.stats, f) for f in fields]
+            return ([getattr(store.stats, f) for f in fields]
+                    + [run.io_reads for run in store._runs()])
 
         before = ledger(loop_store)
         want = [loop_store.range_empty(int(lo), int(hi))
                 for lo, hi in zip(los, his)]
-        loop_delta = np.subtract(ledger(loop_store), before)
+        loop_delta = np.subtract(ledger(loop_store), before).tolist()
         before = ledger(batch_store)
+        walked.clear()
         got = batch_mod.shard_batch_empty(batch_store, los, his)
-        batch_delta = np.subtract(ledger(batch_store), before)
+        batch_delta = np.subtract(ledger(batch_store), before).tolist()
 
         assert got.tolist() == want
-        assert dict(zip(fields, batch_delta)) == dict(zip(fields, loop_delta))
+        assert batch_delta == loop_delta
         if n >= len(fixed):
+            assert want[:3] == [True, True, True]  # shadowed, not deleted
             assert not all(want) and any(want)
             assert batch_delta[0] > 0 and batch_delta[1] > 0
+            if cached:
+                assert batch_delta[4] > 0
+            else:
+                # A shadowed hand-off walks on from the next run.
+                assert min(walked) < batch_store.run_count
         assert len(columnar_calls) == int(n > batch_mod.SCALAR_CUTOFF)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_columnar_lane_never_probes_a_filter_twice(self, cached, monkeypatch):
+        """The batch filter pass's verdicts carry into verification: the
+        columnar lane never calls the scalar ``Grafite.may_contain_range``."""
+        from repro.engine.batch import shard_batch_empty
+        from repro.lsm.cache import BlockCache
+
+        scalar_probes = []
+        probe = Grafite.may_contain_range
+        monkeypatch.setattr(
+            Grafite, "may_contain_range",
+            lambda self, lo, hi: scalar_probes.append(1) or probe(self, lo, hi),
+        )
+        store = LSMStore(UNIVERSE, memtable_limit=200, filter_factory=grafite_factory)
+        keys = np.random.default_rng(5).choice(10**6, 700, replace=False) + 10
+        for key in keys.tolist():
+            store.put(key, b"v")
+        if cached:
+            store.attach_cache(BlockCache(32))
+        assert store.run_count > 1
+        los = np.sort(keys[:64]).astype(np.uint64) - np.uint64(3)
+        empty = shard_batch_empty(store, los, los + np.uint64(40))
+        assert not empty.all()
+        assert scalar_probes == []
+        store.range_empty(int(los[0]), int(los[0]) + 40)
+        assert scalar_probes  # the scalar path does probe
+
+    def test_columnar_lane_raises_on_a_released_run(self, monkeypatch):
+        """A run whose storage is retired between the filter pass and the
+        read raises ``CorruptionError`` from the columnar lane, as
+        ``SSTable.scan`` does."""
+        from repro.engine.batch import shard_batch_empty
+        from repro.errors import CorruptionError
+
+        store = LSMStore(UNIVERSE, memtable_limit=100, filter_factory=grafite_factory)
+        keys = list(range(1000, 60_000, 500))
+        for key in keys:
+            store.put(key, b"v")
+        store.flush()
+        store.request_compaction()
+        store.compact()
+        (run,) = store._runs()
+        batch_probe = Grafite.may_contain_range_batch
+
+        def probe_then_release(self, los, his):
+            verdicts = batch_probe(self, los, his)
+            if self is run.filter:
+                run.release()
+            return verdicts
+        monkeypatch.setattr(Grafite, "may_contain_range_batch", probe_then_release)
+        los = np.asarray(keys[:20], dtype=np.uint64)
+        with pytest.raises(CorruptionError):
+            shard_batch_empty(store, los, los)
 
     def test_batch_sees_memtable_and_tombstones(self):
         engine = ShardedEngine(1000, num_shards=2, memtable_limit=100)

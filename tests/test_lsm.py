@@ -67,6 +67,47 @@ class TestSSTable:
         assert run.scan(2, 8) == [(5, "b")]
         assert run.key_bounds == (1, 9)
 
+    def test_full_uint64_universe_edges(self):
+        top = 2**64 - 1
+        run = SSTable([(0, "lo"), (5, "mid"), (top, "hi")], 2**64)
+        assert run.get(0) == (True, "lo")
+        assert run.get(top) == (True, "hi")
+        assert run.get(top - 1) == (False, None)
+        assert run.scan(0, 0) == [(0, "lo")]
+        assert run.scan(top, top) == [(top, "hi")]
+        assert run.scan(1, top - 1) == [(5, "mid")]
+        assert run.scan(0, top) == [(0, "lo"), (5, "mid"), (top, "hi")]
+        assert run.scan(top, 2**65) == [(top, "hi")]  # past u64: still ordered
+        assert list(run.iter_entries(0, 0)) == [(0, "lo")]
+        assert list(run.iter_entries(top, top)) == [(top, "hi")]
+        assert list(run.iter_entries(1, None)) == [(5, "mid"), (top, "hi")]
+        assert list(run.iter_entries(None, top - 1)) == [(0, "lo"), (5, "mid")]
+        starts, stops, live = run.scan_batch(
+            np.asarray([0, top, 1, 6], dtype=np.uint64),
+            np.asarray([0, top, top - 1, top - 1], dtype=np.uint64),
+            now=0,
+        )
+        assert starts.tolist() == [0, 2, 1, 2]
+        assert stops.tolist() == [1, 3, 2, 2]
+        assert live.tolist() == [True, True, True, False]
+
+    def test_scan_batch_liveness_and_io(self):
+        from repro.lsm.ttl import ExpiringValue
+
+        run = SSTable(
+            [(1, "a"), (2, TOMBSTONE), (3, ExpiringValue("e", 10)), (4, "d")],
+            UNIVERSE,
+        )
+        los = np.asarray([1, 2, 2, 3, 5], dtype=np.uint64)
+        his = np.asarray([1, 2, 3, 3, 9], dtype=np.uint64)
+        _, _, live = run.scan_batch(los, his, now=5)
+        assert live.tolist() == [True, False, True, True, False]
+        _, _, live = run.scan_batch(los, his, now=10)
+        assert live.tolist() == [True, False, False, False, False]
+        assert run.io_reads == 2 * los.size
+        for lo, hi, want in zip(los.tolist(), his.tolist(), live.tolist()):
+            assert run.scan(lo, hi).any_live(10) == want
+
     def test_filter_attached(self):
         run = SSTable([(100, "v")], UNIVERSE, grafite_factory)
         assert run.filter is not None

@@ -123,9 +123,8 @@ class TestBatchKernels:
         ks = np.arange(rs.num_ones, dtype=np.int64)
         assert rs.select1_batch(ks).tolist() == [rs.select1(int(k)) for k in ks]
 
-    @given(st.lists(st.booleans(), min_size=1, max_size=500))
-    @settings(max_examples=60, deadline=None)
-    def test_select0_batch_matches_scalar(self, flags):
+    @staticmethod
+    def _check_select0(flags):
         import numpy as np
 
         rs = RankSelect(BitVector.from_bools(flags))
@@ -133,7 +132,32 @@ class TestBatchKernels:
             assert rs.select0_batch(np.zeros(0, dtype=np.int64)).size == 0
             return
         ks = np.arange(rs.num_zeros, dtype=np.int64)
-        assert rs.select0_batch(ks).tolist() == [rs.select0(int(k)) for k in ks]
+        scalar = [rs.select0(int(k)) for k in ks]
+        assert rs.select0_batch(ks).tolist() == scalar
+        assert scalar == [pos for pos, f in enumerate(flags) if not f]
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=500))
+    @settings(max_examples=60, deadline=None)
+    def test_select0_batch_matches_scalar(self, flags):
+        self._check_select0(flags)
+
+    @pytest.mark.parametrize("words", [
+        "0", "1", "01", "10", "101", "010", "0r1", "1r0r1", "r11r", "00r",
+    ])
+    def test_select0_over_all_zero_and_all_one_words(self, words):
+        """Whole 64-bit words of zeros (``0``) or ones (``1``) around
+        random words (``r``), with a partial tail word."""
+        import numpy as np
+
+        rng = np.random.default_rng(len(words))
+        flags = []
+        for w in words:
+            if w == "r":
+                flags.extend((rng.random(64) < 0.5).tolist())
+            else:
+                flags.extend([w == "1"] * 64)
+        for tail in (0, 5):
+            self._check_select0(flags + [True, False, True, True, False][:tail])
 
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=40, deadline=None)
