@@ -301,9 +301,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--plan", action=argparse.BooleanOptionalAction, default=True,
-        help="run probe batches through the query planner — dedup/merge "
-        "rewrite and negative-result cache (--no-plan executes batches "
-        "verbatim)",
+        help="run probe batches through the query planner — dedup and "
+        "negative-result cache (--no-plan executes batches verbatim)",
     )
     parser.add_argument("--bits-per-key", type=float, default=16.0)
     parser.add_argument("--range-size", type=int, default=32)

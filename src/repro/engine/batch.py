@@ -39,6 +39,7 @@ path's accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -423,15 +424,25 @@ def batch_range_empty(
     :meth:`ShardedEngine.range_empty`. Routing, per-shard probing and
     the scatter back to query positions all run on contiguous columns;
     a straddler's segments AND-fold through the scatter (the result
-    starts ``True`` and only ever flips to ``False``).
+    starts ``True`` and only ever flips to ``False``). With a planner
+    attached, each shard's segments — a straddler's included, as each
+    lies in one shard — go through its negative cache
+    (:meth:`~repro.engine.planner.BatchPlanner.shard_empty`).
     """
     los, his = validate_batch_bounds(engine.universe, los, his)
     if los.size == 0:
         return np.zeros(0, dtype=bool)
     plan = route_columnar(engine.router, los, his)
+    planner = engine.planner
     empty = np.ones(los.size, dtype=bool)
     for g in range(plan.shard_ids.size):
         sid, q_lo, q_hi, qid = plan.group(g)
-        sub_empty = shard_batch_empty(engine.shards[sid], q_lo, q_hi)
+        store = engine.shards[sid]
+        if planner is None:
+            sub_empty = shard_batch_empty(store, q_lo, q_hi)
+        else:
+            sub_empty = planner.shard_empty(
+                sid, store, q_lo, q_hi, partial(shard_batch_empty, store)
+            )
         empty[qid[~sub_empty]] = False
     return empty

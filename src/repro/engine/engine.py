@@ -545,10 +545,12 @@ class ShardedEngine:
 
         With one attached, :meth:`batch_range_empty` — here and in the
         serving layer — runs every batch through the planner's dedup
-        pass and negative-result cache (:mod:`repro.engine.planner`).
-        Attaching never changes query results: the planner only reuses
-        verdicts whose validity conditions (``runs_version`` tag +
-        memtable-overlap check) hold at consult time.
+        pass, and each shard's sub-batch through its negative-result
+        cache in the same lock hold that executes it
+        (:mod:`repro.engine.planner`). Attaching never changes query
+        results: the planner only reuses verdicts whose validity
+        conditions (``runs_version`` tag + memtable-overlap check) hold
+        at lookup time.
         """
         if self._planner is not None:
             self._planner.detach()

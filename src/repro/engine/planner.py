@@ -20,11 +20,14 @@ pipeline of discrete passes in front of the executor:
 2. **negative cache** — :class:`NegativeRangeCache`, a per-shard
    sorted-disjoint-interval structure of ranges proven empty, tagged
    with the shard's :attr:`~repro.lsm.store.LSMStore.runs_version` at
-   the time of proof. A hit requires the tag to match the shard's
-   *current* version (flush/compaction bump it, evicting wholesale)
-   and the current memtable to have no entry — live or tombstone —
-   inside the queried range (writes do not bump the version; the
-   overlap check is what makes replaying a cached verdict exact).
+   the time of proof. It runs per shard, inside the sub-batch
+   (:meth:`BatchPlanner.shard_empty`), under the same lock hold that
+   executes it: the live version is read once, a hit requires the
+   stored tag to match it (flush/compaction bump it, evicting
+   wholesale) and the live memtable to have no entry — live or
+   tombstone — inside the queried range (writes do not bump the
+   version; the overlap check is what makes replaying a cached verdict
+   exact), and the new empties are recorded at that same version.
    Containment counts: a cached ``[0, 100]`` answers ``[10, 20]``.
 3. **dispatch** — :meth:`BatchPlanner.choose_mode` sends a per-shard
    sub-batch of the process-mode service to the snapshot workers when
@@ -41,10 +44,9 @@ and the planner-enabled differential streams hold it to that.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ContextManager, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,12 +54,10 @@ from repro.engine.batch import memtable_overlaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.engine import ShardedEngine
+    from repro.lsm.store import LSMStore
 
 #: Answers a (lo, hi) column pair with an exact emptiness column.
 Executor = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-#: Yields a held read guard for one shard (the service's RWLock).
-LockProvider = Callable[[int], ContextManager[None]]
 
 #: A process-mode sub-batch below this many ranges stays local: the
 #: workers' marshalling round trip is not amortised.
@@ -148,8 +148,8 @@ class NegativeRangeCache:
     version-monotone: recording at an older version than the stored
     entry is dropped (stale proof), recording at a newer version
     replaces the entry wholesale (the old proofs died with the old run
-    set). ``capacity`` bounds per-shard interval count; on overflow the
-    widest intervals survive (they answer the most containment probes).
+    set). ``capacity`` bounds per-shard interval count: a full entry
+    takes no new proofs until its shard's run set changes.
 
     Thread safety: mutation is serialised by an internal mutex and
     entries are replaced atomically (tuples are never mutated in
@@ -195,10 +195,11 @@ class NegativeRangeCache:
     ) -> None:
         """Fold freshly proven-empty intervals into the shard's entry.
 
-        ``version`` is the shard's ``runs_version`` captured *before*
-        the proving execution started: if a flush raced the execution
-        the entry is tagged older than the live version and can never
-        hit — conservative, never wrong.
+        ``version`` is the shard's ``runs_version`` read under the lock
+        hold that proved the intervals empty. An entry already holding
+        ``capacity`` intervals at that version takes nothing more; a
+        merged entry longer than ``capacity`` keeps its first
+        ``capacity`` intervals.
         """
         if q_lo.size == 0 or self._capacity <= 0:
             return
@@ -207,6 +208,8 @@ class NegativeRangeCache:
             if entry is not None and entry[0] > version:
                 return  # proofs predate the stored run set: stale
             if entry is not None and entry[0] == version:
+                if entry[1].size >= self._capacity:
+                    return  # full until the run set changes
                 clos = np.concatenate((entry[1], q_lo))
                 chis = np.concatenate((entry[2], q_hi))
             else:
@@ -214,13 +217,8 @@ class NegativeRangeCache:
                     self.invalidations += 1
                 clos, chis = q_lo, q_hi
             mlos, mhis = _merge_intervals(clos, chis)
-            if mlos.size > self._capacity:
-                widths = mhis - mlos  # uint64 widths, inclusive - 1
-                keep = np.sort(
-                    np.argsort(widths, kind="stable")[-self._capacity:]
-                )
-                mlos, mhis = mlos[keep], mhis[keep]
-            self._shards[sid] = (int(version), mlos, mhis)
+            cap = self._capacity
+            self._shards[sid] = (int(version), mlos[:cap], mhis[:cap])
             self.insertions += int(q_lo.size)
 
     def clear(self) -> None:
@@ -246,9 +244,11 @@ class BatchPlanner:
     Attach one to a :class:`~repro.engine.engine.ShardedEngine` (via
     :meth:`~repro.engine.engine.ShardedEngine.attach_planner`); the
     engine's and service's ``batch_range_empty`` then run every batch
-    through :meth:`execute`. ``cache_capacity=0`` disables the negative
-    cache. One planner serves one engine — the cache is keyed by shard
-    id and tagged by that engine's shards' ``runs_version``.
+    through :meth:`execute` and, under each shard's lock hold, every
+    shard's sub-batch through :meth:`shard_empty`. ``cache_capacity=0``
+    disables the negative cache. One planner serves one engine — the
+    cache is keyed by shard id and tagged by that engine's shards'
+    ``runs_version``.
     """
 
     def __init__(self, *, cache_capacity: int = 4096) -> None:
@@ -287,22 +287,15 @@ class BatchPlanner:
     # -- the planned execution path -----------------------------------
 
     def execute(
-        self,
-        los: np.ndarray,
-        his: np.ndarray,
-        executor: Executor,
-        *,
-        lock_provider: Optional[LockProvider] = None,
+        self, los: np.ndarray, his: np.ndarray, executor: Executor
     ) -> np.ndarray:
-        """Answer a validated batch through the pass pipeline.
+        """Answer a validated batch: dedup, executor, scatter.
 
         ``executor`` answers the batch's distinct pairs exactly — the
-        engine's raw columnar path or the service's locking fan-out.
-        ``lock_provider`` (the service passes its per-shard
-        read-lock guards) makes cache consultation safe against
-        concurrent flush/compaction; without one, single-threaded
-        callers get plain no-op guards. Returns the per-query verdict
-        column, bit-identical to what the executor alone would return.
+        engine's columnar path or the service's locking fan-out, both of
+        which run each shard's sub-batch through :meth:`shard_empty`.
+        Returns the per-query verdict column, bit-identical to what the
+        executor alone would return.
         """
         n = int(los.size)
         if n == 0:
@@ -311,92 +304,44 @@ class BatchPlanner:
         self._queries += n
         plan = plan_batch(los, his)
         self._duplicates_folded += n - plan.n_unique
-        q_lo, q_hi = plan.uniq_lo, plan.uniq_hi
-        cached = self._cache is not None and self._engine is not None
-        versions = self._versions_snapshot()
-        if cached:
-            out = self._consult(
-                q_lo, q_hi,
-                lock_provider or (lambda sid: contextlib.nullcontext()),
-            )
-        else:
-            out = np.zeros(plan.n_unique, dtype=bool)
-        todo = np.flatnonzero(~out)
-        if todo.size:
-            result = np.asarray(executor(q_lo[todo], q_hi[todo]), dtype=bool)
-            out[todo] = result
-            self._executed_probes += int(todo.size)
-            if cached and result.any():
-                proved = todo[result]
-                self._record_empties(q_lo[proved], q_hi[proved], versions)
+        out = np.asarray(executor(plan.uniq_lo, plan.uniq_hi), dtype=bool)
         return out[plan.inverse]
 
-    def _consult(
-        self, q_lo: np.ndarray, q_hi: np.ndarray, locks: LockProvider
-    ) -> np.ndarray:
-        """Which queries the negative cache answers *right now*.
-
-        Per owning shard, under that shard's read guard: the stored
-        version must equal the live ``runs_version`` and the live
-        memtable must have no entry in the queried range — the two
-        conditions that keep a replayed "empty" exact. Straddlers
-        (sid -1) are never consulted; they cross version domains.
-        """
-        hits = np.zeros(int(q_lo.size), dtype=bool)
-        sids = self._shard_ids(q_lo, q_hi)
-        for sid in np.unique(sids[sids >= 0]):
-            mask = sids == sid
-            store = self._engine.shards[int(sid)]
-            with locks(int(sid)):
-                found = self._cache.lookup(
-                    int(sid), store.runs_version, q_lo[mask], q_hi[mask]
-                )
-                if found.any():
-                    pos = np.flatnonzero(found)
-                    overlap = memtable_overlaps(
-                        store, q_lo[mask][pos], q_hi[mask][pos]
-                    )
-                    found[pos[overlap]] = False
-            hits[np.flatnonzero(mask)[found]] = True
-        return hits
-
-    def _record_empties(
+    def shard_empty(
         self,
+        sid: int,
+        store: "LSMStore",
         q_lo: np.ndarray,
         q_hi: np.ndarray,
-        versions: Dict[int, int],
-    ) -> None:
-        """Cache proven-empty single-shard ranges at pre-execution versions."""
-        sids = self._shard_ids(q_lo, q_hi)
-        for sid in np.unique(sids[sids >= 0]):
-            mask = sids == sid
-            self._cache.record(
-                int(sid), versions[int(sid)], q_lo[mask], q_hi[mask]
-            )
+        kernel: Executor,
+    ) -> np.ndarray:
+        """One shard's sub-batch through the negative cache.
 
-    def _shard_ids(self, q_lo: np.ndarray, q_hi: np.ndarray) -> np.ndarray:
-        """Owning shard per query; -1 marks shard-straddling ranges."""
-        router = self._engine.router
-        if router.num_shards == 1:
-            return np.zeros(int(q_lo.size), dtype=np.int64)
-        width = np.uint64(router.shard_width)
-        sid_lo = (q_lo // width).astype(np.int64)
-        sid_hi = (q_hi // width).astype(np.int64)
-        return np.where(sid_lo == sid_hi, sid_lo, np.int64(-1))
-
-    def _versions_snapshot(self) -> Dict[int, int]:
-        """Every shard's ``runs_version`` before execution starts.
-
-        Tagging cache entries with the *pre*-execution version makes a
-        racing flush strictly conservative: the entry lands with an
-        older tag than the live version and simply never hits.
+        The caller holds the shard steady for the whole call (the
+        service's read lock; the single-threaded engine trivially), so
+        the ``runs_version`` read here is the one the kernel executes
+        at. Cached intervals answer the queries they contain unless the
+        live memtable has an entry in range; ``kernel`` answers the
+        rest exactly, and its new empties are recorded at that version.
+        Every ``[q_lo[j], q_hi[j]]`` must lie inside shard ``sid``.
         """
-        if self._engine is None:
-            return {}
-        return {
-            sid: store.runs_version
-            for sid, store in enumerate(self._engine.shards)
-        }
+        cache = self._cache
+        if cache is None:
+            self._executed_probes += int(q_lo.size)
+            return kernel(q_lo, q_hi)
+        version = store.runs_version
+        hit = cache.lookup(sid, version, q_lo, q_hi)
+        if hit.any():
+            pos = np.flatnonzero(hit)
+            hit[pos[memtable_overlaps(store, q_lo[pos], q_hi[pos])]] = False
+        todo = np.flatnonzero(~hit)
+        out = np.ones(int(q_lo.size), dtype=bool)
+        if todo.size:
+            out[todo] = kernel(q_lo[todo], q_hi[todo])
+            self._executed_probes += int(todo.size)
+            proved = todo[out[todo]]
+            cache.record(sid, version, q_lo[proved], q_hi[proved])
+        return out
 
     # -- service integration ------------------------------------------
 

@@ -57,6 +57,7 @@ import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -280,7 +281,7 @@ class RangeQueryService:
         any concurrency exists): the engine was just checkpointed, so the
         on-disk generation matches the in-memory run sets, and recording
         each shard's ``runs_version`` here makes the staleness check in
-        :meth:`_shard_task_process` exact.
+        :meth:`_shard_empty_process` exact.
         """
         assert self._workers is not None
         from repro.engine import persist
@@ -335,6 +336,20 @@ class RangeQueryService:
         with self._locks[sid].write_locked():
             self._engine.delete(key)
 
+    @contextlib.contextmanager
+    def _read_locked_span(self, lo: int, hi: int) -> Iterator[None]:
+        """Hold the read lock of every shard ``[lo, hi]`` spans, taken in
+        id order (deadlock-free) and released in reverse."""
+        acquired: List[RWLock] = []
+        try:
+            for sid in self._engine.router.shards_spanning(lo, hi):
+                self._locks[sid].acquire_read()
+                acquired.append(self._locks[sid])
+            yield
+        finally:
+            for lock in reversed(acquired):
+                lock.release_read()
+
     def range_empty(self, lo: int, hi: int) -> bool:
         """Exact emptiness probe, atomic across the shards it spans.
 
@@ -343,20 +358,11 @@ class RangeQueryService:
         consistent cut of the keyspace even while writers queue up.
         """
         self._check_open()
-        router = self._engine.router
-        sids = router.shards_spanning(lo, hi)
-        acquired: List[RWLock] = []
-        try:
-            for sid in sids:
-                self._locks[sid].acquire_read()
-                acquired.append(self._locks[sid])
+        with self._read_locked_span(lo, hi):
             return all(
                 self._engine.shards[sid].range_empty(seg_lo, seg_hi)
-                for sid, seg_lo, seg_hi in router.split(lo, hi)
+                for sid, seg_lo, seg_hi in self._engine.router.split(lo, hi)
             )
-        finally:
-            for lock in reversed(acquired):
-                lock.release_read()
 
     def range_scan(self, lo: int, hi: int) -> List[Tuple[int, Any]]:
         """All live pairs in ``[lo, hi]``, atomic across spanned shards.
@@ -366,20 +372,11 @@ class RangeQueryService:
         the result is one consistent cut of the keyspace.
         """
         self._check_open()
-        router = self._engine.router
-        sids = router.shards_spanning(lo, hi)
-        acquired: List[RWLock] = []
-        try:
-            for sid in sids:
-                self._locks[sid].acquire_read()
-                acquired.append(self._locks[sid])
+        with self._read_locked_span(lo, hi):
             out: List[Tuple[int, Any]] = []
-            for sid, seg_lo, seg_hi in router.split(lo, hi):
+            for sid, seg_lo, seg_hi in self._engine.router.split(lo, hi):
                 out.extend(self._engine.shards[sid].range_scan(seg_lo, seg_hi))
             return out
-        finally:
-            for lock in reversed(acquired):
-                lock.release_read()
 
     # ------------------------------------------------------------------
     # Batch queries
@@ -394,19 +391,32 @@ class RangeQueryService:
     def _shard_task(
         self, sid: int, q_lo: np.ndarray, q_hi: np.ndarray, qid: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """One (shard, chunk) task: with a planner attached, the negative
+        cache's lookup, the kernel and its record all run in this one
+        read-lock hold."""
         with self._locks[sid].read_locked():
             store = self._engine.shards[sid]
             planner = self._engine.planner
-            if planner is not None:
-                mode = planner.choose_mode(
-                    store, q_lo, q_hi,
-                    process_available=self._workers is not None,
-                )
-            else:
-                mode = "process" if self._workers is not None else "local"
-            if mode == "process":
-                return qid, self._shard_empty_process(sid, q_lo, q_hi)
-            return qid, shard_batch_empty(store, q_lo, q_hi)
+            if planner is None:
+                return qid, self._shard_kernel(sid, store, q_lo, q_hi)
+            return qid, planner.shard_empty(
+                sid, store, q_lo, q_hi,
+                partial(self._shard_kernel, sid, store),
+            )
+
+    def _shard_kernel(
+        self, sid: int, store, q_lo: np.ndarray, q_hi: np.ndarray
+    ) -> np.ndarray:
+        """Process or local kernel; caller holds the shard's read lock."""
+        process = self._workers is not None
+        planner = self._engine.planner
+        if planner is not None:
+            process = planner.choose_mode(
+                store, q_lo, q_hi, process_available=process
+            ) == "process"
+        if process:
+            return self._shard_empty_process(sid, q_lo, q_hi)
+        return shard_batch_empty(store, q_lo, q_hi)
 
     def _shard_empty_process(
         self, sid: int, q_lo: np.ndarray, q_hi: np.ndarray
@@ -483,7 +493,10 @@ class RangeQueryService:
         as a loop of scalar calls would). With no concurrent writers the
         output is identical to :meth:`ShardedEngine.batch_range_empty`;
         compactions queued by interleaved writers happen on the
-        background worker instead of stalling the batch.
+        background worker instead of stalling the batch. With a planner
+        attached, duplicates fold first and each shard task runs the
+        negative cache within its read-lock hold
+        (:meth:`~repro.engine.planner.BatchPlanner.shard_empty`).
         """
         self._check_open()
         los, his = validate_batch_bounds(self._engine.universe, los, his)
@@ -491,15 +504,7 @@ class RangeQueryService:
             return np.zeros(0, dtype=bool)
         planner = self._engine.planner
         if planner is not None:
-            # The planner's passes run on the calling thread; the
-            # rewritten (deduped/merged) columns fan out through the
-            # same pool path. Cache consultation borrows the per-shard
-            # read guards so a hit is checked against a stable
-            # (runs_version, memtable) pair.
-            empty = planner.execute(
-                los, his, self._fanout_batch,
-                lock_provider=lambda sid: self._locks[sid].read_locked(),
-            )
+            empty = planner.execute(los, his, self._fanout_batch)
         else:
             empty = self._fanout_batch(los, his)
         tuner = self._engine.autotuner

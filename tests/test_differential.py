@@ -518,8 +518,8 @@ def test_differential_service_autotune():
 
 
 def test_differential_engine_planner():
-    """The planned batch path against the oracle: dedup/cover rewrites
-    and negative-cache replays must answer the identical op mix bit for
+    """The planned batch path against the oracle: dedup and
+    negative-cache replays must answer the identical op mix bit for
     bit while the stream's flushes/compactions bump ``runs_version``
     (evicting entries) and its writes dirty memtables (disqualifying
     hits without a version bump)."""
@@ -542,10 +542,10 @@ def test_differential_engine_planner_persistent(tmp_path):
 
 @pytest.mark.parametrize("num_threads", [2, 8])
 def test_differential_service_planner(num_threads):
-    """`serve --plan`'s configuration: the planner's passes run on the
-    service's calling thread, cache consultation borrows the per-shard
-    read locks, and sub-batches take the scalar or the columnar lane of
-    the shard kernel by size mid-stream."""
+    """`serve --plan`'s configuration: dedup runs on the service's
+    calling thread, each shard task looks up, executes and records in
+    one read-lock hold, and sub-batches take the scalar or the columnar
+    lane of the shard kernel by size mid-stream."""
     rng = np.random.default_rng(SEED + 43)
     replay(
         ServiceTarget(num_threads, planner=True),

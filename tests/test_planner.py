@@ -9,6 +9,9 @@ equivalence against a planner-less twin engine, cache invalidation
 through real flushes and writes).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,14 +187,21 @@ class TestNegativeRangeCache:
         assert cache.n_intervals == 1
         assert cache.lookup(0, 3, u64([5]), u64([25])).all()
 
-    def test_capacity_trim_keeps_widest(self):
+    def test_full_entry_takes_no_new_proofs_until_the_version_changes(self):
         cache = NegativeRangeCache(capacity=2)
-        # Three disjoint, non-adjacent intervals of widths 100, 2, 50.
+        # Three disjoint, non-adjacent intervals: the first two are kept.
         cache.record(0, 1, u64([0, 200, 400]), u64([100, 202, 450]))
         assert cache.n_intervals == 2
-        assert cache.lookup(0, 1, u64([50]), u64([60])).all()    # width 100
-        assert cache.lookup(0, 1, u64([410]), u64([420])).all()  # width 50
-        assert not cache.lookup(0, 1, u64([201]), u64([201])).any()
+        assert cache.lookup(0, 1, u64([0, 200]), u64([100, 202])).all()
+        assert not cache.lookup(0, 1, u64([410]), u64([420])).any()
+        # Full at the live version: a further proof is not taken in.
+        cache.record(0, 1, u64([600]), u64([700]))
+        assert cache.n_intervals == 2
+        assert not cache.lookup(0, 1, u64([650]), u64([650])).any()
+        # A newer version starts the entry afresh.
+        cache.record(0, 2, u64([600]), u64([700]))
+        assert cache.n_intervals == 1
+        assert cache.lookup(0, 2, u64([650]), u64([650])).all()
 
     def test_zero_capacity_disables_recording(self):
         cache = NegativeRangeCache(capacity=0)
@@ -365,6 +375,24 @@ class TestPlannerEngineIntegration:
         assert engine.batch_range_empty(u64([100]), u64([200])).all()
         assert planner.cache.hits > hits_before
 
+    def test_straddler_segments_replay_from_the_cache(self):
+        keys = [5, 10_000, 3 * (UNIVERSE // 4) + 7]
+        planner = BatchPlanner()
+        planned = build_engine(keys, planner=planner)
+        plain = build_engine(keys)
+        width = planned.router.shard_width
+        # An empty straddler over shards 0-1, and one over shards 1-3
+        # whose shard-3 segment holds a key.
+        los = u64([width - 100, 2 * width - 50])
+        his = u64([width + 100, 3 * width + 10])
+        want = plain.batch_range_empty(los, his)
+        np.testing.assert_array_equal(want, [True, False])
+        np.testing.assert_array_equal(planned.batch_range_empty(los, his), want)
+        before = planner.cache.hits
+        np.testing.assert_array_equal(planned.batch_range_empty(los, his), want)
+        # Each empty per-shard segment (two per straddler) is a hit.
+        assert planner.cache.hits - before == 4
+
     def test_attach_different_engine_clears_cache(self):
         planner = BatchPlanner()
         engine_a = build_engine([5], planner=planner)
@@ -426,3 +454,81 @@ class TestPlannerServiceIntegration:
                 np.testing.assert_array_equal(
                     planned.batch_range_empty(los, his), want
                 )
+
+
+class TestNegativeCacheUnderConcurrency:
+    def test_a_returned_put_flips_every_later_planned_batch(self):
+        """Writers put keys into ranges the readers have seen proven empty
+        (and cached), with flushes interleaved. A range whose put has
+        returned must answer non-empty in every batch that starts later,
+        and a range no put has started on must answer empty."""
+        step = UNIVERSE // 64
+        width = UNIVERSE // 4
+        seeded = [i * step + 100_000 for i in range(64)]
+        engine = build_engine(seeded, planner=BatchPlanner())
+        # 64 single-shard ranges, 16 a shard, and three shard straddlers.
+        lo_list = [i * step + 1_000 for i in range(64)]
+        lo_list += [k * width - 200 for k in (1, 2, 3)]
+        los = u64(lo_list)
+        his = los + np.uint64(400)
+        n = int(los.size)
+        batch_lo = np.concatenate((los, los[::3]))  # with duplicates
+        batch_hi = np.concatenate((his, his[::3]))
+        started = np.zeros(n, dtype=bool)
+        written = np.zeros(n, dtype=bool)
+        done = threading.Event()
+        errors = []
+
+        with RangeQueryService(engine, num_threads=2) as service:
+
+            def batch():
+                got = service.batch_range_empty(batch_lo, batch_hi)
+                tail = got[n:]
+                if not np.array_equal(tail, got[:n][::3]):
+                    errors.append("duplicates answered differently")
+                return got[:n]
+
+            def writer(order, seed):
+                rng = np.random.default_rng(seed)
+                try:
+                    for count, i in enumerate(order):
+                        key = int(los[i]) + int(rng.integers(0, 401))
+                        started[i] = True
+                        service.put(key, "w")
+                        written[i] = True
+                        if count % 4 == 3:
+                            service.flush_all()
+                        time.sleep(0.001)
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(repr(exc))
+
+            def reader():
+                try:
+                    while not done.is_set():
+                        before = written.copy()
+                        got = batch()
+                        after = started.copy()
+                        if (got & before).any():
+                            errors.append("cached empty outlived a put")
+                        if (~got & ~after).any():
+                            errors.append("non-empty before any put")
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(repr(exc))
+
+            assert batch().all()  # every range proven empty and cached
+            order = np.random.default_rng(29).permutation(n)
+            writers = [
+                threading.Thread(target=writer, args=(order[w::2], w))
+                for w in range(2)
+            ]
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join()
+            done.set()
+            for t in readers:
+                t.join()
+            assert errors == []
+            assert not batch().any()
+            assert engine.planner.cache.hits > 0
