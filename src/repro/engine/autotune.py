@@ -280,12 +280,12 @@ class AutoTuner:
                 # retunes cannot commit decisions in one order and mount
                 # factories in the other. Everything applied here is
                 # non-blocking — the factory swap and stale tags are
-                # atomic-enough stores, the scheduler notify takes only
-                # its own short queue lock — so query observers queued on
-                # this lock are never made to wait on storage work.
+                # atomic-enough stores, and the rebuild request's
+                # compaction hook takes only the scheduler's short queue
+                # lock — so query observers queued on this lock are never
+                # made to wait on storage work.
                 store.set_filter_factory(chosen.factory())
                 store.request_filter_rebuild()
-                self._engine.scheduler.notify(sid, store)
             made.append(decision)
         return made
 

@@ -15,9 +15,11 @@ heavy range-query traffic behind in-memory filters:
 * emptiness probes arrive in batches (:mod:`.batch`) and hit each run's
   filter through the vectorised batch API — Grafite's
   ``O(log(L/eps))`` query of Theorem 3.4 amortised over the batch;
-* compaction is deferred to a scheduler (:mod:`.scheduler`) and drained
-  between batches — or, under the concurrent serving layer
-  (:mod:`.service`), by a real background compaction thread.
+* compaction is always deferred: each shard announces pressure through
+  its ``compaction_hook`` to a scheduler (:mod:`.scheduler`), which is
+  drained between batches — or, under the concurrent serving layer
+  (:mod:`.service`), by a real background compaction thread. Writes
+  never poll for pressure.
 
 The engine itself is single-threaded; wrap it in a
 :class:`~repro.engine.service.RangeQueryService` to serve it from a
@@ -37,7 +39,7 @@ from repro.engine import persist
 from repro.engine.batch import batch_range_empty, validate_batch_bounds
 from repro.engine.scheduler import CompactionScheduler, TokenBucket
 from repro.engine.sharding import ShardRouter
-from repro.engine.wal import OP_CLOCK, OP_DELETE, OP_PUT, WriteAheadLog
+from repro.engine.wal import OP_CLOCK, OP_PUT, WriteAheadLog
 from repro.errors import CorruptionError, InvalidParameterError
 from repro.filters.registry import FilterSpec
 from repro.lsm.compaction import CompactionPolicy, resolve_policy
@@ -78,10 +80,6 @@ class ShardedEngine:
         directory — passing one that already holds an engine here raises.
     sync_wal:
         fsync the WAL on every mutation (durable against power loss).
-    defer_compaction:
-        ``True`` (default) queues compactions on the scheduler and runs
-        them between batches; ``False`` compacts inline like a bare
-        :class:`LSMStore`.
     compaction:
         The per-shard compaction policy: a registered name (``"full"``,
         ``"tiered"``, ``"leveled"``), a
@@ -117,7 +115,6 @@ class ShardedEngine:
         filter_spec: Optional[FilterSpec] = None,
         directory: Optional[str | Path] = None,
         sync_wal: bool = False,
-        defer_compaction: bool = True,
         compaction: "str | CompactionPolicy | None" = None,
         compaction_rate: Optional[float] = None,
         key_codec: Optional[StringKeyCodec] = None,
@@ -144,7 +141,6 @@ class ShardedEngine:
         self._filter_spec = filter_spec
         self._autotuner: Optional["AutoTuner"] = None
         self._planner: Optional["BatchPlanner"] = None
-        self._defer = bool(defer_compaction)
         self._block_cache: Optional["BlockCache"] = None
         self._scheduler = CompactionScheduler(
             rate_limiter=(
@@ -161,7 +157,7 @@ class ShardedEngine:
                 memtable_limit=memtable_limit,
                 compaction_fanout=compaction_fanout,
                 filter_factory=filter_factory,
-                auto_compact=not self._defer,
+                auto_compact=False,
                 compaction_policy=self._policy,
             )
             for _ in range(num_shards)
@@ -186,16 +182,14 @@ class ShardedEngine:
                 self._apply(op, key, value)
 
     def _wire_compaction_hooks(self) -> None:
-        """Point every shard's flush hook at the deferred scheduler.
+        """Point every shard's compaction hook at the scheduler.
 
-        With ``defer_compaction`` a flush that leaves a shard needing
-        work enqueues it even when the flush was not driven through an
-        engine mutation (e.g. a memtable-limit flush inside a replayed
-        WAL batch, or a caller poking the store directly) — the seam
-        :attr:`~repro.lsm.store.LSMStore.compaction_hook` exists for.
+        The hook is the only way pressure reaches the queue: a shard
+        announces it on a flush or clock advance that leaves work behind
+        and on an explicit compaction or filter-rebuild request, however
+        the call reached the store (an engine mutation, a replayed WAL
+        record, the auto-tuner or a caller poking the store directly).
         """
-        if not self._defer:
-            return
         for sid, store in enumerate(self._shards):
             store.compaction_hook = (
                 lambda s, sid=sid: self._scheduler.notify(sid, s)
@@ -211,7 +205,6 @@ class ShardedEngine:
         *,
         filter_factory: Optional[FilterFactory] = None,
         sync_wal: bool = False,
-        defer_compaction: bool = True,
         compaction_rate: Optional[float] = None,
         missing_filter: str = "raise",
     ) -> "ShardedEngine":
@@ -242,6 +235,9 @@ class ShardedEngine:
         cost of a rolled-back epoch, and the explicit alternative to a
         silently wrong answer. With no intact epoch left, the original
         :class:`~repro.errors.CorruptionError` propagates.
+
+        The loaded shards are swept once into the compaction scheduler:
+        a snapshot may hold pressure that no hook has announced.
         """
         directory = Path(directory)
         rolled_back = False
@@ -253,7 +249,6 @@ class ShardedEngine:
                 directory,
                 manifest,
                 filter_factory=filter_factory,
-                defer_compaction=defer_compaction,
                 missing_filter=missing_filter,
             )
         except CorruptionError as newest_damage:
@@ -263,7 +258,6 @@ class ShardedEngine:
                     directory,
                     manifest,
                     filter_factory=filter_factory,
-                    defer_compaction=defer_compaction,
                     missing_filter=missing_filter,
                 )
             except CorruptionError:
@@ -287,11 +281,9 @@ class ShardedEngine:
         engine._wal = WriteAheadLog(directory / "wal.log", sync=sync_wal)
         for op, key, value in engine._wal.recovered:
             engine._apply(op, key, value)
-        if engine._defer:
-            # A snapshot may hold shards already at the fanout; queue them
-            # so a read-only workload still drains them between batches.
-            for sid, store in enumerate(engine._shards):
-                engine._scheduler.notify(sid, store)
+        # Queued so a read-only workload still drains them between batches.
+        for sid, store in enumerate(engine._shards):
+            engine._scheduler.notify(sid, store)
         return engine
 
     @classmethod
@@ -301,7 +293,6 @@ class ShardedEngine:
         manifest: Dict[str, Any],
         *,
         filter_factory: Optional[FilterFactory],
-        defer_compaction: bool,
         missing_filter: str,
     ) -> "ShardedEngine":
         """Build an engine from one manifest's topology (no WAL yet).
@@ -320,7 +311,6 @@ class ShardedEngine:
             compaction_fanout=manifest["compaction_fanout"],
             filter_factory=filter_factory,
             filter_spec=filter_spec,
-            defer_compaction=defer_compaction,
             # v1 manifests predate the policy subsystem: they reopen
             # under the default full-merge policy, exactly as written.
             compaction=resolve_policy(manifest.get("compaction")),
@@ -345,7 +335,6 @@ class ShardedEngine:
             directory,
             manifest,
             filter_factory=engine._factory,
-            auto_compact=not engine._defer,
             missing_filter=missing_filter,
             compaction_policy=engine._policy,
         )
@@ -372,7 +361,7 @@ class ShardedEngine:
     # Writes
     # ------------------------------------------------------------------
     def _apply(self, op: int, key: int, value: Any) -> None:
-        """Apply a mutation to its shard without re-logging it."""
+        """Apply a replayed WAL record without re-logging it."""
         if op == OP_CLOCK:
             # The key field carries the logical time. Replay tolerates
             # records at or behind the snapshot-restored clock (a record
@@ -380,14 +369,11 @@ class ShardedEngine:
             if key > self._ttl_now:
                 self._advance_clock_local(int(key))
             return
-        sid = self._router.shard_of(key)
-        store = self._shards[sid]
+        store = self._shards[self._router.shard_of(key)]
         if op == OP_PUT:
             store.put(key, value)
         else:
             store.delete(key)
-        if self._defer:
-            self._scheduler.notify(sid, store)
 
     def put(self, key: int, value: Any, *, expires_at: Optional[int] = None) -> None:
         """Insert or overwrite a key (logged before applied).
@@ -400,21 +386,21 @@ class ShardedEngine:
         unchanged (the value is stored wrapped in
         :class:`~repro.lsm.ttl.ExpiringValue`).
         """
-        self._router.shard_of(key)  # validate before the WAL sees it
+        store = self._shards[self._router.shard_of(key)]  # validates first
         if value is TOMBSTONE:
             raise InvalidParameterError("use delete() instead of writing the tombstone")
         if expires_at is not None:
             value = ExpiringValue(value, expires_at)
         if self._wal is not None:
             self._wal.log_put(key, value)
-        self._apply(OP_PUT, key, value)
+        store.put(key, value)
 
     def delete(self, key: int) -> None:
         """Delete a key (logged before applied)."""
-        self._router.shard_of(key)
+        store = self._shards[self._router.shard_of(key)]  # validates first
         if self._wal is not None:
             self._wal.log_delete(key)
-        self._apply(OP_DELETE, key, None)
+        store.delete(key)
 
     # ------------------------------------------------------------------
     # TTL clock
@@ -422,12 +408,8 @@ class ShardedEngine:
     def _advance_clock_local(self, now: int) -> None:
         """Move every shard's clock forward without re-logging."""
         self._ttl_now = now
-        for sid, store in enumerate(self._shards):
-            store.set_ttl_now(now)
-            if self._defer:
-                # Expiry can create age-out work with no write traffic to
-                # trigger the flush hook; queue the shard explicitly.
-                self._scheduler.notify(sid, store)
+        for store in self._shards:
+            store.set_ttl_now(now)  # announces any age-out work it leaves
 
     def advance_clock(self, now: int) -> None:
         """Advance the logical TTL clock (monotone; logged before applied).
@@ -504,10 +486,8 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     def flush_all(self) -> None:
         """Flush every shard's memtable into level-0 runs."""
-        for sid, store in enumerate(self._shards):
+        for store in self._shards:
             store.flush()
-            if self._defer:
-                self._scheduler.notify(sid, store)
 
     def drain_compactions(self, max_steps: Optional[int] = None) -> int:
         """Run deferred compaction steps now; returns how many ran."""

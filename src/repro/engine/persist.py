@@ -639,7 +639,6 @@ def load_shard(
     shard_id: int,
     *,
     filter_factory: Optional[FilterFactory] = None,
-    auto_compact: bool = True,
     missing_filter: str = "raise",
     compaction_policy=None,
 ) -> LSMStore:
@@ -651,7 +650,9 @@ def load_shard(
     run's backing, and the run is stamped with its
     :func:`stable_run_id` for the shared block cache. When a fault plan
     targets the file, loading falls back to the byte-reading seam so
-    injected bit flips and EIO are observed.
+    injected bit flips and EIO are observed. The store never compacts
+    inline: the engine announces its pressure through the compaction
+    hook, and a snapshot worker only reads.
 
     The per-shard granularity is what the process-mode serving workers
     use: each worker owns a subset of the shards and loads only those
@@ -710,7 +711,7 @@ def load_shard(
         memtable_limit=manifest["memtable_limit"],
         compaction_fanout=manifest["compaction_fanout"],
         filter_factory=filter_factory,
-        auto_compact=auto_compact,
+        auto_compact=False,
         compaction_policy=compaction_policy,
         # Pre-TTL manifests carry no clock: restore at 0, the epoch every
         # store starts from.
@@ -723,7 +724,6 @@ def load_shards(
     manifest: Dict[str, Any],
     *,
     filter_factory: Optional[FilterFactory] = None,
-    auto_compact: bool = True,
     missing_filter: str = "raise",
     compaction_policy=None,
 ) -> List[LSMStore]:
@@ -734,7 +734,6 @@ def load_shards(
             manifest,
             sid,
             filter_factory=filter_factory,
-            auto_compact=auto_compact,
             missing_filter=missing_filter,
             compaction_policy=compaction_policy,
         )

@@ -1,10 +1,16 @@
 """Deferred ("background") compaction scheduling, in bounded steps.
 
 With ``auto_compact=False`` an :class:`~repro.lsm.store.LSMStore` never
-compacts inline: a flush that fills level 0 only raises
-:attr:`~repro.lsm.store.LSMStore.needs_compaction` (and fires the
-store's ``compaction_hook``, which the engine wires to :meth:`notify` so
-even flushes the engine did not itself drive land in the queue). The
+compacts inline. Pressure reaches the queue one way only: the store's
+``compaction_hook``, which the engine wires to :meth:`notify`. The store
+fires it from every place pressure can rise — a flush or a TTL clock
+advance that leaves work behind, and an explicit
+:meth:`~repro.lsm.store.LSMStore.request_compaction` or
+:meth:`~repro.lsm.store.LSMStore.request_filter_rebuild` — so writes that
+do not flush never poll the store. Besides the hook, only three places
+queue a shard: the engine's one sweep over the shards it loads from a
+snapshot, and the re-queue of a shard still under pressure after a step
+(in :meth:`CompactionScheduler.drain` and in the service's worker). The
 queued work is drained either *between* query batches (the
 single-threaded :meth:`~repro.engine.engine.ShardedEngine.batch_range_empty`
 path) or by the background compaction worker of
@@ -17,7 +23,7 @@ shard under its write lock without stalling queries for the duration of
 a full rebuild: it takes the lock, runs one step, releases, and re-queues
 the shard if the policy still sees pressure.
 
-The queue is thread-safe: writers :meth:`notify` from pool threads while
+The queue is thread-safe: hooks :meth:`notify` from pool threads while
 the worker :meth:`pop`-s, so every ``_pending`` access happens under one
 lock. Making a step safe under concurrency is *not* this class's job:
 the caller of :meth:`run_step` must hold whatever lock makes

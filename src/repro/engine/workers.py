@@ -204,8 +204,7 @@ def worker_main(
                         # custom-filtered run degrades to verification-only
                         # reads instead of failing the worker.
                         sid: persist.load_shard(
-                            directory, manifest, sid, auto_compact=False,
-                            missing_filter="drop",
+                            directory, manifest, sid, missing_filter="drop",
                         )
                         for sid in owned_sids
                     }

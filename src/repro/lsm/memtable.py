@@ -1,14 +1,13 @@
 """In-memory write buffer of the LSM store.
 
-A plain last-write-wins map plus an ordered view on demand. Real engines
-use skip lists; at reproduction scale a dict with sorted snapshots
-preserves the same semantics (point reads see the newest write, flushes
-emit a sorted run).
+A plain last-write-wins map plus one sorted view: a cached ``uint64``
+key column. Real engines use skip lists; at reproduction scale a dict
+with a sorted column preserves the same semantics (point reads see the
+newest write, flushes emit a sorted run).
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -27,19 +26,16 @@ TOMBSTONE = _Tombstone()
 class MemTable:
     """Sorted write buffer with last-write-wins semantics."""
 
-    __slots__ = ("_data", "_sorted_keys", "_keys_arr", "_dirty")
+    __slots__ = ("_data", "_keys")
 
     def __init__(self) -> None:
         self._data: dict[int, Any] = {}
-        self._sorted_keys: List[int] = []
-        self._keys_arr: Optional[np.ndarray] = None
-        self._dirty = False
+        self._keys: Optional[np.ndarray] = None  # None: a new key arrived
 
     def put(self, key: int, value: Any) -> None:
         """Insert or overwrite ``key``."""
         if key not in self._data:
-            self._dirty = True
-            self._keys_arr = None
+            self._keys = None
         self._data[key] = value
 
     def delete(self, key: int) -> None:
@@ -52,44 +48,42 @@ class MemTable:
             return True, self._data[key]
         return False, None
 
-    def _refresh(self) -> None:
-        if self._dirty:
-            self._sorted_keys = sorted(self._data)
-            self._dirty = False
-
-    def scan(self, lo: int, hi: int) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(key, value)`` pairs in ``[lo, hi]`` in key order."""
-        self._refresh()
-        start = bisect.bisect_left(self._sorted_keys, lo)
-        for idx in range(start, len(self._sorted_keys)):
-            key = self._sorted_keys[idx]
-            if key > hi:
-                break
-            yield key, self._data[key]
-
-    def items_sorted(self) -> List[Tuple[int, Any]]:
-        """All entries in key order (for flushing)."""
-        self._refresh()
-        return [(k, self._data[k]) for k in self._sorted_keys]
-
     def keys_array(self) -> np.ndarray:
         """All keys (live and tombstoned) as a sorted ``uint64`` array.
 
-        Cached between mutations: the columnar batch path probes the
-        memtable with one ``searchsorted`` per query column instead of a
-        per-query Python scan, so the array is rebuilt only when a new
-        key arrives, not per batch.
+        The memtable's one sorted view, shared by :meth:`scan`,
+        :meth:`items_sorted` and the columnar batch path. It is rebuilt
+        only when a new key arrives; overwrites and deletes of present
+        keys keep it.
         """
-        if self._keys_arr is None:
-            self._refresh()
-            self._keys_arr = np.asarray(self._sorted_keys, dtype=np.uint64)
-        return self._keys_arr
+        if self._keys is None:
+            data = self._data
+            self._keys = np.sort(
+                np.fromiter(data, dtype=np.uint64, count=len(data))
+            )
+        return self._keys
+
+    def scan(self, lo: int, hi: int) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(key, value)`` pairs in ``[lo, hi]`` in key order."""
+        data = self._data
+        if not data:  # read-only traffic probes empty memtables
+            return
+        keys = self.keys_array()
+        # The method form skips np.searchsorted's dispatch, and np.uint64
+        # bounds skip numpy's slow comparison path for Python ints.
+        start = int(keys.searchsorted(np.uint64(lo)))
+        stop = int(keys.searchsorted(np.uint64(hi), "right"))
+        for key in keys[start:stop].tolist():
+            yield key, data[key]
+
+    def items_sorted(self) -> List[Tuple[int, Any]]:
+        """All entries in key order (for flushing)."""
+        data = self._data
+        return [(key, data[key]) for key in self.keys_array().tolist()]
 
     def __len__(self) -> int:
         return len(self._data)
 
     def clear(self) -> None:
         self._data.clear()
-        self._sorted_keys.clear()
-        self._keys_arr = None
-        self._dirty = False
+        self._keys = None

@@ -135,11 +135,10 @@ class LSMStore:
         Per-run range-filter builder ``(keys, universe) -> RangeFilter``;
         ``None`` disables filtering (every probe reads the run).
     auto_compact:
-        When ``True`` (default) a flush that leaves the store needing
-        compaction compacts immediately (all steps, inline). ``False``
-        defers: the store only records that compaction is due
-        (:attr:`needs_compaction`), fires :attr:`compaction_hook` if one
-        is set, and an external scheduler — e.g.
+        When ``True`` (default) a flush or clock advance that leaves the
+        store needing compaction compacts immediately (all steps,
+        inline). ``False`` defers: the store only fires
+        :attr:`compaction_hook`, and an external scheduler — e.g.
         :class:`repro.engine.scheduler.CompactionScheduler` — runs
         bounded :meth:`compact_step` calls at convenient points.
     compaction_policy:
@@ -181,12 +180,14 @@ class LSMStore:
         #: Optional ``(q_lo, q_hi, empty) -> None`` hook the batch kernel
         #: calls after answering a sub-batch (see repro.engine.autotune).
         self.query_observer: Optional[Any] = None
-        #: Optional ``(store) -> None`` hook fired by :meth:`flush` when
-        #: the store is left needing compaction under
-        #: ``auto_compact=False`` — the seam an external scheduler plugs
-        #: into so a deferred-compaction store can never strand a
-        #: pending :meth:`request_compaction` behind a flush nobody
-        #: observed (see repro.engine.scheduler).
+        #: Optional ``(store) -> None`` hook, the one way compaction
+        #: pressure leaves the store. It fires from every place pressure
+        #: can rise: :meth:`flush` and :meth:`set_ttl_now` when they
+        #: leave the store needing compaction under
+        #: ``auto_compact=False``, and :meth:`request_compaction` /
+        #: :meth:`request_filter_rebuild` always. An external scheduler
+        #: plugs in here, so it never has to poll the store on writes
+        #: (see repro.engine.scheduler).
         self.compaction_hook: Optional[Callable[["LSMStore"], None]] = None
         # Serialises mutations (put/delete/flush/compact) so a flush can
         # never tear the memtable swap out from under another writer.
@@ -267,10 +268,10 @@ class LSMStore:
         happens under the write lock, so a concurrent writer can never
         slip an entry into the memtable between the snapshot and the
         clear (the lost-write window the unguarded version had). A flush
-        that leaves the store needing compaction either compacts inline
-        (``auto_compact=True``) or fires :attr:`compaction_hook`, so a
-        deferred store with no engine watching it still surfaces the
-        pending work.
+        is where structural pressure rises: one that leaves the store
+        needing compaction either compacts inline (``auto_compact=True``)
+        or fires :attr:`compaction_hook`, so a deferred store surfaces
+        the pending work without anyone polling it.
         """
         with self._write_lock:
             entries = self._memtable.items_sorted()
@@ -282,11 +283,17 @@ class LSMStore:
             self._runs_version += 1
             self.stats.flushes += 1
             self.stats.entries_flushed += len(entries)
-            if self.needs_compaction:
-                if self._auto_compact:
-                    self.compact()
-                elif self.compaction_hook is not None:
-                    self.compaction_hook(self)
+            self._settle_or_announce()
+
+    def _settle_or_announce(self) -> None:
+        """Compact inline or fire :attr:`compaction_hook`, if pressure
+        is due; the caller holds the write lock."""
+        if not self.needs_compaction:
+            return
+        if self._auto_compact:
+            self.compact()
+        elif self.compaction_hook is not None:
+            self.compaction_hook(self)
 
     # ------------------------------------------------------------------
     # TTL clock
@@ -322,11 +329,7 @@ class LSMStore:
         with self._write_lock:
             self._ttl_now = now
             self._runs_version += 1
-            if self.needs_compaction:
-                if self._auto_compact:
-                    self.compact()
-                elif self.compaction_hook is not None:
-                    self.compaction_hook(self)
+            self._settle_or_announce()
 
     # ------------------------------------------------------------------
     # Compaction
@@ -667,13 +670,18 @@ class LSMStore:
         with whatever "settle the store" means under its topology (a
         full merge for the default and tiered policies, an L0 push-down
         for leveled). A no-op once the compaction machinery drains the
-        store. Lock-free like :meth:`set_filter_factory` (same stall
-        concern); the unlocked emptiness peek can at worst set the flag
-        for a store that just compacted to nothing, which the next
-        :meth:`compact` clears for free.
+        store. Fires :attr:`compaction_hook` at once, so a scheduler
+        queues the store without waiting for a flush; it never compacts
+        inline, even under ``auto_compact=True``. Lock-free like
+        :meth:`set_filter_factory` (same stall concern); the unlocked
+        emptiness peek can at worst set the flag for a store that just
+        compacted to nothing, which the next :meth:`compact` clears for
+        free.
         """
         if self._level0 or self._levels:
             self._compaction_requested = True
+            if self.compaction_hook is not None:
+                self.compaction_hook(self)
 
     def request_filter_rebuild(self) -> None:
         """Tag every current run's filter as stale.
@@ -684,16 +692,20 @@ class LSMStore:
         as bounded per-run/per-slice rebuild steps under tiered/leveled,
         so a backend switch on a big sliced shard costs one slice per
         step instead of a monolithic whole-shard merge. Runs rewritten
-        by ordinary merges shed their stale tag for free. Lock-free for
-        the same reason as :meth:`set_filter_factory`; a run installed
-        by an in-flight compaction racing this call may miss its tag
-        (and keep a previous backend's filter), which is self-healing —
-        filters only prune, and the auto-tuner's next decision on a
-        still-misbehaving shard tags the survivors again.
+        by ordinary merges shed their stale tag for free. Like
+        :meth:`request_compaction` it fires :attr:`compaction_hook` at
+        once and never compacts inline. Lock-free for the same reason as
+        :meth:`set_filter_factory`; a run installed by an in-flight
+        compaction racing this call may miss its tag (and keep a
+        previous backend's filter), which is self-healing — filters only
+        prune, and the auto-tuner's next decision on a still-misbehaving
+        shard tags the survivors again.
         """
         uids = {run.uid for run in self._runs()}
         if uids:
             self._stale_filter_uids |= uids
+            if self.compaction_hook is not None:
+                self.compaction_hook(self)
 
     # ------------------------------------------------------------------
     # Reads

@@ -12,9 +12,9 @@ Four layers:
   queries identically to a dict model across flush/compact interleavings
   (the differential harness covers the engine/service stack; this file
   covers the bare store where steps can be single-stepped);
-* the flush re-notification regression: a deferred store with a pending
-  ``request_compaction`` must fire its ``compaction_hook`` at the next
-  flush instead of stranding the request.
+* the compaction hook: a deferred store announces pressure through its
+  ``compaction_hook`` at a flush and at an explicit request, and an
+  engine's writes that do not flush never poll for it.
 """
 
 import numpy as np
@@ -386,7 +386,7 @@ def test_store_matches_model_under_policy(policy, with_filter):
 
 
 # ----------------------------------------------------------------------
-# The flush re-notification regression (deferred stores)
+# The compaction hook (deferred stores)
 # ----------------------------------------------------------------------
 def test_flush_renotifies_pending_compaction_request():
     """request_compaction() then a flush under auto_compact=False used to
@@ -432,6 +432,51 @@ def test_engine_wires_flush_hook_to_scheduler():
     assert 0 in engine.scheduler.pending_shards
     assert engine.drain_compactions() >= 1
     assert not store.needs_compaction
+
+
+def test_writes_that_do_not_flush_never_poll_pressure(monkeypatch):
+    """Pressure rises only on a flush, a clock advance or an explicit
+    request, so puts and deletes that leave every memtable below its
+    limit never ask a shard whether it needs compaction."""
+    from repro.engine import ShardedEngine
+
+    engine = ShardedEngine(UNIVERSE, num_shards=2, memtable_limit=64,
+                           compaction_fanout=100)
+    for k in range(64):
+        engine.put(k, b"v")  # one flush: shard 0 now holds a run
+    asked = []
+    needs = LSMStore.needs_compaction
+    monkeypatch.setattr(
+        LSMStore, "needs_compaction",
+        property(lambda store: asked.append(store) or needs.fget(store)),
+    )
+    for k in range(40):
+        engine.put(k * 1000, b"w")
+    for k in range(0, 40, 3):
+        engine.delete(k * 1000)  # existing keys: the memtable stays at 40
+    assert asked == []
+    engine.flush_all()  # a flush is where pressure can rise
+    assert asked
+
+
+@pytest.mark.parametrize(
+    "request_name", ["request_compaction", "request_filter_rebuild"]
+)
+def test_explicit_request_queues_the_shard_at_once(request_name):
+    """An explicit request announces itself through the hook: the shard
+    is queued before any later write or flush."""
+    from repro.engine import ShardedEngine
+
+    engine = ShardedEngine(UNIVERSE, num_shards=2, memtable_limit=8,
+                           compaction_fanout=100)
+    for k in range(8):
+        engine.put(k, b"v")  # one flush into shard 0, far below the fanout
+    assert engine.shards[0].level0_runs
+    assert engine.scheduler.pending_shards == ()
+    getattr(engine.shards[0], request_name)()
+    assert engine.scheduler.pending_shards == (0,)
+    assert engine.drain_compactions() >= 1
+    assert not engine.shards[0].needs_compaction
 
 
 # ----------------------------------------------------------------------

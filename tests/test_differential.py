@@ -29,7 +29,10 @@ get / batched probes) simultaneously against a trivially correct oracle
 Every query result is compared the moment it is produced; any
 divergence fails with the op index and the offending range, which —
 because streams are seeded — reproduces deterministically. Set
-``REPRO_DIFF_SEED`` to explore a different stream (CI pins it).
+``REPRO_DIFF_SEED`` to explore a different stream (CI pins it). After
+every op the single-threaded engine targets also check that no
+compaction pressure is stranded: each shard that needs compaction is
+already queued on the scheduler.
 
 This file is the repo's standing correctness oracle: when a new engine
 feature lands, teach ``gen_ops``/``Target`` about it and every
@@ -188,6 +191,10 @@ class Target:
     def reopen(self):
         pass
 
+    def stranded_shards(self):
+        """Shards needing compaction that the scheduler has not queued."""
+        return []
+
     def finish(self):
         """Quiesce and return the full live (key, value) dump."""
         raise NotImplementedError  # pragma: no cover - interface
@@ -269,6 +276,15 @@ class EngineTarget(Target):
         self._attach_helpers()
         if cache is not None:
             self.engine.attach_block_cache(cache)
+
+    def stranded_shards(self):
+        # The compaction hook is the only way pressure reaches the
+        # scheduler, so a shard under pressure must already be queued.
+        pending = self.engine.scheduler.pending_shards
+        return [
+            sid for sid, store in enumerate(self.engine.shards)
+            if store.needs_compaction and sid not in pending
+        ]
 
     def finish(self):
         return self.engine.range_scan(0, UNIVERSE - 1)
@@ -408,6 +424,11 @@ def replay(target: Target, ops) -> None:
                 drain_pending()
         else:  # maintenance ops never change query answers
             getattr(target, kind)()
+        stranded = target.stranded_shards()
+        assert not stranded, (
+            f"{target.name}: shards {stranded} need compaction but are not "
+            f"queued at op {index}"
+        )
     drain_pending()
     assert target.finish() == oracle.items(), f"{target.name}: final state diverged"
 

@@ -468,7 +468,6 @@ class TestShardedEngine:
     def test_deferred_compaction_drained_between_batches(self):
         engine = ShardedEngine(
             1000, num_shards=2, memtable_limit=2, compaction_fanout=2,
-            defer_compaction=True,
         )
         for k in range(0, 16):
             engine.put(k, "v")
@@ -645,7 +644,7 @@ class TestDurability:
     def test_reopened_shards_rejoin_compaction_scheduler(self, tmp_path):
         engine = ShardedEngine(
             UNIVERSE, num_shards=2, memtable_limit=2, compaction_fanout=3,
-            directory=tmp_path / "db", defer_compaction=True,
+            directory=tmp_path / "db",
         )
         for k in range(24):
             engine.put(k, "v")  # plenty of level-0 runs, never drained
@@ -655,7 +654,7 @@ class TestDurability:
         engine.checkpoint()  # snapshots the un-compacted level 0
         engine._wal.close()
 
-        recovered = ShardedEngine.open(tmp_path / "db", defer_compaction=True)
+        recovered = ShardedEngine.open(tmp_path / "db")
         assert any(s.needs_compaction for s in recovered.shards)
         # Read-only workload: the batch entry point must still drain.
         recovered.batch_range_empty([500], [600])
@@ -684,7 +683,6 @@ class TestModelBased:
             memtable_limit=data.draw(st.integers(min_value=1, max_value=8)),
             compaction_fanout=2,
             filter_factory=grafite_factory if data.draw(st.booleans()) else None,
-            defer_compaction=data.draw(st.booleans()),
         )
         model: dict[int, str] = {}
         ops = data.draw(

@@ -50,6 +50,45 @@ class TestMemTable:
         mt.clear()
         assert len(mt) == 0
 
+    def test_sorted_views_match_a_sorted_dict_model(self):
+        top = 2**64 - 1
+        rng = np.random.default_rng(7)
+        mt = MemTable()
+        model: dict[int, object] = {}
+
+        def check():
+            keys = sorted(model)
+            assert mt.items_sorted() == [(k, model[k]) for k in keys]
+            assert mt.keys_array().dtype == np.uint64
+            assert mt.keys_array().tolist() == keys
+            for lo, hi in [(0, 0), (top, top), (0, top), (1, top - 1),
+                           (5, 5), (6, 4_999)]:
+                want = [(k, model[k]) for k in keys if lo <= k <= hi]
+                assert list(mt.scan(lo, hi)) == want, (lo, hi)
+
+        check()  # empty
+        for key in (0, top, 5, 4_999, 5_000):
+            mt.put(key, f"v{key}")
+            model[key] = f"v{key}"
+            check()  # a scan right after an insert sees it
+        for key in rng.integers(0, 10_000, size=200).tolist():
+            mt.put(key, key)
+            model[key] = key
+        check()
+        # Overwrites and deletes of present keys keep the sorted column.
+        column = mt.keys_array()
+        for key in (0, top, 5):
+            mt.put(key, "again")
+            model[key] = "again"
+        mt.delete(4_999)
+        model[4_999] = TOMBSTONE
+        assert mt.keys_array() is column
+        check()
+        mt.put(6, "new")  # only a new key rebuilds it
+        model[6] = "new"
+        assert mt.keys_array() is not column
+        check()
+
 
 class TestSSTable:
     def test_rejects_unsorted(self):
