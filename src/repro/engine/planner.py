@@ -75,25 +75,48 @@ def _merge_intervals(
     Overlapping *and adjacent* intervals coalesce (``[0, 5]`` and
     ``[6, 10]`` become ``[0, 10]``): for emptiness semantics the union
     of empty ranges is empty, and a denser cover answers more
-    containment probes. The adjacency test is uint64-overflow-safe —
-    the subtraction only runs where ``lo > prev_hi`` already holds.
+    containment probes. The adjacency test is uint64-overflow-safe (see
+    :func:`_coalesce_sorted`).
     """
-    m = int(los.size)
-    if m == 0:
+    if los.size == 0:
         return los.astype(np.uint64), his.astype(np.uint64)
-    order = np.argsort(los, kind="stable")
-    los, his = los[order], his[order]
+    order = np.argsort(los)  # ties need no order: the cover is canonical
+    return _coalesce_sorted(los[order], his[order])
+
+
+def _coalesce_sorted(
+    los: np.ndarray, his: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear pass of :func:`_merge_intervals`: coalesce intervals
+    already sorted by ``lo`` into sorted disjoint covers."""
     cummax = np.maximum.accumulate(his)
-    starts = np.ones(m, dtype=bool)
-    if m > 1:
-        prev = cummax[:-1]
-        gt = los[1:] > prev
-        gap = np.zeros(m - 1, dtype=bool)
-        gap[gt] = (los[1:][gt] - prev[gt]) > np.uint64(1)
-        starts[1:] = gap
+    starts = np.ones(los.size, dtype=bool)
+    nxt, prev = los[1:], cummax[:-1]
+    # A gap needs lo > prev_hi + 1; ``nxt - 1`` only wraps at nxt == 0,
+    # where the first test is already False.
+    starts[1:] = (nxt > prev) & (nxt - np.uint64(1) > prev)
     idx = np.flatnonzero(starts)
-    ends = np.concatenate((idx[1:], [m])) - 1
-    return los[idx], cummax[ends]
+    return los[idx], cummax[np.append(idx[1:], los.size) - 1]
+
+
+def _fold_into(
+    elos: np.ndarray, ehis: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_merge_intervals` of an entry's sorted disjoint intervals
+    plus a new batch, sorting only the batch: one ``searchsorted`` places
+    the sorted batch among the entry's intervals, then one linear pass
+    coalesces.
+    """
+    order = np.argsort(q_lo)
+    q_lo, q_hi = q_lo[order], q_hi[order]
+    at = np.searchsorted(elos, q_lo) + np.arange(q_lo.size)
+    theirs = np.ones(elos.size + q_lo.size, dtype=bool)
+    theirs[at] = False
+    los = np.empty(theirs.size, dtype=np.uint64)
+    his = np.empty(theirs.size, dtype=np.uint64)
+    los[at], his[at] = q_lo, q_hi
+    los[theirs], his[theirs] = elos, ehis
+    return _coalesce_sorted(los, his)
 
 
 @dataclass(frozen=True)
@@ -210,13 +233,11 @@ class NegativeRangeCache:
             if entry is not None and entry[0] == version:
                 if entry[1].size >= self._capacity:
                     return  # full until the run set changes
-                clos = np.concatenate((entry[1], q_lo))
-                chis = np.concatenate((entry[2], q_hi))
+                mlos, mhis = _fold_into(entry[1], entry[2], q_lo, q_hi)
             else:
                 if entry is not None:
                     self.invalidations += 1
-                clos, chis = q_lo, q_hi
-            mlos, mhis = _merge_intervals(clos, chis)
+                mlos, mhis = _merge_intervals(q_lo, q_hi)
             cap = self._capacity
             self._shards[sid] = (int(version), mlos[:cap], mhis[:cap])
             self.insertions += int(q_lo.size)

@@ -12,12 +12,7 @@ from repro.lsm.compaction import (
     resolve_policy,
 )
 from repro.lsm.memtable import TOMBSTONE, MemTable
-from repro.lsm.sstable import (
-    BLOCK_ENTRIES,
-    SSTable,
-    merge_entries_iter,
-    merge_runs,
-)
+from repro.lsm.sstable import BLOCK_ENTRIES, SSTable
 from repro.lsm.store import IoStats, LSMStore
 from repro.lsm.ttl import ExpiringValue, expiry_of, is_live, unwrap
 
@@ -39,8 +34,6 @@ __all__ = [
     "SSTable",
     "TOMBSTONE",
     "TieredPolicy",
-    "merge_entries_iter",
-    "merge_runs",
     "policy_names",
     "resolve_policy",
 ]

@@ -69,10 +69,15 @@ class MemTable:
         if not data:  # read-only traffic probes empty memtables
             return
         keys = self.keys_array()
-        # The method form skips np.searchsorted's dispatch, and np.uint64
-        # bounds skip numpy's slow comparison path for Python ints.
-        start = int(keys.searchsorted(np.uint64(lo)))
-        stop = int(keys.searchsorted(np.uint64(hi), "right"))
+        # One left-side search over both bounds (a uint64 array skips
+        # numpy's slow path for Python ints); ``stop`` then steps past a
+        # key equal to ``hi``, which keeps ``hi = 2**64-1`` inclusive
+        # without ever forming ``hi + 1``.
+        start, stop = keys.searchsorted(
+            np.array((lo, hi), dtype=np.uint64)
+        ).tolist()
+        if stop < keys.size and keys[stop] == hi:
+            stop += 1
         for key in keys[start:stop].tolist():
             yield key, data[key]
 

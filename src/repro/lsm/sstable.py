@@ -22,11 +22,12 @@ on-disk runs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import pickle
 import struct
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -662,37 +663,13 @@ class SSTable:
         )
 
     def entries(self) -> List[Tuple[int, Any]]:
-        """Full decoded dump (compaction input); counts one I/O."""
+        """Full decoded dump; counts one I/O."""
         self._check_open()
         self.io_reads += 1
         return [
             (int(self._keys[i]), self._decode(i))
             for i in range(self._keys.size)
         ]
-
-    def iter_entries(
-        self, lo: Optional[int] = None, hi: Optional[int] = None
-    ) -> Iterator[Tuple[int, Any]]:
-        """Stream ``(key, value)`` pairs in key order; counts one I/O.
-
-        ``lo``/``hi`` restrict the stream to ``[lo, hi]`` (both
-        inclusive) — the span clipping leveled merges use so a level-0
-        run contributes each key to exactly one merge unit. Nothing is
-        materialised: the k-way merge of compaction pulls entries lazily
-        and writes output slices as it goes.
-        """
-        self._check_open()
-        self.io_reads += 1
-        start = (
-            0 if lo is None
-            else int(np.searchsorted(self._keys, _u64(lo), side="left"))
-        )
-        stop = (
-            self._keys.size if hi is None
-            else int(np.searchsorted(self._keys, _u64(hi), side="right"))
-        )
-        for i in range(start, stop):
-            yield int(self._keys[i]), self._decode(i)
 
     # ------------------------------------------------------------------
     # Block-granular access (the unit the block cache works in)
@@ -748,61 +725,226 @@ class SSTable:
         return block
 
 
-def merge_entries_iter(
+
+
+# ----------------------------------------------------------------------
+# Columnar merge (the compaction kernel)
+# ----------------------------------------------------------------------
+class Columns(NamedTuple):
+    """Entries as typed columns: strictly increasing ``keys``, the value
+    columns, and the ``heap`` the heap-typed entries' ``va`` index into.
+
+    A merge's heap is a ``uint8`` array that may hold bytes no surviving
+    entry references; :func:`split_columns` gathers compact per-run
+    heaps out of it.
+    """
+
+    keys: np.ndarray
+    tags: np.ndarray
+    va: np.ndarray
+    vb: np.ndarray
+    vexp: np.ndarray
+    heap: Any
+
+
+def _heap_mask(tags: np.ndarray) -> np.ndarray:
+    """Which entries reference the heap (bytes, str or pickle, with or
+    without the expiry flag)."""
+    kind = tags & _TYPE_MASK
+    return (kind >= TAG_BYTES) & (kind <= TAG_PICKLE)
+
+
+def _empty_columns() -> Columns:
+    empty = np.zeros(0, dtype=np.uint64)
+    return Columns(empty, np.zeros(0, dtype=np.uint8), empty, empty, empty,
+                   np.zeros(0, dtype=np.uint8))
+
+
+def merge_columns(
     runs: Sequence[SSTable],
     *,
     drop_tombstones: bool,
     span: Optional[Tuple[int, int]] = None,
     expire_before: Optional[int] = None,
-) -> Iterator[Tuple[int, Any]]:
-    """Streaming heapq k-way merge, newest first, last-write-wins per key.
+) -> Columns:
+    """Columnar k-way merge of runs, newest first, last-write-wins per key.
 
-    ``runs`` must be ordered newest to oldest. Each run streams its
-    already-sorted entries (no intermediate dict, no re-sort); the heap
-    tie-breaks equal keys by run age, so the newest version is emitted
-    and older ones are skipped. ``span`` restricts every input to
-    ``[lo, hi]`` — the clipping leveled merge units rely on. Tombstones
-    are dropped only when merging into the bottom level
-    (``drop_tombstones=True``), as in real leveled compaction.
+    ``runs`` must be ordered newest to oldest; each counts one I/O. One
+    ``searchsorted`` pair clips every input to ``span`` (``[lo, hi]``,
+    both inclusive; ``None`` means unrestricted). The clipped key and
+    value columns are concatenated with an age column, one
+    ``np.lexsort((age, keys))`` orders them, and the first occurrence
+    of each key — its newest version — survives. Values are never
+    decoded: heap-typed survivors keep their ``va`` rebased into the
+    returned heap, the concatenation of each input's clipped heap span.
 
-    ``expire_before`` is the store's logical TTL clock: a surviving
-    newest version whose expiry stamp is at or before it is rewritten as
-    a tombstone — it must keep shadowing older versions of its key until
-    it reaches the bottom, where ``drop_tombstones`` discards it like
-    any other delete. ``None`` disables expiry (TTL-free callers).
+    ``expire_before`` is the store's logical TTL clock: a survivor with
+    an expiry stamp at or before it becomes a tombstone, which keeps
+    shadowing older versions of its key until it reaches the bottom,
+    where ``drop_tombstones`` discards it like any other delete. Unflagged
+    pickle-lane survivors are the one decode: a nested or out-of-range
+    :class:`ExpiringValue` is pickled whole, so its stamp is read from
+    the blob. ``None`` disables expiry (TTL-free callers).
     """
     lo, hi = span if span is not None else (None, None)
-
-    def tagged(run: SSTable, age: int) -> Iterator[Tuple[int, int, Any]]:
-        for key, value in run.iter_entries(lo, hi):
-            yield key, age, value
-
-    streams = [tagged(run, age) for age, run in enumerate(runs)]  # age 0 = newest
-    previous: Optional[int] = None
-    for key, _, value in heapq.merge(*streams):
-        if key == previous:
-            continue  # an older version of an already-emitted key
-        previous = key
-        if (
-            expire_before is not None
-            and isinstance(value, ExpiringValue)
-            and value.expires_at <= expire_before
-        ):
-            value = TOMBSTONE
-        if drop_tombstones and value is TOMBSTONE:
+    parts = []
+    heaps = []
+    heap_size = 0
+    for age, run in enumerate(runs):
+        run._check_open()
+        run.io_reads += 1
+        keys = run._keys
+        start = (
+            0 if lo is None
+            else int(np.searchsorted(keys, _u64(lo), side="left"))
+        )
+        stop = (
+            keys.size if hi is None
+            else int(np.searchsorted(keys, _u64(hi), side="right"))
+        )
+        if stop <= start:
             continue
-        yield key, value
+        tags = run._tags[start:stop]
+        va = run._va[start:stop]
+        vb = run._vb[start:stop]
+        uses = _heap_mask(tags)
+        first = int(uses.argmax())
+        if uses[first]:
+            # Writers append heap payloads in entry order, so the clipped
+            # entries' span runs from the first heap entry's offset to
+            # the last one's end.
+            last = uses.size - 1 - int(uses[::-1].argmax())
+            h_lo = int(va[first])
+            h_hi = int(va[last]) + int(vb[last])
+            if h_hi > len(run._heap):
+                raise CorruptionError("value heap reference out of bounds")
+            heaps.append(np.frombuffer(run._heap, dtype=np.uint8)[h_lo:h_hi])
+            shift = heap_size - h_lo
+            if shift:
+                va = va.copy()
+                op = np.add if shift > 0 else np.subtract
+                op(va, np.uint64(abs(shift)), out=va, where=uses)
+            heap_size += h_hi - h_lo
+        parts.append((keys[start:stop], tags, va, vb, run._vexp[start:stop], age))
+    if not parts:
+        return _empty_columns()
+    heap = np.concatenate(heaps) if heaps else np.zeros(0, dtype=np.uint8)
+    if len(parts) == 1:
+        keys, tags, va, vb, vexp, _ = parts[0]
+    else:
+        keys = np.concatenate([p[0] for p in parts])
+        age = np.concatenate([
+            np.full(p[0].size, p[5], dtype=np.int32) for p in parts
+        ])
+        order = np.lexsort((age, keys))
+        keys = keys[order]
+        newest = np.ones(keys.size, dtype=bool)
+        newest[1:] = keys[1:] != keys[:-1]
+        pick = order[newest]
+        keys = keys[newest]
+        tags, va, vb, vexp = (
+            np.concatenate([p[i] for p in parts])[pick] for i in range(1, 5)
+        )
+    if expire_before is not None:
+        dead = np.zeros(keys.size, dtype=bool)
+        if expire_before >= 0:
+            dead = ((tags & FLAG_EXPIRES) != 0) & (
+                vexp <= np.uint64(min(expire_before, _U64_MAX))
+            )
+        for i in np.flatnonzero(tags == TAG_PICKLE).tolist():
+            value = decode_value(TAG_PICKLE, int(va[i]), int(vb[i]), 0, heap, 0)
+            if (
+                isinstance(value, ExpiringValue)
+                and value.expires_at <= expire_before
+            ):
+                dead[i] = True
+        if bool(dead.any()):
+            zero64 = np.uint64(0)
+            tags = np.where(dead, np.uint8(TAG_TOMBSTONE), tags)
+            va = np.where(dead, zero64, va)
+            vb = np.where(dead, zero64, vb)
+            vexp = np.where(dead, zero64, vexp)
+    if drop_tombstones:
+        keep = tags != TAG_TOMBSTONE
+        if not bool(keep.all()):
+            keys, tags, va, vb, vexp = (
+                col[keep] for col in (keys, tags, va, vb, vexp)
+            )
+    return Columns(keys, tags, va, vb, vexp, heap)
 
 
-def merge_runs(
-    runs: Sequence[SSTable],
-    *,
-    drop_tombstones: bool,
-) -> List[Tuple[int, Any]]:
-    """K-way merge of runs, newest first, last-write-wins per key.
+def split_columns(cols: Columns, cuts: Sequence[int]) -> List[Columns]:
+    """Cut columns into runs ``[cuts[i], cuts[i+1])``, each with its own
+    copies of the columns and a compact heap.
 
-    The materialising wrapper around :func:`merge_entries_iter` —
-    compaction itself streams through the iterator and never builds
-    this list.
+    Each run's heap is its heap-typed entries' spans gathered in entry
+    order (:func:`_gather_spans`), and its heap-typed ``va`` are rebased
+    to that heap. The result is byte for byte what :func:`encode_values`
+    writes for the same values, so merged runs never pass through Python
+    objects.
     """
-    return list(merge_entries_iter(runs, drop_tombstones=drop_tombstones))
+    keys, tags, va, vb, vexp, heap = cols
+    uses = _heap_mask(tags)
+    lens = np.where(uses, vb, np.uint64(0)).astype(np.int64)
+    heap_at = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=heap_at[1:])
+    src = np.frombuffer(heap, dtype=np.uint8)
+    out: List[Columns] = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        hv = a + np.flatnonzero(uses[a:b])
+        dst_at = heap_at[hv] - heap_at[a]
+        rebased = va[a:b].copy()
+        rebased[hv - a] = dst_at.astype(np.uint64)
+        out.append(Columns(
+            keys[a:b].copy(), tags[a:b].copy(), rebased, vb[a:b].copy(),
+            vexp[a:b].copy(),
+            _gather_spans(
+                src, va[hv].astype(np.int64), lens[hv], dst_at,
+                int(heap_at[b] - heap_at[a]),
+            ).tobytes(),
+        ))
+    return out
+
+
+#: Bytes one index gather in :func:`_gather_spans` copies at most (plus
+#: one span): its int64 index scratch stays near 24x this, whatever the
+#: size of the heap being gathered.
+_GATHER_BYTES = 1 << 16
+
+
+def _gather_spans(
+    src: np.ndarray,
+    src_at: np.ndarray,
+    lens: np.ndarray,
+    dst_at: np.ndarray,
+    total: int,
+) -> np.ndarray:
+    """Copy spans ``src[src_at[i]:src_at[i] + lens[i]]`` to
+    ``dst_at[i]`` (ascending, back to back) of a new ``total``-byte
+    buffer.
+
+    Spans are grouped by the :data:`_GATHER_BYTES` window their
+    destination starts in, and each group is one vectorised byte-index
+    gather, so many small values cost a few numpy calls. A span longer
+    than the window is its own group and one slice copy.
+    """
+    out = np.empty(total, dtype=np.uint8)
+    if lens.size == 0:
+        return out
+    big = lens > _GATHER_BYTES
+    edge = np.diff(dst_at // _GATHER_BYTES) != 0
+    edge |= big[1:] | big[:-1]
+    bounds = [0, *(np.flatnonzero(edge) + 1).tolist(), int(lens.size)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        d0 = int(dst_at[a])
+        if b - a == 1:
+            s0, n = int(src_at[a]), int(lens[a])
+            out[d0:d0 + n] = src[s0:s0 + n]
+            continue
+        seg = lens[a:b]
+        n = int(seg.sum())
+        # Byte j of the group comes from src_at[i] + (d0 + j - dst_at[i])
+        # for the span i that covers it.
+        shift = np.repeat(src_at[a:b] - (dst_at[a:b] - d0), seg)
+        out[d0:d0 + n] = src[shift + np.arange(n)]
+    return out

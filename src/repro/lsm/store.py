@@ -31,6 +31,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.errors import InvalidParameterError, InvalidQueryError
 from repro.lsm.compaction import (
     CompactionPolicy,
@@ -39,7 +41,13 @@ from repro.lsm.compaction import (
     resolve_policy,
 )
 from repro.lsm.memtable import TOMBSTONE, MemTable
-from repro.lsm.sstable import FilterFactory, SSTable, merge_entries_iter
+from repro.lsm.sstable import (
+    Columns,
+    FilterFactory,
+    SSTable,
+    merge_columns,
+    split_columns,
+)
 from repro.lsm.ttl import is_live, unwrap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -117,6 +125,47 @@ class IoStats:
         for ledger in ledgers:
             total = total.merge(ledger)
         return total
+
+
+def slice_outputs(
+    merged: Columns, unit: MergeUnit, universe: int
+) -> List[Tuple[Optional[Tuple[int, int]], Columns]]:
+    """Cut a unit's merged columns into its output runs, as
+    ``(slice_bounds, columns)`` pairs.
+
+    Without a ``slice_target`` the unit yields one run owning
+    ``unit.span``, or none when nothing survived. With one, the columns
+    are cut into slices of ``slice_target`` entries whose owning bounds
+    partition ``unit.span``: the boundary between two consecutive slices
+    cuts at the later slice's first key, and the first and last slice
+    inherit the span's edges, so the level's spans stay a gap-free tiling
+    no matter how the data skews. A span whose entries were all
+    tombstoned away still yields one empty placeholder slice holding it
+    (slice spans tile the universe — the routing invariant); a later
+    merge into the span consumes it for free.
+    """
+    n = int(merged.keys.size)
+    target = unit.slice_target
+    if n == 0 and target is None:
+        return []
+    if n == 0 or target is None:
+        return [(unit.span, split_columns(merged, (0, n))[0])]
+    cuts = list(range(0, n, target)) + [n]
+    span_lo, span_hi = unit.span if unit.span is not None else (
+        0, universe - 1
+    )
+    keys = merged.keys
+    last = len(cuts) - 2
+    return [
+        (
+            (
+                span_lo if i == 0 else int(keys[cuts[i]]),
+                span_hi if i == last else int(keys[cuts[i + 1]]) - 1,
+            ),
+            columns,
+        )
+        for i, columns in enumerate(split_columns(merged, cuts))
+    ]
 
 
 class LSMStore:
@@ -442,7 +491,7 @@ class LSMStore:
         Metadata-only: no entry is read or rewritten. A sliced run is
         replaced by an empty placeholder slice holding its owning span
         (slice spans must keep tiling the universe — the same invariant
-        :meth:`_build_outputs` preserves for fully-tombstoned spans); a
+        :func:`slice_outputs` preserves for fully-tombstoned spans); a
         non-sliced run is simply removed.
         """
         replacements: dict[int, List[SSTable]] = {}
@@ -480,22 +529,22 @@ class LSMStore:
             consumed.update(run.uid for run in unit.inputs)
             if step.kind == "rebuild":
                 source = unit.inputs[0]
-                entries = source.entries()
-                rebuilt = SSTable(
-                    entries,
-                    self.universe,
-                    self._factory if entries else None,
-                    slice_bounds=source.slice_bounds,
-                )
-                outputs = [rebuilt]
+                copied = merge_columns([source], drop_tombstones=False)
+                (columns,) = split_columns(copied, (0, len(source)))
+                outputs = [self._new_run(columns, source.slice_bounds)]
             else:
-                merged = merge_entries_iter(
+                merged = merge_columns(
                     unit.inputs,
                     drop_tombstones=step.drop_tombstones,
                     span=unit.span,
                     expire_before=self._ttl_now if self._ttl_now else None,
                 )
-                outputs = self._build_outputs(merged, unit)
+                outputs = [
+                    self._new_run(columns, bounds)
+                    for bounds, columns in slice_outputs(
+                        merged, unit, self.universe
+                    )
+                ]
             for out in outputs:
                 written_entries += len(out)
                 written_bytes += out.nbytes
@@ -512,49 +561,19 @@ class LSMStore:
         self.stats.entries_compacted += written_entries
         self.stats.bytes_compacted += written_bytes
 
-    def _build_outputs(self, merged, unit: MergeUnit) -> List[SSTable]:
-        """Materialise a unit's merged stream into output run(s).
-
-        With a ``slice_target`` the stream is chunked into slices of
-        roughly that many entries whose owning bounds partition
-        ``unit.span`` — the boundary between two consecutive slices cuts
-        at the later slice's first key, the first/last slice inherit the
-        span's edges, so the level's spans stay a gap-free tiling no
-        matter how the data skews.
-        """
-        target = unit.slice_target
-        if target is None:
-            entries = list(merged)
-            if not entries:
-                return []
-            return [SSTable(entries, self.universe, self._factory,
-                            slice_bounds=unit.span)]
-        chunks: List[List[Tuple[int, Any]]] = []
-        current: List[Tuple[int, Any]] = []
-        for entry in merged:
-            current.append(entry)
-            if len(current) >= target:
-                chunks.append(current)
-                current = []
-        if current:
-            chunks.append(current)
-        if not chunks:
-            # Everything in the span was tombstoned away. The span must
-            # stay owned (slice spans tile the universe — the routing
-            # invariant), so leave one empty, filterless slice holding
-            # it; a later merge into the span consumes it for free.
-            return [SSTable([], self.universe, None, slice_bounds=unit.span)]
-        span_lo, span_hi = unit.span if unit.span is not None else (
-            0, self.universe - 1
+    def _new_run(
+        self, columns: Columns, slice_bounds: Optional[Tuple[int, int]]
+    ) -> SSTable:
+        """A run adopting merged ``columns``, with a filter from the
+        current factory unless it is empty (a placeholder slice)."""
+        filt = (
+            self._factory(columns.keys, self.universe)
+            if self._factory is not None and columns.keys.size
+            else None
         )
-        outputs: List[SSTable] = []
-        for i, chunk in enumerate(chunks):
-            lo = span_lo if i == 0 else chunk[0][0]
-            hi = span_hi if i == len(chunks) - 1 else chunks[i + 1][0][0] - 1
-            outputs.append(
-                SSTable(chunk, self.universe, self._factory, slice_bounds=(lo, hi))
-            )
-        return outputs
+        return SSTable.from_columns(
+            *columns, self.universe, filt, slice_bounds=slice_bounds
+        )
 
     def _replace_in_place(self, outputs_by_unit) -> None:
         """Swap rebuilt runs into the positions their sources held."""
@@ -981,17 +1000,22 @@ class LSMStore:
         return sum(run.filter_bits for run in self._runs())
 
     def __len__(self) -> int:
-        """Number of live keys (scans the whole store; for tests/demos)."""
-        live: set[int] = set()
-        dead: set[int] = set()
-        for k, v in self._memtable.items_sorted():
-            (live if self._is_live(v) else dead).add(k)
-        for run in self._runs():
-            for key, value in run.entries():
-                if key in live or key in dead:
-                    continue
-                if self._is_live(value):
-                    live.add(key)
-                else:
-                    dead.add(key)
-        return len(live)
+        """Number of live keys (merges every run; for tests/demos).
+
+        The runs' columns go through :func:`merge_columns` — newest
+        first, tombstones and entries expired at the clock dropped — and
+        a memtable entry overrides every run entry of its key.
+        """
+        merged = merge_columns(
+            self._runs(), drop_tombstones=True, expire_before=self._ttl_now
+        )
+        run_keys = merged.keys
+        memtable = self._memtable
+        if len(memtable):
+            run_keys = run_keys[
+                ~np.isin(run_keys, memtable.keys_array(), assume_unique=True)
+            ]
+        live = sum(
+            1 for _, value in memtable.items_sorted() if self._is_live(value)
+        )
+        return live + int(run_keys.size)

@@ -31,7 +31,7 @@ from repro.lsm.compaction import (
     slice_spans,
 )
 from repro.lsm.memtable import TOMBSTONE
-from repro.lsm.sstable import SSTable, merge_entries_iter
+from repro.lsm.sstable import SSTable, merge_columns, split_columns
 from repro.lsm.store import LSMStore
 
 UNIVERSE = 2**24
@@ -480,22 +480,28 @@ def test_explicit_request_queues_the_shard_at_once(request_name):
 
 
 # ----------------------------------------------------------------------
-# Streaming merge (satellite: heapq k-way, no materialisation)
+# Columnar merge: one lexsort, newest wins, span clipping
 # ----------------------------------------------------------------------
-def test_merge_entries_iter_is_lazy_and_span_clipped():
+def merged_entries(runs, **kw):
+    columns = merge_columns(runs, **kw)
+    (run,) = split_columns(columns, (0, columns.keys.size))
+    return SSTable.from_columns(*run, UNIVERSE).entries()
+
+
+def test_merge_columns_is_span_clipped():
     new = SSTable([(1, "n1"), (5, "n5"), (9, "n9")], UNIVERSE)
     old = SSTable([(1, "o1"), (3, "o3"), (9, "o9"), (12, "o12")], UNIVERSE)
-    stream = merge_entries_iter([new, old], drop_tombstones=False, span=(2, 9))
-    assert next(stream) == (3, "o3")  # lazily produced, span-clipped
-    assert list(stream) == [(5, "n5"), (9, "n9")]
+    merged = merged_entries([new, old], drop_tombstones=False, span=(2, 9))
+    assert merged == [(3, "o3"), (5, "n5"), (9, "n9")]
+    assert new.io_reads == old.io_reads == 1  # one read per input per unit
 
 
-def test_merge_entries_iter_tombstone_newest_wins():
+def test_merge_columns_tombstone_newest_wins():
     new = SSTable([(1, TOMBSTONE), (2, "keep")], UNIVERSE)
     old = SSTable([(1, "old"), (3, "other")], UNIVERSE)
-    kept = list(merge_entries_iter([new, old], drop_tombstones=True))
+    kept = merged_entries([new, old], drop_tombstones=True)
     assert kept == [(2, "keep"), (3, "other")]
-    raw = list(merge_entries_iter([new, old], drop_tombstones=False))
+    raw = merged_entries([new, old], drop_tombstones=False)
     assert raw[0] == (1, TOMBSTONE)
 
 

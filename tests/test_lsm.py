@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.grafite import Grafite
 from repro.errors import InvalidParameterError, InvalidQueryError
 from repro.lsm.memtable import TOMBSTONE, MemTable
-from repro.lsm.sstable import SSTable, merge_runs
+from repro.lsm.sstable import SSTable, merge_columns, split_columns
 from repro.lsm.store import LSMStore
 
 UNIVERSE = 2**32
@@ -117,10 +117,6 @@ class TestSSTable:
         assert run.scan(1, top - 1) == [(5, "mid")]
         assert run.scan(0, top) == [(0, "lo"), (5, "mid"), (top, "hi")]
         assert run.scan(top, 2**65) == [(top, "hi")]  # past u64: still ordered
-        assert list(run.iter_entries(0, 0)) == [(0, "lo")]
-        assert list(run.iter_entries(top, top)) == [(top, "hi")]
-        assert list(run.iter_entries(1, None)) == [(5, "mid"), (top, "hi")]
-        assert list(run.iter_entries(None, top - 1)) == [(0, "lo"), (5, "mid")]
         starts, stops, live = run.scan_batch(
             np.asarray([0, top, 1, 6], dtype=np.uint64),
             np.asarray([0, top, top - 1, top - 1], dtype=np.uint64),
@@ -154,17 +150,26 @@ class TestSSTable:
         assert run.may_contain_range(100, 100)
         assert not run.may_contain_range(200_000, 200_063) or True  # maybe-FP allowed
 
+    @staticmethod
+    def merged(runs, **kw):
+        columns = merge_columns(runs, **kw)
+        (run,) = split_columns(columns, (0, columns.keys.size))
+        return SSTable.from_columns(*run, UNIVERSE).entries()
+
     def test_merge_last_write_wins(self):
         new = SSTable([(1, "new"), (2, "x")], UNIVERSE)
         old = SSTable([(1, "old"), (3, "y")], UNIVERSE)
-        merged = merge_runs([new, old], drop_tombstones=False)
+        merged = self.merged([new, old], drop_tombstones=False)
         assert merged == [(1, "new"), (2, "x"), (3, "y")]
+        assert new.io_reads == old.io_reads == 1
 
     def test_merge_drops_tombstones_at_bottom(self):
         new = SSTable([(1, TOMBSTONE)], UNIVERSE)
         old = SSTable([(1, "old"), (2, "keep")], UNIVERSE)
-        merged = merge_runs([new, old], drop_tombstones=True)
+        merged = self.merged([new, old], drop_tombstones=True)
         assert merged == [(2, "keep")]
+        kept = self.merged([new, old], drop_tombstones=False)
+        assert kept[0] == (1, TOMBSTONE)
 
 
 class TestLSMStore:

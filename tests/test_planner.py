@@ -187,6 +187,38 @@ class TestNegativeRangeCache:
         assert cache.n_intervals == 1
         assert cache.lookup(0, 3, u64([5]), u64([25])).all()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_record_folds_like_merge_intervals_of_the_concatenation(self, seed):
+        """Folding a batch into a sorted disjoint entry (sorting only the
+        batch) gives exactly ``_merge_intervals`` of everything recorded:
+        adjacent intervals fuse, contained ones vanish, ``2**64-1`` holds."""
+        rng = np.random.default_rng(seed)
+        top = 2**64 - 1
+        points = np.concatenate((
+            u64([0, 1, 2, top - 2, top - 1, top]),
+            rng.integers(0, 80, 30).astype(np.uint64),
+        ))
+        cache = NegativeRangeCache(capacity=10**6)
+        all_lo, all_hi = u64([]), u64([])
+        for step in range(8):
+            # Odd steps record batches, even steps one range (a single
+            # probe's proof).
+            m = int(rng.integers(2, 8)) if step % 2 else 1
+            a, b = rng.choice(points, m), rng.choice(points, m)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            if step and rng.random() < 0.5:  # abut or sit inside an old one
+                k = int(rng.integers(0, all_lo.size))
+                inside = all_hi[k] == top or rng.random() < 0.5
+                lo[-1] = all_lo[k] if inside else all_hi[k] + np.uint64(1)
+                hi[-1] = all_hi[k] if inside else max(lo[-1], hi[-1])
+            cache.record(0, 5, lo, hi)
+            all_lo, all_hi = np.append(all_lo, lo), np.append(all_hi, hi)
+            want_lo, want_hi = _merge_intervals(all_lo, all_hi)
+            _, got_lo, got_hi = cache._shards[0]
+            assert got_lo.dtype == got_hi.dtype == np.uint64
+            np.testing.assert_array_equal(got_lo, want_lo)
+            np.testing.assert_array_equal(got_hi, want_hi)
+
     def test_full_entry_takes_no_new_proofs_until_the_version_changes(self):
         cache = NegativeRangeCache(capacity=2)
         # Three disjoint, non-adjacent intervals: the first two are kept.
