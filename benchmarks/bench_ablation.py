@@ -15,8 +15,7 @@ Four studies isolating why each ingredient of §3 is there:
    rounding ``r`` up to ``2^k`` costs nothing measurable in FPR and at
    most a fraction of a bit per key.
 4. **Bucketing's coarseness knob** — sweeping ``s`` maps the whole
-   space/FPR trade-off curve of §4 (the future-work discussion about
-   workload-aware bucket sizing starts from this curve).
+   space/FPR trade-off curve of §4.
 """
 
 from __future__ import annotations
@@ -160,43 +159,6 @@ def ablation_power_of_two():
 
 
 @functools.lru_cache(maxsize=None)
-def ablation_workload_aware_bucketing():
-    """§7 future work: budget skewed towards the queried key ranges."""
-    from repro.core.adaptive_bucketing import WorkloadAwareBucketing
-
-    keys = uniform(N_KEYS, UNIVERSE, seed=SEED)
-    sorted_keys = np.sort(keys)
-    rng = np.random.default_rng(SEED + 9)
-
-    def hot_queries(count, seed_offset):
-        out = []
-        local = np.random.default_rng(SEED + seed_offset)
-        hot_limit = UNIVERSE // 32  # queries live in the bottom 1/32nd
-        while len(out) < count:
-            lo = int(local.integers(0, hot_limit - L))
-            hi = lo + L - 1
-            idx = int(np.searchsorted(sorted_keys, lo))
-            if idx < sorted_keys.size and int(sorted_keys[idx]) <= hi:
-                continue
-            out.append((lo, hi))
-        return out
-
-    sample = hot_queries(128, 1)
-    workload = hot_queries(N_QUERIES, 2)
-    budget = 6
-    plain = Bucketing(keys, UNIVERSE, bits_per_key=budget)
-    aware = WorkloadAwareBucketing(
-        keys, UNIVERSE, bits_per_key=budget, sample_queries=sample, num_regions=32
-    )
-    return {
-        "plain_fpr": measure_fpr(plain, workload).fpr,
-        "aware_fpr": measure_fpr(aware, workload).fpr,
-        "plain_bpk": plain.bits_per_key,
-        "aware_bpk": aware.bits_per_key,
-    }
-
-
-@functools.lru_cache(maxsize=None)
 def ablation_bucket_size():
     keys = uniform(N_KEYS, UNIVERSE, seed=SEED)
     queries = uncorrelated_queries(N_QUERIES, L, UNIVERSE, keys=keys, seed=SEED + 3)
@@ -248,17 +210,6 @@ def _report():
             title="Ablation 4 — Bucketing's coarseness knob (§4)",
         ),
     ]
-    wa = ablation_workload_aware_bucketing()
-    sections.append(
-        format_table(
-            ["variant", "bits/key", "FPR on the hot region"],
-            [
-                ["plain Bucketing (§4)", f"{wa['plain_bpk']:.2f}", f"{wa['plain_fpr']:.3e}"],
-                ["workload-aware (§7)", f"{wa['aware_bpk']:.2f}", f"{wa['aware_fpr']:.3e}"],
-            ],
-            title="Ablation 5 — workload-aware Bucketing (future work, engineered)",
-        )
-    )
     register_report("ablation_design_choices", "\n\n".join(sections))
 
 
@@ -280,13 +231,6 @@ def test_ablation_power_of_two_is_cheap():
     # Rounding r up can only shrink FPR; space grows by < 1.1 bits/key.
     assert pow2["pow2_fpr"] <= pow2["exact_fpr"] + 5.0 / N_QUERIES
     assert pow2["pow2_bpk"] <= pow2["exact_bpk"] + 1.1
-
-
-def test_ablation_workload_aware_bucketing_helps():
-    wa = ablation_workload_aware_bucketing()
-    # Same budget envelope, lower FPR where the workload actually lives.
-    assert wa["aware_fpr"] <= wa["plain_fpr"]
-    assert wa["aware_bpk"] <= wa["plain_bpk"] * 1.5
 
 
 def test_ablation_bucketing_tradeoff_curve():

@@ -32,14 +32,11 @@ Quick start::
 
 from repro.core import (
     Bucketing,
-    DynamicGrafite,
     Grafite,
-    HybridGrafiteBucketing,
     LocalityPreservingHash,
     PairwiseIndependentHash,
     PowerOfTwoLocalityHash,
     StringGrafite,
-    WorkloadAwareBucketing,
     eps_from_bits_per_key,
 )
 from repro.engine import AutoTuner, RangeQueryService, ShardedEngine
@@ -57,7 +54,6 @@ from repro.filters import (
     BloomFilter,
     FilterSpec,
     PointProbeFilter,
-    PrefixBloomFilter,
     Proteus,
     RangeFilter,
     REncoder,
@@ -77,10 +73,8 @@ __all__ = [
     "ConfigError",
     "CorruptionError",
     "DeadlineExceeded",
-    "DynamicGrafite",
     "FilterSpec",
     "Grafite",
-    "HybridGrafiteBucketing",
     "InvalidKeyError",
     "InvalidParameterError",
     "InvalidQueryError",
@@ -89,7 +83,6 @@ __all__ = [
     "PairwiseIndependentHash",
     "PointProbeFilter",
     "PowerOfTwoLocalityHash",
-    "PrefixBloomFilter",
     "Proteus",
     "REncoder",
     "RangeFilter",
@@ -100,7 +93,6 @@ __all__ = [
     "SnarfFilter",
     "StringGrafite",
     "SuRF",
-    "WorkloadAwareBucketing",
     "eps_from_bits_per_key",
     "rencoder_se",
     "rencoder_ss",

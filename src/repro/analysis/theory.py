@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.errors import InvalidParameterError
+
 
 def log2(x: float) -> float:
     if x <= 0:
@@ -94,8 +96,13 @@ def table1(
     Data-dependent rows (SuRF's ``z``, Bucketing's ``t``) are evaluated
     only when the caller supplies the measured quantities; otherwise their
     numeric cell is left empty, exactly like the ``?`` entries of the
-    paper's table (Proteus, bloomRF).
+    paper's table (Proteus, bloomRF). The bounds are defined only for
+    ``0 < eps < 1``, ``n >= 1`` and ``L >= 1``.
     """
+    if not (0.0 < eps < 1.0 and n >= 1 and L >= 1):
+        raise InvalidParameterError(
+            f"Table 1 needs 0 < eps < 1, n >= 1 and L >= 1; got eps={eps}, n={n}, L={L}"
+        )
     z = surf_internal_nodes
     K = snarf_K if snarf_K is not None else L / eps  # eps ~ 1/K analogy
     rows = [

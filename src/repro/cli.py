@@ -72,6 +72,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.theory import table1
 from repro.analysis.timing import time_queries
+from repro.errors import InvalidParameterError
 from repro.workloads.adversary import AdaptiveAdversary
 from repro.workloads.datasets import DATASETS, load_dataset
 from repro.workloads.queries import correlated_queries, uncorrelated_queries
@@ -473,6 +474,10 @@ def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
     the :class:`ShardedEngine` itself or a :class:`RangeQueryService`
     wrapping one — so both CLI commands measure the identical workload.
     """
+    if args.writes_per_batch < 0:
+        raise InvalidParameterError(
+            f"writes_per_batch must be >= 0, got {args.writes_per_batch}"
+        )
     universe = _universe(args)
     rng = np.random.default_rng(args.seed + 1)
     load_seconds = _bulk_load(target, keys, rng)
@@ -973,9 +978,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """CLI entry point; returns a process exit code (2, argparse's usage
+    code, with one ``error:`` line for a parameter out of its domain)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except InvalidParameterError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

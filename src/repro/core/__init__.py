@@ -4,11 +4,8 @@ This subpackage also hosts the hash-function layer both share and the
 string-key extension sketched in the paper's §7.
 """
 
-from repro.core.adaptive_bucketing import WorkloadAwareBucketing
 from repro.core.bucketing import Bucketing
-from repro.core.dynamic import DynamicGrafite
 from repro.core.grafite import Grafite, eps_from_bits_per_key, hashed_query_intervals
-from repro.core.hybrid import HybridGrafiteBucketing
 from repro.core.hashing import (
     LocalityPreservingHash,
     PairwiseIndependentHash,
@@ -30,15 +27,12 @@ from repro.core.strings import (
 
 __all__ = [
     "Bucketing",
-    "DynamicGrafite",
     "Grafite",
-    "HybridGrafiteBucketing",
     "LocalityPreservingHash",
     "PairwiseIndependentHash",
     "PowerOfTwoLocalityHash",
     "StringGrafite",
     "StringKeyCodec",
-    "WorkloadAwareBucketing",
     "bucketing_from_bytes",
     "bucketing_to_bytes",
     "decode_string",

@@ -48,9 +48,10 @@ def hashed_query_intervals(
     Combines the block-boundary split of Footnote 2 with the wrap-around
     case of conditions (2): the result is one to four plain intervals
     ``(c, d)`` with ``c <= d``; the range is non-empty iff some stored
-    code falls in one of them. Shared by the static filter
-    (:class:`Grafite`) and the dynamic one
-    (:class:`~repro.core.dynamic.DynamicGrafite`).
+    code falls in one of them. This is the mapping
+    :meth:`Grafite.may_contain_range` applies segment by segment, exposed
+    for callers that probe a code set other than Grafite's Elias-Fano
+    sequence.
     """
     if lo // r == hi // r:
         segments = ((lo, hi),)

@@ -6,8 +6,6 @@ freely:
 
 * :class:`~repro.filters.bloom.BloomFilter` — classic point filter
   substrate;
-* :class:`~repro.filters.prefix_bloom.PrefixBloomFilter` — fixed-length
-  prefix hashing;
 * :class:`~repro.filters.point_probe.PointProbeFilter` — the trivial
   FPR-bounded ``O(L)`` baseline of §2;
 * :class:`~repro.filters.rosetta.Rosetta` — per-level Bloom filters with
@@ -31,7 +29,6 @@ from repro.filters.base import RangeFilter, as_key_array
 from repro.filters.bloom import BloomFilter
 from repro.filters.fst import FastSuccinctTrie, distinguishing_prefixes
 from repro.filters.point_probe import PointProbeFilter
-from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.filters.proteus import Proteus
 from repro.filters.rencoder import REncoder, rencoder_se, rencoder_ss
 from repro.filters.registry import BACKENDS, FilterBackend, FilterSpec, make_factory
@@ -46,7 +43,6 @@ __all__ = [
     "FilterBackend",
     "FilterSpec",
     "PointProbeFilter",
-    "PrefixBloomFilter",
     "Proteus",
     "REncoder",
     "RangeFilter",

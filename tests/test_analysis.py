@@ -159,6 +159,30 @@ class TestTheory:
         proteus = next(r for r in rows if r.name == "Proteus")
         assert proteus.space_bits is None
 
+    @pytest.mark.parametrize(
+        "n, L, eps",
+        [
+            (10**5, 2**10, 0.0),
+            (10**5, 2**10, 1.0),
+            (10**5, 2**10, 1.5),
+            (10**5, 2**10, -0.5),
+            (10**5, 2**10, float("nan")),
+            (0, 2**10, 0.01),
+            (10**5, 0, 0.01),
+        ],
+        ids=["eps=0", "eps=1", "eps=1.5", "eps=-0.5", "eps=nan", "n=0", "L=0"],
+    )
+    def test_table1_rejects_inputs_outside_its_domain(self, n, L, eps):
+        with pytest.raises(InvalidParameterError):
+            table1(n, 2**40, L, eps)
+
+    def test_table1_domain_edges_evaluate(self):
+        # One key, point queries and a tiny eps are still inside the domain:
+        # every bound evaluates to a finite, non-negative size.
+        for row in table1(1, 2**40, 1, 1e-9):
+            if row.space_bits is not None:
+                assert math.isfinite(row.space_bits) and row.space_bits >= 0
+
 
 class TestReport:
     def test_format_table_alignment(self):

@@ -132,6 +132,54 @@ class TestServeCommand:
         assert "--mode process needs --dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["engine", "--shards", "0"],
+        ["engine", "--fanout", "1"],
+        ["engine", "--writes-per-batch", "-1"],
+        ["engine", "--bits-per-key", "0"],
+        ["engine", "--range-size", "0"],
+        ["engine", "--memtable-limit", "0"],
+        ["engine", "--batch-size", "0"],
+        ["serve", "--threads", "0"],
+        ["serve", "--cache-blocks", "-1"],
+        ["serve", "--shards", "0"],
+        ["serve", "--writes-per-batch", "-1"],
+        ["attack", "--rounds", "0"],
+        ["attack", "--range-size", "0"],
+        ["attack", "--queries-per-round", "0"],
+        ["attack", "--leaked-fraction", "2"],
+        ["fpr", "--bits-per-key", "0"],
+        ["fpr", "--range-size", "0"],
+        ["fpr", "--queries", "0"],
+        ["dataset", "--n", "0"],
+        ["scenarios", "--scale", "0"],
+        ["scenarios", "--scale", "-1"],
+        ["table1", "--eps", "1.5"],
+        ["table1", "--eps", "0"],
+        ["table1", "--eps", "1"],
+        ["table1", "--eps", "-0.5"],
+        ["table1", "--eps", "nan"],
+        ["table1", "--n", "0"],
+        ["table1", "--n", "-3"],
+        ["table1", "--range-size", "0"],
+        ["table1", "--range-size", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_domain_parameter_is_a_one_line_usage_error(argv, capsys):
+    # The commands that build keys get a small --n; argparse keeps the last
+    # occurrence of an option, so the commands whose --n is under test, or
+    # that have none, get nothing appended.
+    small = [] if argv[0] in ("dataset", "scenarios", "table1") else ["--n", "500"]
+    code, _ = run_cli(argv + small)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("repro: error: ")
+
+
 @pytest.mark.parametrize("port", ["70000", "65536", "-5", "http"])
 @pytest.mark.parametrize(
     "argv",

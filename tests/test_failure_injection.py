@@ -11,9 +11,7 @@ import pytest
 
 from repro import (
     Bucketing,
-    DynamicGrafite,
     Grafite,
-    HybridGrafiteBucketing,
     InvalidKeyError,
     InvalidParameterError,
     InvalidQueryError,
@@ -51,7 +49,6 @@ class TestKeyValidation:
         for ctor in (
             lambda: Grafite([1], 0, eps=0.1),
             lambda: Bucketing([1], 0, bucket_size=1),
-            lambda: DynamicGrafite(10, 0, eps=0.1),
         ):
             with pytest.raises(ReproError):
                 ctor()
@@ -125,40 +122,9 @@ class TestEliasFanoEdges:
         assert ef.successor(6) is None
 
 
-class TestHybridAndDynamicEdges:
-    def test_hybrid_single_key(self):
-        f = HybridGrafiteBucketing([42], 2**20, bits_per_key=12, seed=0)
-        assert f.may_contain(42)
-        assert f.key_count == 1
-
-    def test_dynamic_duplicate_inserts(self):
-        d = DynamicGrafite(100, 2**20, eps=0.1, buffer_size=4, seed=0)
-        for _ in range(20):
-            d.insert(7)
-        assert d.may_contain(7)
-        # duplicates collapse inside the runs; space stays bounded
-        d.compact()
-        assert d.run_count == 1
-
-    def test_dynamic_insert_at_universe_edges(self):
-        d = DynamicGrafite(10, 2**20, eps=0.1, seed=0)
-        d.insert(0)
-        d.insert(2**20 - 1)
-        assert d.may_contain(0)
-        assert d.may_contain(2**20 - 1)
-
-
 class TestAnswerStabilityAfterErrors:
     def test_rejected_query_does_not_corrupt_state(self):
         g = Grafite([500], 1000, eps=0.1, max_range_size=4, seed=0)
         with pytest.raises(InvalidQueryError):
             g.may_contain_range(-5, 5)
         assert g.may_contain(500)
-
-    def test_rejected_insert_does_not_corrupt_dynamic(self):
-        d = DynamicGrafite(10, 1000, eps=0.1, seed=0)
-        d.insert(5)
-        with pytest.raises(InvalidKeyError):
-            d.insert(1000)
-        assert d.key_count == 1
-        assert d.may_contain(5)

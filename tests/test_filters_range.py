@@ -14,7 +14,6 @@ from repro.core.bucketing import Bucketing
 from repro.core.grafite import Grafite
 from repro.errors import InvalidParameterError
 from repro.filters.point_probe import PointProbeFilter
-from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.filters.proteus import Proteus
 from repro.filters.rencoder import REncoder, rencoder_se, rencoder_ss
 from repro.filters.rosetta import Rosetta, dyadic_decomposition
@@ -37,6 +36,8 @@ def build_filter(name, keys, universe=UNIVERSE, bpk=16, L=32, seed=0):
         return SnarfFilter(keys, universe, bits_per_key=bpk)
     if name == "surf":
         return SuRF(keys, universe, suffix_mode="real", suffix_bits=max(1, int(bpk - 10)), seed=seed)
+    if name == "surf_hash":
+        return SuRF(keys, universe, suffix_mode="hash", suffix_bits=max(1, int(bpk - 10)), seed=seed)
     if name == "proteus":
         return Proteus(keys, universe, bits_per_key=bpk, sample_queries=SAMPLE_QUERIES, seed=seed)
     if name == "rencoder":
@@ -47,14 +48,12 @@ def build_filter(name, keys, universe=UNIVERSE, bpk=16, L=32, seed=0):
         return rencoder_se(keys, universe, bits_per_key=bpk, sample_queries=SAMPLE_QUERIES, seed=seed)
     if name == "point_probe":
         return PointProbeFilter(keys, universe, bits_per_key=bpk, max_range_size=L, seed=seed)
-    if name == "prefix_bloom":
-        return PrefixBloomFilter(keys, universe, prefix_bits=24, bits_per_key=bpk, seed=seed)
     raise ValueError(name)
 
 
 ALL_FILTERS = [
-    "grafite", "bucketing", "rosetta", "snarf", "surf", "proteus",
-    "rencoder", "rencoder_ss", "rencoder_se", "point_probe", "prefix_bloom",
+    "grafite", "bucketing", "rosetta", "snarf", "surf", "surf_hash", "proteus",
+    "rencoder", "rencoder_ss", "rencoder_se", "point_probe",
 ]
 
 
@@ -319,16 +318,3 @@ class TestPointProbeSpecifics:
     def test_larger_than_L_ranges_still_answered(self):
         f = PointProbeFilter([500], 2**20, eps=0.1, max_range_size=4)
         assert f.may_contain_range(0, 1000)
-
-
-class TestPrefixBloomSpecifics:
-    def test_prefix_granularity_false_positives(self):
-        # 24-bit prefixes over a 32-bit universe: 256-value cells.
-        f = PrefixBloomFilter([0], 2**32, prefix_bits=24, bits_per_key=32)
-        assert f.may_contain_range(1, 255)  # same cell as the key
-        assert f.distinct_prefixes == 1
-
-    def test_probe_cap_conservative(self):
-        f = PrefixBloomFilter([0], 2**32, prefix_bits=24, bits_per_key=32, max_probes=4)
-        # 2^32-wide query overlaps 2^24 prefixes: capped, must stay True.
-        assert f.may_contain_range(0, 2**32 - 1)

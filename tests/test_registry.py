@@ -12,12 +12,17 @@ Covers the three legs the registry stands on:
   *cannot* come back.
 """
 
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.analysis.harness import FILTERS, FilterConfig, build_filter
 from repro.core.serialization import filter_from_bytes, filter_to_bytes
 from repro.engine import ShardedEngine
 from repro.errors import ConfigError, InvalidParameterError
+from repro.filters.base import RangeFilter
 from repro.filters.registry import BACKENDS, FilterSpec, backend_names, make_factory
 
 UNIVERSE = 2**28
@@ -192,3 +197,28 @@ def test_filter_factory_and_spec_are_mutually_exclusive():
             filter_factory=lambda k, u: None,
             filter_spec=FilterSpec(backend="grafite"),
         )
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.filters"])
+def test_exported_filters_are_mounted_or_measured(package, keys):
+    """The library ships only the filters something runs.
+
+    Every name a package exports resolves, and every concrete filter class
+    among them is built by an engine backend or by a paper-figure filter.
+    """
+    module = importlib.import_module(package)
+    exported = [getattr(module, name) for name in module.__all__]
+    filter_classes = [
+        obj for obj in exported
+        if inspect.isclass(obj) and issubclass(obj, RangeFilter)
+        and not inspect.isabstract(obj)
+    ]
+    sample = keys[:200]
+    built = [make_factory(name, seed=SEED)(sample, UNIVERSE) for name in BACKENDS]
+    cfg = FilterConfig(
+        sample, UNIVERSE, bits_per_key=16.0, max_range_size=32,
+        sample_queries=[(10, 41), (2**20, 2**20 + 31)], seed=SEED,
+    )
+    built += [build_filter(name, cfg) for name in FILTERS]
+    for cls in filter_classes:
+        assert any(isinstance(f, cls) for f in built), f"{package}.{cls.__name__} is not run"

@@ -7,8 +7,8 @@ Two checks, both cheap enough for every CI run:
    ``docs/*.md`` must point at a file that exists (anchors and external
    ``http(s)``/``mailto`` links are skipped). A docs "site" whose map
    rots is worse than none.
-2. **Docstrings** — every public symbol exported by ``repro.engine``
-   and ``repro.filters`` (their ``__all__``), and every module in those
+2. **Docstrings** — every public symbol exported by a package in
+   :data:`DOC_PACKAGES` (its ``__all__``), and every module in those
    packages, must carry a docstring. New subsystems land with their
    documentation or not at all.
 
@@ -33,10 +33,13 @@ DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))
 
 #: Packages whose public surface must be documented.
 DOC_PACKAGES = (
+    "repro.analysis",
+    "repro.core",
     "repro.engine",
     "repro.filters",
     "repro.lsm",
     "repro.net",
+    "repro.succinct",
     "repro.workloads",
 )
 
