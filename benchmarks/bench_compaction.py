@@ -93,7 +93,7 @@ def run_policy(policy: str) -> Dict[str, object]:
         num_shards=2,
         memtable_limit=MEMTABLE,
         compaction_fanout=FANOUT,
-        filter_factory=None,   # write-amp is a storage property; filters
+        filter_spec=None,   # write-amp is a storage property; filters
         compaction=_policy(policy),  # only add timing noise here
     )
     rng = np.random.default_rng(SEED)
@@ -314,7 +314,7 @@ def _sustain_pass(policy: str):
         num_shards=2,
         memtable_limit=SUSTAIN_MEMTABLE,
         compaction_fanout=FANOUT,
-        filter_factory=None,
+        filter_spec=None,
         compaction=_sustain_policy(policy),
     )
     keys_put = [0]

@@ -26,8 +26,8 @@ import pytest
 import _common
 from _common import SEED, UNIVERSE, register_report, timing_stats, write_bench_json
 from repro.analysis.report import format_table
-from repro.core.grafite import Grafite
 from repro.engine import ShardedEngine
+from repro.filters import FilterSpec
 from repro.workloads.datasets import uniform
 from repro.workloads.queries import uncorrelated_queries
 
@@ -39,10 +39,9 @@ RANGE = 32
 BITS_PER_KEY = 16
 
 
-def _factory(keys, universe):
-    return Grafite(
-        keys, universe, bits_per_key=BITS_PER_KEY, max_range_size=RANGE, seed=SEED
-    )
+_SPEC = FilterSpec(
+    "grafite", bits_per_key=BITS_PER_KEY, max_range_size=RANGE, seed=SEED
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,7 +52,7 @@ def build_engine(num_shards: int) -> ShardedEngine:
         num_shards=num_shards,
         memtable_limit=max(512, N_KEYS // 8),
         compaction_fanout=4,
-        filter_factory=_factory,
+        filter_spec=_SPEC,
     )
     arrival = keys[np.random.default_rng(SEED + 1).permutation(keys.size)]
     for key in arrival:

@@ -43,6 +43,7 @@ from repro.analysis.report import format_table
 from repro.core.grafite import Grafite
 from repro.engine import RangeQueryService, ShardedEngine
 from repro.engine.batch import validate_batch_bounds
+from repro.filters import FilterSpec
 from repro.succinct.bitvector import (
     HAS_BITWISE_COUNT,
     _popcount_words_table,
@@ -75,10 +76,9 @@ SLAB_HIT_FLOOR = 0.8
 _TMP = tempfile.TemporaryDirectory(prefix="repro-mp-bench-")
 
 
-def _factory(keys, universe):
-    return Grafite(
-        keys, universe, bits_per_key=BITS_PER_KEY, max_range_size=RANGE, seed=SEED
-    )
+_SPEC = FilterSpec(
+    "grafite", bits_per_key=BITS_PER_KEY, max_range_size=RANGE, seed=SEED
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,7 +89,7 @@ def build_engine() -> ShardedEngine:
         num_shards=NUM_SHARDS,
         memtable_limit=max(512, N_KEYS // 8),
         compaction_fanout=4,
-        filter_factory=_factory,
+        filter_spec=_SPEC,
         directory=os.path.join(_TMP.name, "db"),
     )
     arrival = keys[np.random.default_rng(SEED + 1).permutation(keys.size)]
@@ -306,7 +306,7 @@ def build_cache_engine() -> ShardedEngine:
         num_shards=NUM_SHARDS,
         memtable_limit=max(512, N_KEYS // 8),
         compaction_fanout=4,
-        filter_factory=None,
+        filter_spec=None,
         directory=os.path.join(_TMP.name, "cache-db"),
     )
     arrival = keys[np.random.default_rng(SEED + 12).permutation(keys.size)]

@@ -30,8 +30,8 @@ import pytest
 import _common
 from _common import SEED, UNIVERSE, register_report, write_bench_json
 from repro.analysis.report import format_table
-from repro.core.grafite import Grafite
 from repro.engine import RangeQueryService, ShardedEngine
+from repro.filters import FilterSpec
 from repro.lsm import BlockCache
 from repro.workloads.datasets import uniform
 from repro.workloads.queries import nonempty_queries, uncorrelated_queries
@@ -56,10 +56,9 @@ CACHE_BLOCKS = max(4, N_KEYS // 4096)
 NONEMPTY_FRACTION = 0.75
 
 
-def _factory(keys, universe):
-    return Grafite(
-        keys, universe, bits_per_key=BITS_PER_KEY, max_range_size=RANGE, seed=SEED
-    )
+_SPEC = FilterSpec(
+    "grafite", bits_per_key=BITS_PER_KEY, max_range_size=RANGE, seed=SEED
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,7 +69,7 @@ def build_engine() -> ShardedEngine:
         num_shards=NUM_SHARDS,
         memtable_limit=max(512, N_KEYS // 8),
         compaction_fanout=4,
-        filter_factory=_factory,
+        filter_spec=_SPEC,
     )
     arrival = keys[np.random.default_rng(SEED + 1).permutation(keys.size)]
     for key in arrival:

@@ -41,7 +41,6 @@ from repro.core import (
 )
 from repro.engine import AutoTuner, RangeQueryService, ShardedEngine
 from repro.errors import (
-    ConfigError,
     CorruptionError,
     DeadlineExceeded,
     InvalidKeyError,
@@ -70,7 +69,6 @@ __all__ = [
     "AutoTuner",
     "BloomFilter",
     "Bucketing",
-    "ConfigError",
     "CorruptionError",
     "DeadlineExceeded",
     "FilterSpec",

@@ -322,6 +322,11 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _universe(args: argparse.Namespace) -> int:
+    # Generated keys are u64: a wider universe cannot be drawn.
+    if not 1 <= args.universe_bits <= 64:
+        raise InvalidParameterError(
+            f"--universe-bits must be in 1..64, got {args.universe_bits}"
+        )
     return 2**args.universe_bits
 
 
@@ -414,6 +419,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Evaluate and print the closed-form bounds of Table 1."""
+    if args.universe_bits < 1:
+        raise InvalidParameterError(
+            f"--universe-bits must be >= 1, got {args.universe_bits}"
+        )
     rows = table1(args.n, 2**args.universe_bits, args.range_size, args.eps)
     printable = [
         [
@@ -478,6 +487,8 @@ def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
         raise InvalidParameterError(
             f"writes_per_batch must be >= 0, got {args.writes_per_batch}"
         )
+    if args.batches < 0:
+        raise InvalidParameterError(f"batches must be >= 0, got {args.batches}")
     universe = _universe(args)
     rng = np.random.default_rng(args.seed + 1)
     load_seconds = _bulk_load(target, keys, rng)

@@ -48,10 +48,9 @@ def hashed_query_intervals(
     Combines the block-boundary split of Footnote 2 with the wrap-around
     case of conditions (2): the result is one to four plain intervals
     ``(c, d)`` with ``c <= d``; the range is non-empty iff some stored
-    code falls in one of them. This is the mapping
-    :meth:`Grafite.may_contain_range` applies segment by segment, exposed
-    for callers that probe a code set other than Grafite's Elias-Fano
-    sequence.
+    code falls in one of them. :meth:`Grafite.may_contain_range` and
+    :meth:`Grafite.count_range` probe these intervals on the Elias-Fano
+    sequence; callers with another code set can probe them there.
     """
     if lo // r == hi // r:
         segments = ((lo, hi),)
@@ -210,32 +209,6 @@ class Grafite(RangeFilter):
     # ------------------------------------------------------------------
     # Query (Algorithm 2 + Footnote 2)
     # ------------------------------------------------------------------
-    def _segments(self, lo: int, hi: int) -> Tuple[Tuple[int, int], ...]:
-        """Split ``[lo, hi]`` at the block boundary it may cross.
-
-        With ``hi - lo + 1 < r`` the range spans at most two blocks of the
-        reduced universe; Footnote 2 splits it into ``[lo, b'-1]`` and
-        ``[b', hi]`` with ``b' = hi - (hi mod r)``.
-        """
-        r = self._r
-        if lo // r == hi // r:
-            return ((lo, hi),)
-        boundary = hi - (hi % r)
-        return ((lo, boundary - 1), (boundary, hi))
-
-    def _segment_not_empty(self, lo: int, hi: int) -> bool:
-        """Conditions (2) for a segment that lies inside one block."""
-        assert self._hash is not None
-        offset = self._hash.hash_block(lo // self._r)
-        h_lo = (offset + lo) % self._r
-        h_hi = (offset + hi) % self._r
-        if h_lo <= h_hi:
-            return self._ef.contains_in_range(h_lo, h_hi)
-        # The hashed interval wraps around the reduced universe.
-        first, last = self._ef.first, self._ef.last
-        assert first is not None and last is not None
-        return first <= h_hi or last >= h_lo
-
     def may_contain_range(self, lo: int, hi: int) -> bool:
         self._check_range(lo, hi)
         if self._n == 0:
@@ -246,7 +219,10 @@ class Grafite(RangeFilter):
             # The hashed image of the range covers all of [r]; any stored
             # code is a hit. (FPR bound is 1 here anyway.)
             return True
-        return any(self._segment_not_empty(s, e) for s, e in self._segments(lo, hi))
+        return any(
+            self._ef.contains_in_range(c, d)
+            for c, d in hashed_query_intervals(self._hash, self._r, lo, hi)
+        )
 
     def may_contain_range_batch(
         self, los: Sequence[int] | np.ndarray, his: Sequence[int] | np.ndarray
@@ -329,18 +305,6 @@ class Grafite(RangeFilter):
     # ------------------------------------------------------------------
     # Approximate range counting (end of §3)
     # ------------------------------------------------------------------
-    def _segment_count(self, lo: int, hi: int) -> int:
-        """Number of stored codes whose value falls in the hashed segment."""
-        assert self._hash is not None
-        offset = self._hash.hash_block(lo // self._r)
-        h_lo = (offset + lo) % self._r
-        h_hi = (offset + hi) % self._r
-        if h_lo <= h_hi:
-            low_rank = self._ef.rank_leq(h_lo - 1) if h_lo else 0
-            return self._ef.rank_leq(h_hi) - low_rank
-        wrap_high = len(self._ef) - (self._ef.rank_leq(h_lo - 1) if h_lo else 0)
-        return self._ef.rank_leq(h_hi) + wrap_high
-
     def count_range(self, lo: int, hi: int, adjusted: bool = False) -> int:
         """Approximately count the keys intersecting ``[lo, hi]``.
 
@@ -358,7 +322,10 @@ class Grafite(RangeFilter):
             return self._ef.rank_leq(hi) - low_rank
         if hi - lo + 1 >= self._r:
             return self._n
-        total = sum(self._segment_count(s, e) for s, e in self._segments(lo, hi))
+        total = sum(
+            self._ef.rank_leq(d) - (self._ef.rank_leq(c - 1) if c else 0)
+            for c, d in hashed_query_intervals(self._hash, self._r, lo, hi)
+        )
         if adjusted:
             expected_collisions = (hi - lo + 1) * self._n / self._r
             total = max(0, round(total - expected_collisions))

@@ -5,7 +5,8 @@ into the system the paper motivates (§1, §6.7): a RocksDB-style store
 serving heavy range-query traffic behind in-memory filters.
 
 * :class:`~repro.engine.engine.ShardedEngine` — the façade: key-range
-  sharding, WAL durability, checkpoints, batch queries;
+  sharding, WAL durability, checkpoints, batch queries; its filter is a
+  :class:`~repro.filters.registry.FilterSpec` named in the manifest;
 * :class:`~repro.engine.sharding.ShardRouter` — contiguous key-range
   partitioning and cross-shard query splitting;
 * :class:`~repro.engine.wal.WriteAheadLog` — torn-tail-tolerant

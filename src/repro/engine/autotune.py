@@ -141,14 +141,8 @@ class AutoTuner:
     decisions are made on whichever thread finishes a batch.
     """
 
-    def __init__(
-        self,
-        policy: Optional[AutoTunePolicy] = None,
-        *,
-        base_spec: Optional[FilterSpec] = None,
-    ) -> None:
+    def __init__(self, policy: Optional[AutoTunePolicy] = None) -> None:
         self._policy = policy or AutoTunePolicy()
-        self._base_spec = base_spec
         self._engine: Optional["ShardedEngine"] = None
         self._lock = threading.Lock()
         self._windows: Dict[int, ShardWindow] = {}
@@ -165,24 +159,9 @@ class AutoTuner:
         prefer :meth:`ShardedEngine.attach_autotuner`)."""
         if self._engine is not None and self._engine is not engine:
             raise InvalidParameterError("tuner is already attached to an engine")
-        if (
-            self._base_spec is None
-            and engine.filter_spec is None
-            and any(store.filter_factory is not None for store in engine.shards)
-        ):
-            # A bare callable factory carries no backend identity: the
-            # tuner would misattribute its FP behaviour to the wrong
-            # decision branch. Make the caller name the starting point.
-            raise InvalidParameterError(
-                "auto-tuning an engine built with a bare filter_factory "
-                "needs AutoTuner(base_spec=FilterSpec(...)) naming the "
-                "mounted backend (or build the engine from a filter_spec)"
-            )
         self._engine = engine
-        start = (
-            self._base_spec
-            or engine.filter_spec
-            or FilterSpec(backend=self._policy.robust_backend)
+        start = engine.filter_spec or FilterSpec(
+            backend=self._policy.robust_backend
         )
         for sid, store in enumerate(engine.shards):
             self._current[sid] = start

@@ -44,7 +44,6 @@ from repro.errors import CorruptionError, InvalidParameterError
 from repro.filters.registry import FilterSpec
 from repro.lsm.compaction import CompactionPolicy, resolve_policy
 from repro.lsm.memtable import TOMBSTONE
-from repro.lsm.sstable import FilterFactory
 from repro.lsm.store import IoStats, LSMStore
 from repro.lsm.ttl import ExpiringValue
 
@@ -65,14 +64,13 @@ class ShardedEngine:
         formats store keys as u64).
     num_shards:
         Number of contiguous key-range partitions.
-    memtable_limit / compaction_fanout / filter_factory:
+    memtable_limit / compaction_fanout:
         Passed through to every shard's :class:`LSMStore`.
     filter_spec:
-        Alternative to ``filter_factory``: a named backend from
-        :mod:`repro.filters.registry` plus its knobs. A spec (unlike a
-        bare callable) is recorded in the manifest, so :meth:`open` can
-        rebuild the factory without the caller re-supplying it. Passing
-        both is an error.
+        The filter every flushed run gets: a named backend from
+        :mod:`repro.filters.registry` plus its knobs, or ``None`` for
+        unfiltered runs. Recorded in the manifest, so :meth:`open`
+        mounts the same filter without the caller re-supplying it.
     directory:
         ``None`` keeps the engine in memory. A path makes it persistent:
         mutations are write-ahead logged there and :meth:`checkpoint`
@@ -111,7 +109,6 @@ class ShardedEngine:
         num_shards: int = 4,
         memtable_limit: int = 1024,
         compaction_fanout: int = 4,
-        filter_factory: Optional[FilterFactory] = None,
         filter_spec: Optional[FilterSpec] = None,
         directory: Optional[str | Path] = None,
         sync_wal: bool = False,
@@ -128,17 +125,11 @@ class ShardedEngine:
                 f"key_codec width {key_codec.width} implies universe "
                 f"{key_codec.universe}, engine universe is {universe}"
             )
-        if filter_spec is not None:
-            if filter_factory is not None:
-                raise InvalidParameterError(
-                    "pass filter_factory or filter_spec, not both"
-                )
-            filter_factory = filter_spec.factory()
         self._router = ShardRouter(universe, num_shards)
         self._memtable_limit = int(memtable_limit)
         self._fanout = int(compaction_fanout)
-        self._factory = filter_factory
         self._filter_spec = filter_spec
+        self._factory = filter_spec.factory() if filter_spec else None
         self._autotuner: Optional["AutoTuner"] = None
         self._planner: Optional["BatchPlanner"] = None
         self._block_cache: Optional["BlockCache"] = None
@@ -156,7 +147,7 @@ class ShardedEngine:
                 universe,
                 memtable_limit=memtable_limit,
                 compaction_fanout=compaction_fanout,
-                filter_factory=filter_factory,
+                filter_factory=self._factory,
                 auto_compact=False,
                 compaction_policy=self._policy,
             )
@@ -203,23 +194,16 @@ class ShardedEngine:
         cls,
         directory: str | Path,
         *,
-        filter_factory: Optional[FilterFactory] = None,
         sync_wal: bool = False,
         compaction_rate: Optional[float] = None,
-        missing_filter: str = "raise",
     ) -> "ShardedEngine":
         """Recover a persistent engine: snapshot, then WAL replay.
 
-        Every registered backend's filters restore byte-for-byte from
-        the snapshot blobs, so reopened engines answer every query
-        exactly as before the crash/shutdown. An engine created with a
-        ``filter_spec`` additionally recorded it in the manifest, and
-        gets its factory back automatically; an engine created with a
-        bare ``filter_factory`` callable must be reopened with the same
-        one. Reopening with neither, when the snapshot holds runs whose
-        filters cannot be restored, raises
-        :class:`~repro.errors.ConfigError` instead of silently serving
-        filterless runs (``missing_filter="drop"`` opts into that).
+        Every run's filter restores byte-for-byte from its snapshot
+        blob, so a reopened engine answers every query exactly as before
+        the crash/shutdown. The manifest names the engine's
+        ``filter_spec``, so runs flushed after the reopen (WAL replay
+        included) get the same filter the engine was created with.
 
         Corruption is never served. If the newest checkpoint fails
         verification — manifest checksum, run checksum, a referenced
@@ -245,21 +229,11 @@ class ShardedEngine:
             manifest = persist.load_manifest(directory)
             if manifest is None:
                 raise InvalidParameterError(f"no engine manifest in {directory}")
-            engine = cls._mount_epoch(
-                directory,
-                manifest,
-                filter_factory=filter_factory,
-                missing_filter=missing_filter,
-            )
+            engine = cls._mount_epoch(directory, manifest)
         except CorruptionError as newest_damage:
             try:
                 manifest = persist.promote_previous_epoch(directory)
-                engine = cls._mount_epoch(
-                    directory,
-                    manifest,
-                    filter_factory=filter_factory,
-                    missing_filter=missing_filter,
-                )
+                engine = cls._mount_epoch(directory, manifest)
             except CorruptionError:
                 # Neither epoch is intact: surface the *newest* damage —
                 # that is the checkpoint the operator thought they had.
@@ -288,12 +262,7 @@ class ShardedEngine:
 
     @classmethod
     def _mount_epoch(
-        cls,
-        directory: Path,
-        manifest: Dict[str, Any],
-        *,
-        filter_factory: Optional[FilterFactory],
-        missing_filter: str,
+        cls, directory: Path, manifest: Dict[str, Any]
     ) -> "ShardedEngine":
         """Build an engine from one manifest's topology (no WAL yet).
 
@@ -301,41 +270,31 @@ class ShardedEngine:
         run fails verification — the caller decides whether an earlier
         epoch can be promoted instead.
         """
-        filter_spec = None
-        if filter_factory is None and manifest.get("filter_spec") is not None:
-            filter_spec = FilterSpec.from_params(manifest["filter_spec"])
+        spec_params = manifest["filter_spec"]
+        codec_params = manifest["key_codec"]
+        filter_spec = (
+            FilterSpec.from_params(spec_params) if spec_params is not None
+            else None
+        )
         engine = cls(
             manifest["universe"],
             num_shards=manifest["num_shards"],
             memtable_limit=manifest["memtable_limit"],
             compaction_fanout=manifest["compaction_fanout"],
-            filter_factory=filter_factory,
             filter_spec=filter_spec,
-            # v1 manifests predate the policy subsystem: they reopen
-            # under the default full-merge policy, exactly as written.
-            compaction=resolve_policy(manifest.get("compaction")),
+            compaction=resolve_policy(manifest["compaction"]),
+            key_codec=(
+                StringKeyCodec.from_params(codec_params)
+                if codec_params is not None else None
+            ),
         )
-        if filter_factory is not None and manifest.get("filter_spec") is not None:
-            # A caller-supplied factory overrides what gets *mounted*, but
-            # the recorded spec must survive into the next checkpoint's
-            # manifest — dropping it would make a later no-factory open()
-            # silently flush unfiltered runs (the cliff ConfigError exists
-            # to prevent; it cannot fire here because blob-backed runs
-            # restore without a factory).
-            engine._filter_spec = FilterSpec.from_params(manifest["filter_spec"])
-        # Pre-TTL / pre-codec manifests carry neither field: clock 0 and
-        # an integer-keyed engine, exactly the semantics they were
-        # written under. The shards get the restored clock themselves
-        # via persist.load_shards → load_shard.
-        engine._ttl_now = int(manifest.get("ttl_now", 0))
-        codec_params = manifest.get("key_codec")
-        if codec_params is not None:
-            engine._key_codec = StringKeyCodec.from_params(codec_params)
+        # The shards get the restored clock themselves via
+        # persist.load_shards → load_shard.
+        engine._ttl_now = int(manifest["ttl_now"])
         engine._shards = persist.load_shards(
             directory,
             manifest,
             filter_factory=engine._factory,
-            missing_filter=missing_filter,
             compaction_policy=engine._policy,
         )
         engine._wire_compaction_hooks()
@@ -624,8 +583,8 @@ class ShardedEngine:
 
     @property
     def filter_spec(self) -> Optional[FilterSpec]:
-        """The registry spec the engine was built with (``None`` for a
-        bare callable factory or an unfiltered engine)."""
+        """The registry spec the engine was built with (``None`` for an
+        unfiltered engine)."""
         return self._filter_spec
 
     @property

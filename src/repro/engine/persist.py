@@ -57,10 +57,8 @@ Proteus, SNARF, REncoder) has a stable format. Persisting the filter —
 rather than rebuilding it from the keys — matters: a rebuild would draw
 fresh hash constants, so a reopened store would false-positive on
 *different* probes than before the restart. With the blob, query
-results are bit-for-bit identical across a reopen. A run whose filter
-type has no format is flagged for factory rebuild; loading such a run
-without a factory raises :class:`~repro.errors.ConfigError` unless the
-caller opts into filterless runs.
+results are bit-for-bit identical across a reopen. A run records one of
+two filter modes, none or blob; any other mode byte is corruption.
 
 All file I/O routes through :mod:`repro.faults` so the chaos suites can
 inject torn writes, bit flips and EIO at exactly this seam; with no
@@ -87,12 +85,7 @@ from repro.core.serialization import (
     pack_int,
     unpack_int,
 )
-from repro.errors import (
-    ConfigError,
-    CorruptionError,
-    InvalidParameterError,
-    ReproError,
-)
+from repro.errors import CorruptionError, ReproError
 from repro.lsm.sstable import (
     BLOCK_ENTRIES,
     FilterFactory,
@@ -113,7 +106,6 @@ MANIFEST_VERSION = 3      # carries a crc32 field; the only version read
 #: Filter persistence modes recorded in a run file.
 _FILTER_NONE = 0       # the run never had a filter
 _FILTER_BLOB = 1       # serialised bytes follow; restore exactly
-_FILTER_REBUILD = 2    # no stable format; rebuild from keys via the factory
 
 
 def _align8(offset: int) -> int:
@@ -190,10 +182,7 @@ def _filter_parts(run: SSTable) -> Tuple[int, bytes]:
     filt = run.filter
     if filt is None:
         return _FILTER_NONE, b""
-    try:
-        return _FILTER_BLOB, filter_to_bytes(filt)
-    except InvalidParameterError:
-        return _FILTER_REBUILD, b""
+    return _FILTER_BLOB, filter_to_bytes(filt)
 
 
 def _bounds_part(run: SSTable) -> bytes:
@@ -269,35 +258,15 @@ def run_to_bytes(run: SSTable) -> bytes:
 # ----------------------------------------------------------------------
 # Run files — parsing (v4, zero-copy)
 # ----------------------------------------------------------------------
-def _restore_filter(
-    filter_mode: int,
-    filter_blob: bytes,
-    keys: np.ndarray,
-    universe: int,
-    filter_factory: Optional[FilterFactory],
-    missing_filter: str,
-):
+def _restore_filter(filter_mode: int, filter_blob: bytes):
     if filter_mode == _FILTER_BLOB:
         return filter_from_bytes(filter_blob)
-    if filter_mode == _FILTER_REBUILD and filter_factory is not None:
-        return filter_factory(keys, universe)
-    if filter_mode == _FILTER_REBUILD and missing_filter == "raise":
-        raise ConfigError(
-            "snapshot run was built with a filter that has no stable byte "
-            "format, and no filter_factory was provided to rebuild it — "
-            "pass the factory the engine was created with, or opt into "
-            "filterless runs explicitly with missing_filter='drop'"
-        )
-    return None
+    if filter_mode == _FILTER_NONE:
+        return None
+    raise CorruptionError(f"unknown run filter mode {filter_mode}")
 
 
-def _parse_run_v4(
-    buf,
-    filter_factory: Optional[FilterFactory],
-    missing_filter: str,
-    *,
-    backing=None,
-) -> SSTable:
+def _parse_run_v4(buf, *, backing=None) -> SSTable:
     mv = memoryview(buf)
     if len(mv) < _V4_HEADER:
         raise CorruptionError("run file too short for a v4 header")
@@ -368,39 +337,24 @@ def _parse_run_v4(
     filter_blob = meta[offset:offset + filter_len]
     if len(filter_blob) != filter_len:
         raise CorruptionError("run filter blob truncated")
-    filt = _restore_filter(
-        filter_mode, filter_blob, keys, int(universe),
-        filter_factory, missing_filter,
-    )
+    filt = _restore_filter(filter_mode, filter_blob)
     return SSTable.from_columns(
         keys, tags, va, vb, vexp, heap, int(universe), filt,
         slice_bounds=slice_bounds, backing=backing,
     )
 
 
-def _parse_run(
-    buf,
-    filter_factory: Optional[FilterFactory],
-    missing_filter: str,
-    *,
-    backing=None,
-) -> SSTable:
+def _parse_run(buf, *, backing=None) -> SSTable:
     head = bytes(memoryview(buf)[:6])
     if head[:4] != _RUN_MAGIC:
         raise CorruptionError("not a serialised SSTable run (bad magic)")
     (version,) = struct.unpack_from("<H", head, 4)
     if version != _RUN_VERSION:
         raise CorruptionError(f"unsupported run format version {version}")
-    return _parse_run_v4(buf, filter_factory, missing_filter, backing=backing)
+    return _parse_run_v4(buf, backing=backing)
 
 
-def run_from_bytes(
-    buf,
-    filter_factory: Optional[FilterFactory] = None,
-    *,
-    missing_filter: str = "raise",
-    backing=None,
-) -> SSTable:
+def run_from_bytes(buf, *, backing=None) -> SSTable:
     """Load a run serialised by :func:`run_to_bytes`.
 
     ``buf`` may be ``bytes`` or any contiguous buffer — notably an
@@ -411,35 +365,17 @@ def run_from_bytes(
     Every stored checksum is verified before the bytes are trusted: the
     metadata crc and every per-block crc (eagerly — a later
     lazily-discovered bad block could not roll the open back). A
-    mismatch, any structural damage, or a version stamp other than v4
-    raises :class:`~repro.errors.CorruptionError`. The
-    caller (shard loading in :meth:`ShardedEngine.open`) treats that as
-    "this checkpoint epoch is bad" and rolls back rather than serving a
-    partially-decoded run.
+    mismatch, any structural damage, a version stamp other than v4 or
+    a filter mode other than none or blob raises
+    :class:`~repro.errors.CorruptionError`. The caller (shard loading in
+    :meth:`ShardedEngine.open`) treats that as "this checkpoint epoch is
+    bad" and rolls back rather than serving a partially-decoded run.
 
-    A run whose filter had a stable byte format restores it from the
-    embedded blob regardless of ``filter_factory``. A run flagged
-    ``_FILTER_REBUILD`` (it *had* a filter, but one this build could not
-    serialise) needs the factory back; without one the behaviour follows
-    ``missing_filter``:
-
-    * ``"raise"`` (default) — raise :class:`~repro.errors.ConfigError`.
-      Silently coming back filterless used to turn every probe into a
-      run read, an order-of-magnitude regression discovered only by
-      profiling.
-    * ``"drop"`` — restore the run without a filter (correct, slower).
-      This is what read-only snapshot workers opt into: they own no
-      factory by design and verification-only reads are acceptable
-      there.
+    The run's filter, if it had one, restores from the embedded blob
+    byte-for-byte: the same hash constants, so the same verdicts.
     """
-    if missing_filter not in ("raise", "drop"):
-        raise InvalidParameterError(
-            f"missing_filter must be 'raise' or 'drop', got {missing_filter!r}"
-        )
     try:
-        return _parse_run(
-            buf, filter_factory, missing_filter, backing=backing
-        )
+        return _parse_run(buf, backing=backing)
     except ReproError:
         raise
     except Exception as exc:
@@ -639,7 +575,6 @@ def load_shard(
     shard_id: int,
     *,
     filter_factory: Optional[FilterFactory] = None,
-    missing_filter: str = "raise",
     compaction_policy=None,
 ) -> LSMStore:
     """Rebuild one shard's :class:`LSMStore` from a snapshot manifest.
@@ -656,12 +591,10 @@ def load_shard(
 
     The per-shard granularity is what the process-mode serving workers
     use: each worker owns a subset of the shards and loads only those
-    from the checkpoint, read-only — every registered backend restores
-    its filter byte-for-byte from the run's embedded blob, no factory
-    needed. A run that *had* a filter but no blob (a custom filter type
-    outside :mod:`repro.core.serialization`) follows ``missing_filter``:
-    the default raises :class:`~repro.errors.ConfigError`; the workers
-    pass ``"drop"`` and serve that run unfiltered (slower, never wrong).
+    from the checkpoint, read-only — every run restores its filter
+    byte-for-byte from its embedded blob, no factory needed.
+    ``filter_factory`` only builds the filters of runs the store flushes
+    or compacts later.
 
     A referenced run file that is missing, truncated, or fails its
     checksum raises :class:`~repro.errors.CorruptionError` naming the
@@ -677,25 +610,17 @@ def load_shard(
         try:
             if faults._active_for(path) is None:
                 mapped = np.memmap(path, dtype=np.uint8, mode="r")
-                run = run_from_bytes(
-                    mapped, filter_factory,
-                    missing_filter=missing_filter, backing=mapped,
-                )
+                run = run_from_bytes(mapped, backing=mapped)
             else:
                 # Fault injection targets this file: read through the
                 # seam so the plan's damage is actually applied.
-                run = run_from_bytes(
-                    faults.read_bytes(path), filter_factory,
-                    missing_filter=missing_filter,
-                )
+                run = run_from_bytes(faults.read_bytes(path))
         except FileNotFoundError as exc:
             raise CorruptionError(
                 f"{path}: run file referenced by the manifest is missing"
             ) from exc
         except CorruptionError as exc:
             raise CorruptionError(f"{path}: {exc}") from exc
-        except ReproError:
-            raise  # e.g. ConfigError: a configuration problem, not damage
         except ValueError as exc:
             # np.memmap refuses empty files; nothing valid is that short.
             raise CorruptionError(f"{path}: {exc!r}") from exc
@@ -713,9 +638,7 @@ def load_shard(
         filter_factory=filter_factory,
         auto_compact=False,
         compaction_policy=compaction_policy,
-        # Pre-TTL manifests carry no clock: restore at 0, the epoch every
-        # store starts from.
-        ttl_now=int(manifest.get("ttl_now", 0)),
+        ttl_now=int(manifest["ttl_now"]),
     )
 
 
@@ -724,7 +647,6 @@ def load_shards(
     manifest: Dict[str, Any],
     *,
     filter_factory: Optional[FilterFactory] = None,
-    missing_filter: str = "raise",
     compaction_policy=None,
 ) -> List[LSMStore]:
     """Rebuild every shard's :class:`LSMStore` from a snapshot manifest."""
@@ -734,7 +656,6 @@ def load_shards(
             manifest,
             sid,
             filter_factory=filter_factory,
-            missing_filter=missing_filter,
             compaction_policy=compaction_policy,
         )
         for sid in range(len(manifest["shards"]))
@@ -751,9 +672,8 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     its crc32 matches; every run file each retained manifest
     references exists, passes its checksums — for a v4 run that means
     the metadata crc *and every per-block crc32*, so a flip in any
-    single block is pinpointed — and parses structurally (filters are
-    loaded in ``missing_filter="drop"`` mode — scrub verifies integrity,
-    not configuration); the WAL's record chain is intact (a torn tail is
+    single block is pinpointed — and parses structurally, filter blobs
+    included; the WAL's record chain is intact (a torn tail is
     reported but is *not* corruption — crash recovery tolerates it by
     design).
 
@@ -812,7 +732,7 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
                 checked.add(path)
                 report["runs_checked"] += 1
                 try:
-                    run_from_bytes(faults.read_bytes(path), missing_filter="drop")
+                    run_from_bytes(faults.read_bytes(path))
                 except FileNotFoundError:
                     report["runs_corrupt"] += 1
                     report["ok"] = False

@@ -198,14 +198,9 @@ def worker_main(
                             f"expected {generation}"
                         )
                     stores = {
-                        # Workers own no filter factory by design (nothing
-                        # unpicklable crosses the process boundary); runs
-                        # restore filters from their embedded blobs, and a
-                        # custom-filtered run degrades to verification-only
-                        # reads instead of failing the worker.
-                        sid: persist.load_shard(
-                            directory, manifest, sid, missing_filter="drop",
-                        )
+                        # Workers only read, so they own no filter factory:
+                        # every run restores its filter from its blob.
+                        sid: persist.load_shard(directory, manifest, sid)
                         for sid in owned_sids
                     }
                     for store in stores.values():

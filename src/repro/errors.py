@@ -56,14 +56,3 @@ class DeadlineExceeded(ReproError, TimeoutError):
     probe or idempotent mutation is safe.
     """
 
-
-class ConfigError(InvalidParameterError):
-    """A system-level configuration is inconsistent with persisted state.
-
-    Raised, for example, when a snapshot whose runs were built *with*
-    filters is reopened without a way to restore them (no serialized
-    blob and no ``filter_factory``): silently continuing would produce
-    filterless runs that answer correctly but read every run on every
-    probe — a performance cliff the operator should opt into explicitly
-    rather than discover in production.
-    """

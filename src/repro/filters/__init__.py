@@ -31,7 +31,7 @@ from repro.filters.fst import FastSuccinctTrie, distinguishing_prefixes
 from repro.filters.point_probe import PointProbeFilter
 from repro.filters.proteus import Proteus
 from repro.filters.rencoder import REncoder, rencoder_se, rencoder_ss
-from repro.filters.registry import BACKENDS, FilterBackend, FilterSpec, make_factory
+from repro.filters.registry import BACKENDS, FilterBackend, FilterSpec
 from repro.filters.rosetta import Rosetta, dyadic_decomposition
 from repro.filters.snarf import SnarfFilter
 from repro.filters.surf import SuRF
@@ -52,7 +52,6 @@ __all__ = [
     "as_key_array",
     "distinguishing_prefixes",
     "dyadic_decomposition",
-    "make_factory",
     "rencoder_se",
     "rencoder_ss",
 ]

@@ -10,7 +10,9 @@ facts the serving layer and the auto-tuner act on:
   or a heuristic an adversary can drive to FPR ~ 1?
 * does it have a vectorised batch probe, or does it ride the generic
   :meth:`~repro.filters.base.RangeFilter.may_contain_range_batch` loop?
-* can :mod:`repro.core.serialization` checkpoint it byte-for-byte?
+
+Every backend here has a byte format in :mod:`repro.core.serialization`,
+so a checkpoint restores its filters byte-for-byte.
 
 :class:`FilterSpec` is the value that travels: a named backend plus the
 construction knobs (bits/key, design range size, seed). The engine
@@ -45,7 +47,6 @@ class FilterBackend:
 
     key: str                 #: lowercase CLI name
     robust: bool             #: distribution-free FPR bound (adversarial-safe)
-    serializable: bool       #: covered by :mod:`repro.core.serialization`
     paper_figure: str        #: where the paper evaluates it
     summary: str             #: one-line behaviour note for docs/CLI help
     build: Callable[["FilterSpec", np.ndarray, int], RangeFilter]
@@ -190,43 +191,43 @@ BACKENDS: Dict[str, FilterBackend] = {
     backend.key: backend
     for backend in (
         FilterBackend(
-            key="grafite", robust=True, serializable=True,
+            key="grafite", robust=True,
             paper_figure="Fig. 5-7",
             summary="optimal robust filter; FPR bound holds under any workload",
             build=_build_grafite,
         ),
         FilterBackend(
-            key="bucketing", robust=False, serializable=True,
+            key="bucketing", robust=False,
             paper_figure="Fig. 4, 6",
             summary="one-bit-per-bucket heuristic; best at tiny budgets",
             build=_build_bucketing,
         ),
         FilterBackend(
-            key="surf", robust=False, serializable=True,
+            key="surf", robust=False,
             paper_figure="Fig. 3-4",
             summary="truncated succinct trie; collapses under correlation",
             build=_build_surf,
         ),
         FilterBackend(
-            key="rosetta", robust=True, serializable=True,
+            key="rosetta", robust=True,
             paper_figure="Fig. 5",
             summary="per-level Blooms; robust but slow for large ranges",
             build=_build_rosetta,
         ),
         FilterBackend(
-            key="proteus", robust=False, serializable=True,
+            key="proteus", robust=False,
             paper_figure="Fig. 4",
             summary="self-designing trie+Bloom; overfits its tuning sample",
             build=_build_proteus,
         ),
         FilterBackend(
-            key="snarf", robust=False, serializable=True,
+            key="snarf", robust=False,
             paper_figure="Fig. 3-4",
             summary="learned-CDF bit array; strong on short uncorrelated ranges",
             build=_build_snarf,
         ),
         FilterBackend(
-            key="rencoder", robust=True, serializable=True,
+            key="rencoder", robust=True,
             paper_figure="Fig. 5",
             summary="local-tree bit array; robust for large ranges",
             build=_build_rencoder,
@@ -239,16 +240,3 @@ def backend_names() -> List[str]:
     """Sorted lowercase backend keys (the CLI's ``--filter`` choices)."""
     return sorted(BACKENDS)
 
-
-def make_factory(
-    backend: str,
-    *,
-    bits_per_key: float = 16.0,
-    max_range_size: int = 32,
-    seed: int = 0,
-) -> EngineFactory:
-    """Convenience: a factory straight from a backend name."""
-    return FilterSpec(
-        backend=backend, bits_per_key=bits_per_key,
-        max_range_size=max_range_size, seed=seed,
-    ).factory()

@@ -72,24 +72,6 @@ def test_policy_validation():
         AutoTunePolicy(robust_fp_threshold=0.01, heuristic_fp_threshold=0.05)
 
 
-def test_attach_requires_spec_for_bare_factory_engines():
-    """A bare callable factory has no backend identity; the tuner must
-    demand one instead of fabricating a 'grafite' current state."""
-    from repro.core.grafite import Grafite
-
-    engine = ShardedEngine(
-        UNIVERSE, num_shards=2,
-        filter_factory=lambda keys, u: Grafite(keys, u, bits_per_key=12),
-    )
-    with pytest.raises(InvalidParameterError):
-        engine.attach_autotuner(AutoTuner())
-    # Naming the mounted backend explicitly is accepted.
-    engine.attach_autotuner(
-        AutoTuner(base_spec=FilterSpec(backend="grafite", bits_per_key=12))
-    )
-    assert engine.autotuner.backend_counts() == {"grafite": 2}
-
-
 def _tuned_engine(backend, *, min_window=128, **policy_kwargs):
     engine = ShardedEngine(
         UNIVERSE,

@@ -23,6 +23,7 @@ from repro.engine import ShardedEngine
 from repro.engine.batch import route_columnar, validate_batch_bounds
 from repro.errors import InvalidQueryError
 from repro.filters.base import RangeFilter
+from repro.filters.registry import FilterSpec
 from repro.succinct.elias_fano import EliasFano
 
 UNIVERSE = 2**24
@@ -155,8 +156,8 @@ def test_engine_columnar_batch_equals_scalar(keys, deletes, queries, data):
         num_shards=num_shards,
         memtable_limit=32,
         compaction_fanout=3,
-        filter_factory=lambda ks, u: Grafite(
-            ks, u, bits_per_key=8, max_range_size=64, seed=3
+        filter_spec=FilterSpec(
+            "grafite", bits_per_key=8, max_range_size=64, seed=3
         ),
     )
     for key in keys:

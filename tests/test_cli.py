@@ -165,6 +165,15 @@ class TestServeCommand:
         ["table1", "--n", "-3"],
         ["table1", "--range-size", "0"],
         ["table1", "--range-size", "-1"],
+        ["engine", "--batches", "-1"],
+        ["serve", "--batches", "-1"],
+        ["engine", "--universe-bits", "65"],
+        ["engine", "--universe-bits", "0"],
+        ["fpr", "--universe-bits", "65"],
+        ["dataset", "--universe-bits", "-3"],
+        ["attack", "--universe-bits", "0"],
+        ["table1", "--universe-bits", "0"],
+        ["table1", "--universe-bits", "-3"],
     ],
     ids=" ".join,
 )

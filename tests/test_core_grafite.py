@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grafite import Grafite, eps_from_bits_per_key
+from repro.core.grafite import Grafite, eps_from_bits_per_key, hashed_query_intervals
 from repro.errors import InvalidParameterError, InvalidQueryError
 
 
@@ -122,6 +122,45 @@ class TestQueries:
         g2 = Grafite(boundary_keys, 2**30, eps=0.5, max_range_size=8, seed=7)
         for k in boundary_keys:
             assert g2.may_contain_range(max(0, k - 3), k + 3)
+
+    def test_scalar_count_and_batch_match_brute_force_hashed_image(self):
+        """Small ``r``: straddling and wrapping queries on every path.
+
+        The brute force hashes every point of the query with the
+        construction hash and looks each image up among the stored
+        codes, so it checks the Footnote 2 split and the wrap-around
+        without going through :func:`hashed_query_intervals`.
+        """
+        rng = np.random.default_rng(11)
+        universe = 2**16
+        keys = rng.integers(0, universe, 40, dtype=np.uint64)
+        g = Grafite(keys, universe, eps=0.5, max_range_size=8, seed=5)
+        r = g.reduced_universe
+        assert not g.is_exact and r == 640
+        codes = set(int(c) for c in g._ef.to_array())
+        los, his, expected = [], [], []
+        straddles = wraps = 0
+        for block in (1, 2, 7, universe // r - 1):
+            for lo in range(block * r - 12, block * r + 3):
+                for width in (1, 2, 8, 13, r // 2, r - 2):
+                    hi = lo + width - 1
+                    points = np.arange(lo, hi + 1, dtype=np.uint64)
+                    hits = sum(
+                        int(h) in codes for h in g._hash.hash_many(points)
+                    )
+                    assert g.count_range(lo, hi) == hits
+                    assert g.may_contain_range(lo, hi) == (hits > 0)
+                    los.append(lo)
+                    his.append(hi)
+                    expected.append(hits > 0)
+                    intervals = hashed_query_intervals(g._hash, r, lo, hi)
+                    straddles += lo // r != hi // r
+                    wraps += len(intervals) > 1 + (lo // r != hi // r)
+        assert straddles > 50 and wraps > 50
+        batch = g.may_contain_range_batch(
+            np.array(los, dtype=np.uint64), np.array(his, dtype=np.uint64)
+        )
+        assert batch.tolist() == expected
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=80),

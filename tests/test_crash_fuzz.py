@@ -25,16 +25,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.grafite import Grafite
 from repro.engine import ShardedEngine, WriteAheadLog, persist
 from repro.engine.wal import _HEADER
+from repro.filters import FilterSpec
 
 UNIVERSE = 2**16
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20240731"))
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=12, max_range_size=64, seed=3)
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=12, max_range_size=64, seed=3)
 
 
 def record_run(
@@ -42,7 +41,7 @@ def record_run(
     *,
     n_ops: int = 60,
     checkpoint_every: Optional[int] = 25,
-    filter_factory=None,
+    filter_spec=None,
     compaction=None,
     drain_every: Optional[int] = None,
 ) -> Tuple[List[Dict[int, Any]], int, bytes]:
@@ -58,7 +57,7 @@ def record_run(
         num_shards=2,
         memtable_limit=16,
         compaction_fanout=3,
-        filter_factory=filter_factory,
+        filter_spec=filter_spec,
         directory=directory,
         compaction=compaction,
     )
@@ -89,8 +88,8 @@ def record_run(
     return states, last_checkpoint, (directory / "wal.log").read_bytes()
 
 
-def recovered_state(directory: Path, filter_factory=None) -> Dict[int, Any]:
-    engine = ShardedEngine.open(directory, filter_factory=filter_factory)
+def recovered_state(directory: Path) -> Dict[int, Any]:
+    engine = ShardedEngine.open(directory)
     try:
         return {k: v for k, v in engine.range_scan(0, UNIVERSE - 1)}
     finally:
@@ -114,12 +113,12 @@ def truncation_offsets(wal_bytes: bytes, stride: int):
 
 
 def run_truncation_sweep(
-    tmp_path: Path, *, filter_factory, stride: int, checkpoint_every=25,
+    tmp_path: Path, *, filter_spec, stride: int, checkpoint_every=25,
     compaction=None, drain_every=None,
 ):
     db = tmp_path / "db"
     states, last_checkpoint, wal_bytes = record_run(
-        db, filter_factory=filter_factory, checkpoint_every=checkpoint_every,
+        db, filter_spec=filter_spec, checkpoint_every=checkpoint_every,
         compaction=compaction, drain_every=drain_every,
     )
     scratch = tmp_path / "scratch"
@@ -142,7 +141,7 @@ def run_truncation_sweep(
         assert expected_index <= len(states) - 1
 
         wal_path.write_bytes(prefix)
-        got = recovered_state(scratch, filter_factory)
+        got = recovered_state(scratch)
         want = states[expected_index]
         assert got == want, (
             f"offset {offset}: recovered {len(got)} keys, expected oracle "
@@ -155,20 +154,20 @@ def test_wal_truncation_every_byte(tmp_path):
     """The full sweep: every byte offset of a 60-record WAL (no mid-run
     checkpoints, so deep truncations cut far into acknowledged history)."""
     run_truncation_sweep(
-        tmp_path, filter_factory=None, stride=1, checkpoint_every=None
+        tmp_path, filter_spec=None, stride=1, checkpoint_every=None
     )
 
 
 def test_wal_truncation_every_byte_with_checkpoints(tmp_path):
     """Every byte offset of the post-checkpoint WAL tail: truncation may
     lose tail records but never state from before the checkpoint."""
-    run_truncation_sweep(tmp_path, filter_factory=None, stride=1)
+    run_truncation_sweep(tmp_path, filter_spec=None, stride=1)
 
 
 def test_wal_truncation_with_filters(tmp_path):
     """Strided sweep with Grafite filters on every run (slower restore
     path: snapshots carry filter blobs that must deserialise bit-exact)."""
-    run_truncation_sweep(tmp_path, filter_factory=grafite_factory, stride=7)
+    run_truncation_sweep(tmp_path, filter_spec=GRAFITE_SPEC, stride=7)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +249,7 @@ def test_wal_truncation_leveled_topology(tmp_path):
 
     run_truncation_sweep(
         tmp_path,
-        filter_factory=grafite_factory,
+        filter_spec=GRAFITE_SPEC,
         stride=11,
         checkpoint_every=20,
         compaction=LeveledPolicy(slice_target=8),
@@ -263,7 +262,7 @@ def test_wal_truncation_tiered_topology(tmp_path):
     checkpoint, recovery replays the tail onto them."""
     run_truncation_sweep(
         tmp_path,
-        filter_factory=None,
+        filter_spec=None,
         stride=13,
         checkpoint_every=20,
         compaction="tiered",

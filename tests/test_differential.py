@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.core.grafite import Grafite
 from repro.engine import (
     AutoTunePolicy,
     AutoTuner,
@@ -63,8 +62,8 @@ N_OPS = 5000
 BATCH_FLUSH = 64  # pending probes per batch_range_empty comparison
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=12, max_range_size=256, seed=5)
+#: The filter of every stream that names no other backend.
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=12, max_range_size=256, seed=5)
 
 
 #: Heuristic backends run through the oracle (ISSUE 4): their filters now
@@ -205,14 +204,14 @@ class EngineTarget(Target):
         self, *, directory=None, cache=False, num_shards=4, spec=None,
         autotune=False, compaction=None, planner=False,
     ):
+        spec = spec or GRAFITE_SPEC
         self.name = (
             f"engine(persistent={directory is not None}, cache={cache}, "
-            f"spec={spec.backend if spec else 'grafite-factory'}, "
+            f"spec={spec.backend}, "
             f"autotune={autotune}, compaction={compaction or 'full'}, "
             f"planner={planner})"
         )
         self._directory = directory
-        self._spec = spec
         self._autotune = autotune
         self._planner = planner
         self.engine = ShardedEngine(
@@ -220,7 +219,6 @@ class EngineTarget(Target):
             num_shards=num_shards,
             memtable_limit=96,
             compaction_fanout=3,
-            filter_factory=None if spec is not None else grafite_factory,
             filter_spec=spec,
             directory=directory,
             compaction=compaction,
@@ -265,14 +263,11 @@ class EngineTarget(Target):
 
     def reopen(self):
         # Crash-style restart: no checkpoint, recovery must replay the WAL.
-        # A spec-built engine reopens with *no* factory argument — the
-        # spec comes back from the manifest, the filters from their blobs.
+        # The spec comes back from the manifest, the filters from their
+        # blobs.
         cache = self.engine.block_cache
         self.engine.close(checkpoint=False)
-        self.engine = ShardedEngine.open(
-            self._directory,
-            filter_factory=None if self._spec is not None else grafite_factory,
-        )
+        self.engine = ShardedEngine.open(self._directory)
         self._attach_helpers()
         if cache is not None:
             self.engine.attach_block_cache(cache)
@@ -295,9 +290,10 @@ class ServiceTarget(Target):
         self, num_threads: int, *, directory=None, mode="thread", workers=None,
         spec=None, autotune=False, compaction=None, planner=False,
     ):
+        spec = spec or GRAFITE_SPEC
         self.name = (
             f"service(threads={num_threads}, mode={mode}, workers={workers}, "
-            f"spec={spec.backend if spec else 'grafite-factory'}, "
+            f"spec={spec.backend}, "
             f"autotune={autotune}, compaction={compaction or 'full'}, "
             f"planner={planner})"
         )
@@ -305,7 +301,6 @@ class ServiceTarget(Target):
         self._directory = directory
         self._mode = mode
         self._workers = workers
-        self._spec = spec
         self._autotune = autotune
         self._planner = planner
         self.engine = ShardedEngine(
@@ -313,7 +308,6 @@ class ServiceTarget(Target):
             num_shards=4,
             memtable_limit=96,
             compaction_fanout=3,
-            filter_factory=None if spec is not None else grafite_factory,
             filter_spec=spec,
             directory=directory,
             compaction=compaction,
@@ -355,10 +349,7 @@ class ServiceTarget(Target):
     def reopen(self):
         self.service.close()
         self.engine.close(checkpoint=False)
-        self.engine = ShardedEngine.open(
-            self._directory,
-            filter_factory=None if self._spec is not None else grafite_factory,
-        )
+        self.engine = ShardedEngine.open(self._directory)
         if self._autotune:
             self.engine.attach_autotuner(AutoTuner(AutoTunePolicy(min_window=128)))
         if self._planner:
@@ -508,7 +499,7 @@ def test_differential_engine_heuristic_in_memory(backend):
 def test_differential_engine_heuristic_persistent(tmp_path, backend):
     """Persistent streams exercise the new serialization formats: every
     checkpoint snapshots SuRF/SNARF blobs and every reopen restores them
-    (no factory argument — the spec comes back from the manifest)."""
+    (the spec comes back from the manifest)."""
     rng = np.random.default_rng(SEED + 13)
     replay(
         EngineTarget(directory=tmp_path / "db", spec=HEURISTIC_SPECS[backend]),

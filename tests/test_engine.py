@@ -7,6 +7,9 @@ the deferred compaction scheduler, and parity of the vectorised batch
 paths with their scalar counterparts.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.bucketing import Bucketing
 from repro.core.grafite import Grafite
+from repro.core.serialization import unpack_int
 from repro.engine import (
     OP_DELETE,
     OP_PUT,
@@ -24,7 +28,8 @@ from repro.engine import (
     run_from_bytes,
     run_to_bytes,
 )
-from repro.errors import InvalidParameterError, InvalidQueryError
+from repro.errors import CorruptionError, InvalidParameterError, InvalidQueryError
+from repro.filters import FilterSpec
 from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.sstable import SSTable
 from repro.lsm.store import IoStats, LSMStore
@@ -32,8 +37,8 @@ from repro.lsm.store import IoStats, LSMStore
 UNIVERSE = 2**32
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=14, max_range_size=64, seed=7)
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=14, max_range_size=64, seed=7)
+grafite_factory = GRAFITE_SPEC.factory()
 
 
 # ----------------------------------------------------------------------
@@ -161,8 +166,28 @@ class TestRunPersistence:
 
     def test_unfiltered_run_stays_unfiltered(self):
         run = SSTable([(1, "a")], UNIVERSE, None)
-        restored = run_from_bytes(run_to_bytes(run), filter_factory=grafite_factory)
+        restored = run_from_bytes(run_to_bytes(run))
         assert restored.filter is None
+
+    @pytest.mark.parametrize("mode", [2, 3])
+    def test_unknown_filter_mode_is_corruption(self, mode):
+        """Only modes 0 (no filter) and 1 (blob) load; any other mode
+        byte under a valid checksum is corruption, not a filterless run."""
+        blob = bytearray(run_to_bytes(SSTable([(1, "a")], UNIVERSE, None)))
+        # Header: magic, version, size, count, then ten u64 offsets and
+        # lengths; off_meta is the eighth, meta_len the tenth.
+        (off_meta,) = struct.unpack_from("<Q", blob, 16 + 7 * 8)
+        (meta_len,) = struct.unpack_from("<Q", blob, 16 + 9 * 8)
+        # Metadata: universe, slice-bounds flag, then the filter mode byte.
+        _, offset = unpack_int(bytes(blob), off_meta)
+        mode_at = offset + 1
+        assert blob[mode_at] == 0
+        blob[mode_at] = mode
+        meta_end = off_meta + meta_len - 4
+        crc = zlib.crc32(blob[off_meta:meta_end], zlib.crc32(blob[:96]))
+        struct.pack_into("<I", blob, meta_end, crc & 0xFFFFFFFF)
+        with pytest.raises(CorruptionError, match="filter mode"):
+            run_from_bytes(bytes(blob))
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +268,7 @@ class TestShardedEngine:
     def test_batch_matches_scalar(self):
         engine = ShardedEngine(
             UNIVERSE, num_shards=4, memtable_limit=256,
-            filter_factory=grafite_factory,
+            filter_spec=GRAFITE_SPEC,
         )
         rng = np.random.default_rng(0)
         for k in np.unique(rng.integers(0, UNIVERSE, 3000, dtype=np.uint64)):
@@ -512,7 +537,7 @@ class TestDurability:
     def test_snapshot_round_trip_identical_results(self, tmp_path):
         engine = ShardedEngine(
             UNIVERSE, num_shards=3, memtable_limit=64,
-            filter_factory=grafite_factory, directory=tmp_path / "db",
+            filter_spec=GRAFITE_SPEC, directory=tmp_path / "db",
         )
         model = self._fill(engine)
         rng = np.random.default_rng(42)
@@ -522,7 +547,7 @@ class TestDurability:
         before_stats_decisions = engine.stats.total_filter_decisions
         engine.close()  # checkpoint + WAL reset
 
-        reopened = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
+        reopened = ShardedEngine.open(tmp_path / "db")
         assert reopened.range_scan(0, UNIVERSE - 1) == sorted(model.items())
         after = reopened.batch_range_empty(los, his)
         # Identical answers, including which probes false-positive: the
@@ -564,7 +589,7 @@ class TestDurability:
     def test_crash_after_checkpoint_replays_only_tail(self, tmp_path):
         engine = ShardedEngine(
             UNIVERSE, num_shards=2, memtable_limit=16,
-            filter_factory=grafite_factory, directory=tmp_path / "db",
+            filter_spec=GRAFITE_SPEC, directory=tmp_path / "db",
         )
         model = self._fill(engine, seed=3, ops=200)
         engine.checkpoint()
@@ -574,7 +599,7 @@ class TestDurability:
             model[key] = f"tail{key}"
         engine._wal.close()
 
-        recovered = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
+        recovered = ShardedEngine.open(tmp_path / "db")
         assert recovered.range_scan(0, UNIVERSE - 1) == sorted(model.items())
 
     def test_open_refuses_missing_and_init_refuses_existing(self, tmp_path):
@@ -682,7 +707,7 @@ class TestModelBased:
             num_shards=data.draw(st.integers(min_value=1, max_value=5)),
             memtable_limit=data.draw(st.integers(min_value=1, max_value=8)),
             compaction_fanout=2,
-            filter_factory=grafite_factory if data.draw(st.booleans()) else None,
+            filter_spec=GRAFITE_SPEC if data.draw(st.booleans()) else None,
         )
         model: dict[int, str] = {}
         ops = data.draw(

@@ -6,6 +6,7 @@ interactive runs) and assert on the key facts their narratives rely on.
 """
 
 import io
+import re
 import runpy
 import sys
 from contextlib import redirect_stdout
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import ShardedEngine
+
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
+README = Path(__file__).parent.parent / "README.md"
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 
@@ -67,3 +71,25 @@ def test_adversarial_attack_contrast():
 def test_string_keys_negative_case():
     output = run_example("string_keys.py")
     assert "= False" in output, "the absent-key demo should answer False"
+
+
+def readme_python_blocks():
+    """The README quickstart's ``python - <<'PY'`` heredoc bodies."""
+    return re.findall(r"^python - <<'PY'\n(.*?)^PY$", README.read_text(), re.M | re.S)
+
+
+def test_readme_quickstart_blocks_run(tmp_path):
+    blocks = readme_python_blocks()
+    assert len(blocks) == 2
+    outputs = []
+    for block in blocks:
+        source = block.replace("/tmp/grafite-db", str(tmp_path / "grafite-db"))
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            exec(compile(source, str(README), "exec"), {"__name__": "__main__"})
+        outputs.append(buffer.getvalue().splitlines())
+    assert outputs[0][0] == "True"  # the range holding key 7312
+    assert (tmp_path / "grafite-db" / "MANIFEST.json").exists()
+    reopened = ShardedEngine.open(tmp_path / "grafite-db")
+    assert reopened.filter_spec.backend == "grafite"
+    assert reopened.get(7) == "v7"

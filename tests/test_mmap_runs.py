@@ -21,19 +21,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.grafite import Grafite
 from repro.engine import ShardedEngine, persist
 from repro.errors import CorruptionError
+from repro.filters import FilterSpec
 
 UNIVERSE = 2**32
 N_KEYS = 4_000
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=12, max_range_size=64, seed=5)
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=12, max_range_size=64, seed=5)
 
 
-def build_db(path, *, factory=grafite_factory):
+def build_db(path, *, spec=GRAFITE_SPEC):
     rng = np.random.default_rng(99)
     keys = np.unique(rng.integers(0, UNIVERSE, N_KEYS, dtype=np.uint64))
     engine = ShardedEngine(
@@ -41,7 +40,7 @@ def build_db(path, *, factory=grafite_factory):
         num_shards=2,
         memtable_limit=256,
         compaction_fanout=4,
-        filter_factory=factory,
+        filter_spec=spec,
         directory=path,
     )
     for key in keys:
@@ -71,7 +70,7 @@ def test_v4_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
     engine, keys = build_db(tmp_path / "db")
     want = probe_all(engine, keys)
 
-    reopened = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
+    reopened = ShardedEngine.open(tmp_path / "db")
     assert probe_all(reopened, keys) == want
     runs = all_runs(reopened)
     assert runs, "reopened engine lost its runs"
@@ -121,7 +120,7 @@ def test_retired_format_is_rejected(tmp_path, kind, version):
         with pytest.raises(CorruptionError, match=msg):
             persist.load_manifest(db)
     with pytest.raises(CorruptionError, match=msg):
-        ShardedEngine.open(db, filter_factory=grafite_factory)
+        ShardedEngine.open(db)
     report = persist.scrub_snapshot(db)
     assert report["ok"] is False
     assert any(msg in err for err in report["errors"])
@@ -131,7 +130,7 @@ def test_unlink_mid_read_keeps_mapped_pages_alive(tmp_path):
     engine, keys = build_db(tmp_path / "db")
     want = probe_all(engine, keys)
 
-    reopened = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
+    reopened = ShardedEngine.open(tmp_path / "db")
     # Unlink every run file while the runs are mapped and mid-use.
     removed = 0
     for sst in (tmp_path / "db").glob("shard-*/*.sst"):
@@ -144,7 +143,7 @@ def test_unlink_mid_read_keeps_mapped_pages_alive(tmp_path):
 
 
 def test_reads_after_release_raise_cleanly(tmp_path):
-    engine, keys = build_db(tmp_path / "db", factory=None)
+    engine, keys = build_db(tmp_path / "db", spec=None)
     reopened = ShardedEngine.open(tmp_path / "db")
     runs = all_runs(reopened)
     assert runs

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.grafite import Grafite
 from repro.engine import RangeQueryService, ShardedEngine
+from repro.filters import FilterSpec
 from repro.net import (
     AsyncClient,
     FrameDecoder,
@@ -47,15 +47,14 @@ from repro.workloads.queries import zipfian_queries
 UNIVERSE = 2**32
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=14, max_range_size=64, seed=7)
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=14, max_range_size=64, seed=7)
 
 
 @pytest.fixture(scope="module")
 def service():
     engine = ShardedEngine(
         UNIVERSE, num_shards=4, memtable_limit=256,
-        filter_factory=grafite_factory,
+        filter_spec=GRAFITE_SPEC,
     )
     rng = np.random.default_rng(11)
     keys = rng.integers(0, UNIVERSE, 4000, dtype=np.uint64)

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grafite import Grafite
 from repro.engine import (
     BatchPlanner,
     NegativeRangeCache,
@@ -27,19 +26,19 @@ from repro.engine import (
 )
 from repro.engine import planner as planner_mod
 from repro.engine.planner import PROCESS_FLOOR, _merge_intervals
+from repro.filters import FilterSpec
 
 UNIVERSE = 2**24
 U64_MAX = 2**64 - 1
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=10, max_range_size=64, seed=5)
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=10, max_range_size=64, seed=5)
 
 
 def build_engine(keys, *, num_shards=4, universe=UNIVERSE, planner=None):
     engine = ShardedEngine(
         universe, num_shards=num_shards, memtable_limit=64,
-        filter_factory=grafite_factory,
+        filter_spec=GRAFITE_SPEC,
     )
     for k in keys:
         engine.put(int(k), "v")

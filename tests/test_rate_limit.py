@@ -199,7 +199,7 @@ def seed_engine(engine, n=1_500, seed=9):
 def test_engine_compaction_rate_installs_bucket():
     engine = ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=64,
-        compaction_fanout=2, filter_factory=None,
+        compaction_fanout=2, filter_spec=None,
         compaction_rate=123.5,
     )
     limiter = engine.scheduler.rate_limiter
@@ -207,14 +207,14 @@ def test_engine_compaction_rate_installs_bucket():
     assert limiter.rate == 123.5
     assert ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=64,
-        compaction_fanout=2, filter_factory=None,
+        compaction_fanout=2, filter_spec=None,
     ).scheduler.rate_limiter is None
 
 
 def test_engine_open_accepts_compaction_rate(tmp_path):
     engine = ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=64,
-        compaction_fanout=2, filter_factory=None,
+        compaction_fanout=2, filter_spec=None,
         directory=tmp_path / "db",
     )
     seed_engine(engine)
@@ -233,7 +233,7 @@ def test_rate_limited_engine_still_converges():
     backlog drains once the limiter is lifted."""
     engine = ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=64,
-        compaction_fanout=2, filter_factory=None,
+        compaction_fanout=2, filter_spec=None,
         compaction_rate=1e12,  # huge burst: never actually defers
     )
     seed_engine(engine)
@@ -260,7 +260,7 @@ def test_rate_limited_engine_still_converges():
 def test_service_snapshot_surfaces_rate_limit_and_levels():
     engine = ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=64,
-        compaction_fanout=2, filter_factory=None,
+        compaction_fanout=2, filter_spec=None,
         compaction_rate=5_000.0,
     )
     seed_engine(engine)
@@ -280,7 +280,7 @@ def test_service_background_step_debits_the_bucket():
     # step overdraws the bucket, and the refill cannot catch up.
     engine = ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=64,
-        compaction_fanout=2, filter_factory=None,
+        compaction_fanout=2, filter_spec=None,
         compaction_rate=1e-3,
     )
     limiter = engine.scheduler.rate_limiter

@@ -14,21 +14,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.grafite import Grafite
 from repro.engine import RangeQueryService, RWLock, ShardedEngine
 from repro.errors import InvalidParameterError
+from repro.filters import FilterSpec
 from repro.lsm import BLOCK_ENTRIES, BlockCache, LSMStore, SSTable
 
 UNIVERSE = 2**32
 
 
-def grafite_factory(keys, universe):
-    return Grafite(keys, universe, bits_per_key=14, max_range_size=64, seed=7)
+GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=14, max_range_size=64, seed=7)
 
 
 def build_engine(**kwargs):
     defaults = dict(
-        num_shards=4, memtable_limit=128, filter_factory=grafite_factory
+        num_shards=4, memtable_limit=128, filter_spec=GRAFITE_SPEC
     )
     defaults.update(kwargs)
     return ShardedEngine(UNIVERSE, **defaults)
@@ -298,15 +297,13 @@ class TestRangeQueryService:
     def test_checkpoint_and_reopen(self, tmp_path):
         engine = ShardedEngine(
             UNIVERSE, num_shards=2, memtable_limit=64,
-            filter_factory=grafite_factory, directory=tmp_path / "db",
+            filter_spec=GRAFITE_SPEC, directory=tmp_path / "db",
         )
         with RangeQueryService(engine, num_threads=2) as svc:
             keys = load_keys(svc, n=500, seed=9)
             svc.checkpoint()
         engine.close(checkpoint=False)
-        reopened = ShardedEngine.open(
-            tmp_path / "db", filter_factory=grafite_factory
-        )
+        reopened = ShardedEngine.open(tmp_path / "db")
         with RangeQueryService(reopened, num_threads=2) as svc:
             for key in keys[:100]:
                 assert svc.get(int(key)) == int(key) % 251
@@ -490,7 +487,7 @@ class TestProcessMode:
             service.put(77, b"x")
             service.delete(78)
         engine.close(checkpoint=False)
-        reopened = ShardedEngine.open(tmp_path / "db", filter_factory=grafite_factory)
+        reopened = ShardedEngine.open(tmp_path / "db")
         assert reopened.get(77) == b"x"
         assert reopened.get(78) is None
         reopened.close()

@@ -236,7 +236,7 @@ def test_rejected_process_service_releases_its_slab():
     already built, nor leave it attached to the engine."""
     engine = ShardedEngine(
         UNIVERSE, num_shards=2, memtable_limit=256,
-        compaction_fanout=4, filter_factory=None,
+        compaction_fanout=4, filter_spec=None,
     )  # in-memory: process mode is invalid
     with pytest.raises(InvalidParameterError):
         RangeQueryService(engine, mode="process", cache_blocks=64)
@@ -264,7 +264,7 @@ def build_service_engine(path):
         num_shards=2,
         memtable_limit=256,
         compaction_fanout=4,
-        filter_factory=None,
+        filter_spec=None,
         directory=path,
     )
     for key in keys:

@@ -251,16 +251,16 @@ PREFIXES = [
 
 @pytest.mark.parametrize("front", ["engine", "service"])
 def test_string_view_prefix_probes_match_brute_force(front):
-    from repro.core.grafite import Grafite
     from repro.engine import RangeQueryService, ShardedEngine
+    from repro.filters import FilterSpec
 
     codec = StringKeyCodec(width=4)
     engine = ShardedEngine(
         codec.universe,
         num_shards=3,
         memtable_limit=4,
-        filter_factory=lambda keys, universe: Grafite(
-            keys, universe, bits_per_key=14, max_range_size=64, seed=7
+        filter_spec=FilterSpec(
+            "grafite", bits_per_key=14, max_range_size=64, seed=7
         ),
         key_codec=codec,
     )
