@@ -5,6 +5,14 @@ batch of range probes and wants them answered at throughput, not
 per-call latency. The batch path keeps per-query python overhead out of
 the whole pipeline by moving the batch as structure-of-arrays columns:
 
+0. :func:`batch_range_empty` validates the bound columns once. A batch
+   of at most :data:`SCALAR_CUTOFF` ranges takes the straight path
+   (:func:`_straight_batch_empty`): scalar ``router.split`` routing and
+   each shard's segments through :func:`shard_batch_empty`'s scalar
+   lane, with no planner dedup, columnar routing or negative cache —
+   their set-up costs more than a handful of ranges saves. Larger
+   batches go through the engine's planner, when one is attached, to
+   :func:`routed_batch_empty`;
 1. routing produces a :class:`ColumnarPlan` — contiguous ``uint64``
    ``seg_lo`` / ``seg_hi`` columns plus an ``int64`` position column
    (``qid``), argsort-grouped by shard with CSR-style group offsets.
@@ -25,7 +33,9 @@ the whole pipeline by moving the batch as structure-of-arrays columns:
    :meth:`~repro.lsm.sstable.SSTable.scan_batch` (a ``searchsorted``
    pair and a liveness reduce), and only memtable overlaps, queries
    whose newest matching run holds only dead keys, and stores with a
-   block cache take the store's scalar run walk;
+   block cache take the store's scalar run walk (which bisects a
+   leveled level's fence index, :mod:`repro.lsm.levels`, to the slices
+   a range touches);
 4. per-shard verdicts are scattered back into the result bitmap by the
    position column (``empty[qid[~sub_empty]] = False``), which AND-folds
    a straddler's segments for free.
@@ -33,7 +43,9 @@ the whole pipeline by moving the batch as structure-of-arrays columns:
 Between the caller's bound arrays and the Elias-Fano kernel no per-query
 Python object is created. Queries proven empty by the filters cost zero
 simulated I/O and are credited to ``reads_avoided``, matching the scalar
-path's accounting.
+path's accounting: every lane moves the
+:class:`~repro.lsm.store.IoStats` ledger and each run's ``io_reads``
+exactly as a run-by-run ``range_empty`` loop would.
 """
 
 from __future__ import annotations
@@ -349,16 +361,14 @@ def _columnar_empty(
         lo, hi = int(q_lo[j]), int(q_hi[j])
         shadowed = store._memtable_shadowed(lo, hi)
         empty[j] = shadowed is not None and store._walk_runs(
-            runs, lo, hi, shadowed, _verdicts(must_read, j)
+            lo, hi, shadowed, 0, _verdicts(must_read, j)
         )
     return empty
 
 
-def _verdicts(
-    must_read: List[Optional[np.ndarray]], j: int, first: int = 0
-) -> List[bool]:
-    """Query ``j``'s filter verdicts for ``runs[first:]``."""
-    return [must is not None and bool(must[j]) for must in must_read[first:]]
+def _verdicts(must_read: List[Optional[np.ndarray]], j: int) -> List[bool]:
+    """Query ``j``'s filter verdict for every run."""
+    return [must is not None and bool(must[j]) for must in must_read]
 
 
 def _verify_columns(
@@ -403,8 +413,8 @@ def _verify_columns(
             j = int(take[i])
             shadowed = set(keys[starts[i]:stops[i]].tolist())
             empty[j] = store._walk_runs(
-                runs[r + 1:], int(q_lo[j]), int(q_hi[j]), shadowed,
-                _verdicts(must_read, j, r + 1),
+                int(q_lo[j]), int(q_hi[j]), shadowed, r + 1,
+                _verdicts(must_read, j),
             )
         keep = np.ones(open_q.size, dtype=bool)
         keep[taken[matched]] = False
@@ -418,20 +428,73 @@ def batch_range_empty(
 ) -> np.ndarray:
     """Answer ``range_empty`` for every ``[los[i], his[i]]`` at once.
 
-    Returns a boolean array: ``True`` means the range holds no live key
-    (exact, never approximate — filters only *prune*, the maybes are
-    verified by the store). Semantically identical to a loop of
-    :meth:`ShardedEngine.range_empty`. Routing, per-shard probing and
-    the scatter back to query positions all run on contiguous columns;
-    a straddler's segments AND-fold through the scatter (the result
-    starts ``True`` and only ever flips to ``False``). With a planner
-    attached, each shard's segments — a straddler's included, as each
-    lies in one shard — go through its negative cache
-    (:meth:`~repro.engine.planner.BatchPlanner.shard_empty`).
+    The public, validating entry: the bound columns are validated here,
+    once, and nowhere further down. Returns a boolean array: ``True``
+    means the range holds no live key (exact, never approximate —
+    filters only *prune*, the maybes are verified by the store).
+    Semantically identical to a loop of
+    :meth:`ShardedEngine.range_empty`.
+
+    A batch of at most :data:`SCALAR_CUTOFF` ranges takes the straight
+    path (:func:`_straight_batch_empty`): no planner, no columnar
+    routing, no negative cache. A larger one goes through the engine's
+    planner, when one is attached, to :func:`routed_batch_empty`.
     """
     los, his = validate_batch_bounds(engine.universe, los, his)
-    if los.size == 0:
-        return np.zeros(0, dtype=bool)
+    if los.size <= SCALAR_CUTOFF:
+        return _straight_batch_empty(engine, los, his)
+    planner = engine.planner
+    if planner is None:
+        return routed_batch_empty(engine, los, his)
+    return planner.execute(los, his, partial(routed_batch_empty, engine))
+
+
+def _straight_batch_empty(
+    engine: "ShardedEngine", los: np.ndarray, his: np.ndarray
+) -> np.ndarray:
+    """A tiny validated batch, routed with the scalar ``router.split``.
+
+    Each shard's segments still go through :func:`shard_batch_empty`
+    (its scalar lane, as no shard gets more than one segment per query),
+    so the shard's ``query_observer`` sees every sub-batch. Planner
+    dedup and the negative cache are skipped: on fresh ranges they cost
+    more than they save.
+    """
+    groups: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+    for j, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
+        for sid, seg_lo, seg_hi in engine.router.split(lo, hi):
+            seg_los, seg_his, qids = groups.setdefault(sid, ([], [], []))
+            seg_los.append(seg_lo)
+            seg_his.append(seg_hi)
+            qids.append(j)
+    empty = np.ones(los.size, dtype=bool)
+    for sid in sorted(groups):
+        seg_los, seg_his, qids = groups[sid]
+        sub_empty = shard_batch_empty(
+            engine.shards[sid],
+            np.asarray(seg_los, dtype=np.uint64),
+            np.asarray(seg_his, dtype=np.uint64),
+        )
+        for j, seg_empty in zip(qids, sub_empty.tolist()):
+            if not seg_empty:
+                empty[j] = False
+    return empty
+
+
+def routed_batch_empty(
+    engine: "ShardedEngine",
+    los: np.ndarray,
+    his: np.ndarray,
+) -> np.ndarray:
+    """The columnar batch path over already-validated ``uint64`` columns.
+
+    Routing, per-shard probing and the scatter back to query positions
+    all run on contiguous columns; a straddler's segments AND-fold
+    through the scatter (the result starts ``True`` and only ever flips
+    to ``False``). With a planner attached, each shard's segments — a
+    straddler's included, as each lies in one shard — go through its
+    negative cache (:meth:`~repro.engine.planner.BatchPlanner.shard_empty`).
+    """
     plan = route_columnar(engine.router, los, his)
     planner = engine.planner
     empty = np.ones(los.size, dtype=bool)

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.strings import StringKeyCodec
 from repro.engine import persist
-from repro.engine.batch import batch_range_empty, validate_batch_bounds
+from repro.engine.batch import batch_range_empty
 from repro.engine.scheduler import CompactionScheduler, TokenBucket
 from repro.engine.sharding import ShardRouter
 from repro.engine.wal import OP_CLOCK, OP_PUT, WriteAheadLog
@@ -422,20 +422,17 @@ class ShardedEngine:
         """Vectorised :meth:`range_empty` over a batch of ranges.
 
         Drains deferred compactions first (the "between batches" slot),
-        then runs the filter-pruned batch path of
-        :func:`repro.engine.batch.batch_range_empty`. With an auto-tuner
+        then answers through :func:`repro.engine.batch.batch_range_empty`,
+        which validates the bounds once: a batch of at most
+        :data:`~repro.engine.batch.SCALAR_CUTOFF` ranges takes the
+        straight scalar path, a larger one the planner (when attached)
+        and the filter-pruned columnar path. With an auto-tuner
         attached, the batch's workload telemetry may retarget shard
         filter factories afterwards — rebuilds happen at the *next*
         between-batches slot, never inside this one.
         """
         self.drain_compactions()
-        if self._planner is not None:
-            los, his = validate_batch_bounds(self.universe, los, his)
-            result = self._planner.execute(
-                los, his, lambda q_lo, q_hi: batch_range_empty(self, q_lo, q_hi)
-            )
-        else:
-            result = batch_range_empty(self, los, his)
+        result = batch_range_empty(self, los, his)
         if self._autotuner is not None:
             self._autotuner.maybe_retune()
         return result
@@ -482,8 +479,9 @@ class ShardedEngine:
     def attach_planner(self, planner: Optional["BatchPlanner"]) -> None:
         """Install (or remove, with ``None``) a batch query planner.
 
-        With one attached, :meth:`batch_range_empty` — here and in the
-        serving layer — runs every batch through the planner's dedup
+        With one attached, :meth:`batch_range_empty` runs every batch
+        of more than :data:`~repro.engine.batch.SCALAR_CUTOFF` ranges
+        (the serving layer's: every batch) through the planner's dedup
         pass, and each shard's sub-batch through its negative-result
         cache in the same lock hold that executes it
         (:mod:`repro.engine.planner`). Attaching never changes query

@@ -227,10 +227,10 @@ class CompactionScheduler:
                 if not self.run_step(store):
                     break
                 done += 1
-            if store.needs_compaction:  # step budget ran out mid-shard
+            # A throttled shard is known to need work; otherwise ask
+            # again (the step budget may have run out mid-shard).
+            if throttled or store.needs_compaction:
                 self.notify(shard_id, store)
-                break
-            if throttled:
                 break
         return done
 

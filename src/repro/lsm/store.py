@@ -14,7 +14,10 @@ implements:
   tiered and leveled policies bound how much data a single step
   rewrites;
 * point gets, range scans and emptiness probes that consult each run's
-  range filter first;
+  range filter first, over a :class:`ReadView` rebuilt with the run
+  set: a leveled level is read through its
+  :class:`~repro.lsm.levels.LevelIndex`, which bisects to the slices a
+  range touches instead of fence-checking every slice;
 * an I/O ledger (:class:`IoStats`) separating necessary reads, reads
   saved by filters, and wasted reads caused by filter false positives —
   the quantity an adversary inflates when the filter is not robust
@@ -27,8 +30,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -40,6 +43,7 @@ from repro.lsm.compaction import (
     MergeUnit,
     resolve_policy,
 )
+from repro.lsm.levels import LevelIndex
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import (
     Columns,
@@ -125,6 +129,20 @@ class IoStats:
         for ledger in ledgers:
             total = total.merge(ledger)
         return total
+
+
+class ReadView(NamedTuple):
+    """The run set as reads walk it, rebuilt whenever the set changes.
+
+    ``runs`` holds every run in recency order: level 0 newest first,
+    then each deeper level. ``segments`` cuts ``runs`` into one
+    ``(start, stop, index)`` span per level: level 0 and any level
+    without a :class:`~repro.lsm.levels.LevelIndex` (``index`` is
+    ``None``) are walked run by run, a fenced level through its index.
+    """
+
+    runs: Tuple[SSTable, ...]
+    segments: Tuple[Tuple[int, int, Optional[LevelIndex]], ...]
 
 
 def slice_outputs(
@@ -226,6 +244,7 @@ class LSMStore:
         self._compaction_requested = False
         self._stale_filter_uids: set[int] = set()
         self._cache: Optional["BlockCache"] = None
+        self._view = ReadView((), ())
         #: Optional ``(q_lo, q_hi, empty) -> None`` hook the batch kernel
         #: calls after answering a sub-batch (see repro.engine.autotune).
         self.query_observer: Optional[Any] = None
@@ -281,6 +300,7 @@ class LSMStore:
         store._level0 = list(level0)
         if levels is not None:
             store._levels = [list(level) for level in levels if level]
+        store._reindex()
         return store
 
     # ------------------------------------------------------------------
@@ -329,6 +349,7 @@ class LSMStore:
             run = SSTable(entries, self.universe, self._factory)
             self._level0.insert(0, run)  # newest first
             self._memtable = MemTable()
+            self._reindex()
             self._runs_version += 1
             self.stats.flushes += 1
             self.stats.entries_flushed += len(entries)
@@ -513,6 +534,7 @@ class LSMStore:
         while self._levels and not self._levels[-1]:
             self._levels.pop()
         self._stale_filter_uids -= set(replacements)
+        self._reindex()
         self._runs_version += 1
         self.stats.compactions += 1
 
@@ -556,6 +578,7 @@ class LSMStore:
         self._stale_filter_uids -= consumed
         if step.clears_request:
             self._compaction_requested = False
+        self._reindex()
         self._runs_version += 1
         self.stats.compactions += 1
         self.stats.entries_compacted += written_entries
@@ -756,22 +779,76 @@ class LSMStore:
         """All runs, in recency order: level 0 newest first, then each
         deeper level (slices within a leveled level are key-disjoint, so
         their relative order carries no recency meaning)."""
+        return list(self._view.runs)
+
+    def _reindex(self) -> None:
+        """Rebuild :attr:`_view` after the run set changed; the caller
+        holds the write lock (or owns the store outright).
+
+        The previous view goes at once, so no reader-side structure
+        keeps a consumed run alive past the step that replaced it.
+        """
         runs = list(self._level0)
+        segments = [(0, len(runs), None)]
         for level in self._levels:
+            index = LevelIndex.build(level)
+            segments.append((len(runs), len(runs) + len(level), index))
             runs.extend(level)
-        return runs
+        self._view = ReadView(tuple(runs), tuple(segments))
 
     def _prune(self, run: SSTable, lo: int, hi: int) -> bool:
         """Can ``run`` be skipped for ``[lo, hi]`` without reading it?
 
         Two exact-or-conservative gates: the run's key bounds (a fence
-        check — decisive for leveled slices, whose spans tile the
-        keyspace) and then its range filter. Both count as an avoided
-        read when they prune.
+        check) and then its range filter. Both count as an avoided read
+        when they prune.
         """
         if not run.overlaps(lo, hi):
             return True
         return not run.may_contain_range(lo, hi)
+
+    def _must_read(
+        self,
+        lo: int,
+        hi: int,
+        first: int = 0,
+        verdicts: Optional[Sequence[bool]] = None,
+    ) -> Iterator[SSTable]:
+        """The runs ``[lo, hi]`` must read, newest first, from position
+        ``first`` of the read view on.
+
+        Every run it skips is credited to ``reads_avoided`` at the point
+        a run-by-run walk would credit it. A fenced level bisects to the
+        slices the range touches and credits the others in bulk: those
+        before the touched ones at once, those after once the touched
+        ones are read — so a caller that stops early (a live key found)
+        leaves the later ones uncredited, as the run-by-run walk does.
+        ``verdicts[p]``, when given, is a batch filter pass's answer for
+        run ``p`` (``True`` = must read it) and stands in for the fence
+        and filter check, so the batch lanes never probe a filter twice.
+        """
+        stats = self.stats
+        runs = self._view.runs
+        for start, stop, index in self._view.segments:
+            if stop <= first:
+                continue
+            begin = max(start, first)
+            end = stop
+            if index is not None:
+                a, b = index.touched(lo, hi)
+                begin, end = max(start + a, begin), max(start + b, begin)
+                stats.reads_avoided += begin - max(start, first)
+            for p in range(begin, end):
+                run = runs[p]
+                if verdicts is not None:
+                    must = verdicts[p]
+                else:
+                    must = not self._prune(run, lo, hi)
+                if must:
+                    yield run
+                else:
+                    stats.reads_avoided += 1
+            stats.reads_avoided += stop - end
 
     def get(self, key: int) -> Optional[Any]:
         """Point lookup through memtable then runs (newest wins)."""
@@ -779,10 +856,7 @@ class LSMStore:
         found, value = self._memtable.get(key)
         if found:
             return unwrap(value) if self._is_live(value) else None
-        for run in self._runs():
-            if self._prune(run, key, key):
-                self.stats.reads_avoided += 1
-                continue
+        for run in self._must_read(key, key):
             self.stats.reads_performed += 1
             if self._cache is None:
                 found, value = run.get(key)
@@ -804,10 +878,8 @@ class LSMStore:
         merged: dict[int, Any] = {}
         for key, value in self._memtable.scan(lo, hi):
             merged.setdefault(key, value)
-        for run in self._runs():  # recency order: setdefault keeps newest
-            if self._prune(run, lo, hi):
-                self.stats.reads_avoided += 1
-                continue
+        # Recency order: setdefault keeps the newest version.
+        for run in self._must_read(lo, hi):
             self.stats.reads_performed += 1
             matches = self._run_scan(run, lo, hi)
             if not matches:
@@ -832,9 +904,7 @@ class LSMStore:
         self._check_key(lo)
         self._check_key(hi)
         shadowed = self._memtable_shadowed(lo, hi)
-        return shadowed is not None and self._walk_runs(
-            self._runs(), lo, hi, shadowed
-        )
+        return shadowed is not None and self._walk_runs(lo, hi, shadowed)
 
     def _memtable_shadowed(self, lo: int, hi: int) -> Optional[set]:
         """The memtable's part of :meth:`range_empty`: ``None`` when it
@@ -849,30 +919,22 @@ class LSMStore:
 
     def _walk_runs(
         self,
-        runs: Sequence[SSTable],
         lo: int,
         hi: int,
         shadowed: set,
+        first: int = 0,
         verdicts: Optional[Sequence[bool]] = None,
     ) -> bool:
-        """The run walk of :meth:`range_empty`: ``runs`` newest first,
-        ``False`` at the first key whose newest version is live.
+        """The run walk of :meth:`range_empty` over the read view from
+        position ``first`` on, ``False`` at the first key whose newest
+        version is live.
 
         ``shadowed`` holds the keys a newer source already decided dead;
-        the walk adds to it. ``verdicts[i]``, when given, is a batch
-        filter pass's answer for ``runs[i]`` (``True`` = must read it) and
-        stands in for the fence and filter check, so the batch lanes
-        never probe a filter twice. The ledger moves exactly as without.
+        the walk adds to it. ``verdicts`` is passed to
+        :meth:`_must_read`. The ledger moves exactly as without.
         """
         stats = self.stats
-        for i, run in enumerate(runs):
-            if verdicts is not None:
-                must_read = verdicts[i]
-            else:
-                must_read = not self._prune(run, lo, hi)
-            if not must_read:
-                stats.reads_avoided += 1
-                continue
+        for run in self._must_read(lo, hi, first, verdicts):
             stats.reads_performed += 1
             matches = self._run_scan(run, lo, hi)
             if not matches:
@@ -899,7 +961,7 @@ class LSMStore:
     # ------------------------------------------------------------------
     @property
     def run_count(self) -> int:
-        return len(self._runs())
+        return len(self._view.runs)
 
     @property
     def compaction_policy(self) -> CompactionPolicy:
@@ -997,7 +1059,7 @@ class LSMStore:
     @property
     def filter_bits_total(self) -> int:
         """Memory spent on filters across all runs."""
-        return sum(run.filter_bits for run in self._runs())
+        return sum(run.filter_bits for run in self._view.runs)
 
     def __len__(self) -> int:
         """Number of live keys (merges every run; for tests/demos).

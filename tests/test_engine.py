@@ -33,12 +33,83 @@ from repro.filters import FilterSpec
 from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.sstable import SSTable
 from repro.lsm.store import IoStats, LSMStore
+from repro.lsm.ttl import unwrap
 
 UNIVERSE = 2**32
 
 
 GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=14, max_range_size=64, seed=7)
 grafite_factory = GRAFITE_SPEC.factory()
+
+LEDGER_FIELDS = ("reads_performed", "reads_avoided", "wasted_reads",
+                 "cache_hits", "cache_misses")
+
+
+def ledger(store):
+    """The store's read ledger followed by every run's I/O counter."""
+    return ([getattr(store.stats, f) for f in LEDGER_FIELDS]
+            + [run.io_reads for run in store._runs()])
+
+
+def per_slice_runs(store, lo, hi):
+    """The runs ``[lo, hi]`` must read, by the run-by-run walk every read
+    path took before levels were fenced: each run in recency order, a
+    fence check on its key bounds, then its filter; each skipped run is
+    credited to ``reads_avoided`` as it is passed."""
+    for run in store._runs():
+        if not run.overlaps(lo, hi) or not run.may_contain_range(lo, hi):
+            store.stats.reads_avoided += 1
+            continue
+        yield run
+
+
+def per_slice_range_empty(store, lo, hi):
+    """Reference ``range_empty``: the run-by-run walk over every slice."""
+    shadowed = store._memtable_shadowed(lo, hi)
+    if shadowed is None:
+        return False
+    for run in per_slice_runs(store, lo, hi):
+        store.stats.reads_performed += 1
+        matches = store._run_scan(run, lo, hi)
+        if not matches:
+            store.stats.wasted_reads += 1
+            continue
+        for key, live in matches.items_with_liveness(store.ttl_now):
+            if key in shadowed:
+                continue
+            if live:
+                return False
+            shadowed.add(key)
+    return True
+
+
+def per_slice_get(store, key):
+    """Reference ``get``: the run-by-run walk over every slice."""
+    found, value = store._memtable.get(key)
+    if found:
+        return unwrap(value) if store._is_live(value) else None
+    for run in per_slice_runs(store, key, key):
+        store.stats.reads_performed += 1
+        matches = store._run_scan(run, key, key)
+        if matches:
+            value = matches[0][1]
+            return unwrap(value) if store._is_live(value) else None
+        store.stats.wasted_reads += 1
+    return None
+
+
+def per_slice_range_scan(store, lo, hi):
+    """Reference ``range_scan``: the run-by-run walk over every slice."""
+    merged = dict(store._memtable.scan(lo, hi))
+    for run in per_slice_runs(store, lo, hi):
+        store.stats.reads_performed += 1
+        matches = store._run_scan(run, lo, hi)
+        if not matches:
+            store.stats.wasted_reads += 1
+        for key, value in matches:
+            merged.setdefault(key, value)
+    return [(k, unwrap(v)) for k, v in sorted(merged.items())
+            if store._is_live(v)]
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +404,8 @@ class TestShardedEngine:
         ``range_empty``'s verdicts and move the ledger and every run's
         I/O counter the same way, with and without a block cache, on a
         leveled shard under a newer run that tombstones and expires
-        older live keys, with live and tombstoned memtable entries."""
+        older live keys, with live and tombstoned memtable entries. The
+        loop itself matches the run-by-run reference walk."""
         from repro.engine import batch as batch_mod
         from repro.lsm.cache import BlockCache
         from repro.lsm.compaction import LeveledPolicy
@@ -346,11 +418,14 @@ class TestShardedEngine:
             batch_mod, "_columnar_empty",
             lambda *args: columnar_calls.append(1) or columnar(*args),
         )
-        walked = []  # run count of every scalar walk
+        walked = []  # read-view position every scalar walk starts at
         walk = LSMStore._walk_runs
         monkeypatch.setattr(
             LSMStore, "_walk_runs",
-            lambda self, runs, *args: walked.append(len(runs)) or walk(self, runs, *args),
+            lambda self, lo, hi, shadowed, first=0, verdicts=None: (
+                walked.append(first)
+                or walk(self, lo, hi, shadowed, first, verdicts)
+            ),
         )
         keys = np.random.default_rng(3).choice(universe, 1200, replace=False).tolist()
 
@@ -381,7 +456,7 @@ class TestShardedEngine:
                 store.attach_cache(BlockCache(64, num_stripes=2))
             return store
 
-        loop_store, batch_store = build(), build()
+        ref_store, loop_store, batch_store = build(), build(), build()
         assert len(batch_store._memtable) > 0
         assert batch_store.run_count > 2
         rng = np.random.default_rng(n)
@@ -399,13 +474,10 @@ class TestShardedEngine:
             np.asarray([hi for _, hi in fixed], dtype=np.uint64),
             los[len(fixed):] + rng.integers(0, 256, max(n - len(fixed), 0)).astype(np.uint64),
         ))[:n]
-        fields = ("reads_performed", "reads_avoided", "wasted_reads",
-                  "cache_hits", "cache_misses")
-
-        def ledger(store):
-            return ([getattr(store.stats, f) for f in fields]
-                    + [run.io_reads for run in store._runs()])
-
+        before = ledger(ref_store)
+        ref = [per_slice_range_empty(ref_store, int(lo), int(hi))
+               for lo, hi in zip(los, his)]
+        ref_delta = np.subtract(ledger(ref_store), before).tolist()
         before = ledger(loop_store)
         want = [loop_store.range_empty(int(lo), int(hi))
                 for lo, hi in zip(los, his)]
@@ -415,8 +487,8 @@ class TestShardedEngine:
         got = batch_mod.shard_batch_empty(batch_store, los, his)
         batch_delta = np.subtract(ledger(batch_store), before).tolist()
 
-        assert got.tolist() == want
-        assert batch_delta == loop_delta
+        assert got.tolist() == want == ref
+        assert batch_delta == loop_delta == ref_delta
         if n >= len(fixed):
             assert want[:3] == [True, True, True]  # shadowed, not deleted
             assert not all(want) and any(want)
@@ -425,8 +497,190 @@ class TestShardedEngine:
                 assert batch_delta[4] > 0
             else:
                 # A shadowed hand-off walks on from the next run.
-                assert min(walked) < batch_store.run_count
+                assert max(walked) > 0
         assert len(columnar_calls) == int(n > batch_mod.SCALAR_CUTOFF)
+
+    @staticmethod
+    def _fenced_store(cached):
+        """A two-level sliced shard over the full 64-bit universe, built
+        run by run: a coalesced empty placeholder slice in each level,
+        slices whose tombstones shadow live keys of the older level,
+        keys 0 and 2^64 - 1, a level-0 run and memtable entries on top.
+        The newer level's slices have filters, the older level's none, so
+        its fence-passing probes read slices that hold nothing in range."""
+        from repro.lsm.cache import BlockCache
+
+        universe = 2**64
+        top = universe - 1
+
+        def piece(entries, span, factory=grafite_factory):
+            return SSTable(sorted(entries), universe,
+                           factory if entries else None, slice_bounds=span)
+
+        newer = [
+            piece([(0, b"a"), (10, TOMBSTONE), (500, TOMBSTONE)], (0, 999)),
+            piece([(1000, TOMBSTONE), (1500, b"b"), (5000, TOMBSTONE),
+                   (7000, b"b")]
+                  + [(2**39 + 3 * i, b"b") for i in range(40)],
+                  (1000, 2**40 - 1)),
+            piece([], (2**40, 2**50 - 1)),  # two placeholders, fused
+            piece([(2**50 + 1, b"d"), (top - 5, TOMBSTONE), (top, b"d")],
+                  (2**50, top)),
+        ]
+        older = [
+            piece([(10, b"e"), (20, b"e"), (5000, b"e"), (6000, b"e"),
+                   (2**41 + 7, b"e")]
+                  + [(2**39 + 3 * i + 1, b"e") for i in range(40)],
+                  (0, 2**45 - 1), None),
+            piece([], (2**45, 2**48 - 1)),
+            piece([(2**48 + 3, b"g"), (top - 5, b"g"), (top - 1, b"g")],
+                  (2**48, top), None),
+        ]
+        level0 = [SSTable([(20, TOMBSTONE), (2**41 + 100, b"z")], universe,
+                          grafite_factory)]
+        store = LSMStore.from_runs(
+            universe, level0=level0, levels=[newer, older],
+            filter_factory=grafite_factory, compaction_policy="leveled",
+            auto_compact=False,
+        )
+        store.put(6000, b"m")
+        store.delete(2**39 + 4)
+        if cached:
+            store.attach_cache(BlockCache(64, num_stripes=2))
+        return store
+
+    FENCED_QUERIES = [
+        (0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (10, 10),
+        (5000, 5000), (999, 1000), (400, 1500), (2**41, 2**41 + 10),
+        (2**45 + 5, 2**46), (2**64 - 6, 2**64 - 4), (20, 20),
+        (2**40 - 10, 2**40 + 10), (2**39 + 4, 2**39 + 4), (6000, 6000),
+        (2**39 + 1, 2**39 + 2), (2**48, 2**48 + 2), (400, 7000), (30, 40),
+        (2**41, 2**48 + 5),
+    ]
+
+    @pytest.mark.parametrize("n, cached", [
+        *(pytest.param(n, False, id=str(n)) for n in (1, 8, 9, 64)),
+        *(pytest.param(n, True, id=f"{n}-cached") for n in (1, 8, 9, 64)),
+    ])
+    def test_fenced_levels_keep_the_per_slice_ledger(self, n, cached):
+        """Reading a sliced level through its fence index — the scalar
+        walk's bisect, also where the columnar lane hands a query to
+        that walk — gives the verdicts, the ledger and the per-run I/O
+        counts of the run-by-run walk over every slice, for 1-, 8-, 9-
+        and 64-range sub-batches, with and without a block cache."""
+        from repro.engine.batch import shard_batch_empty
+
+        ref_store, loop_store, batch_store = (
+            self._fenced_store(cached) for _ in range(3)
+        )
+        segments = batch_store._view.segments
+        assert [index is not None for _, _, index in segments] == [
+            False, True, True
+        ]
+        rng = np.random.default_rng(n)
+        keys = np.asarray(sorted(
+            k for run in batch_store._runs() for k in run.keys_view().tolist()
+        ), dtype=np.uint64)
+        picks = keys[rng.integers(0, keys.size, n)]
+        widths = rng.integers(0, 8, n).astype(np.uint64)
+        los = np.concatenate((
+            np.asarray([lo for lo, _ in self.FENCED_QUERIES], dtype=np.uint64),
+            picks - np.minimum(picks, widths),
+        ))[:n]
+        his = np.concatenate((
+            np.asarray([hi for _, hi in self.FENCED_QUERIES], dtype=np.uint64),
+            picks + np.minimum(np.uint64(2**64 - 1) - picks, widths),
+        ))[:n]
+
+        before = ledger(ref_store)
+        want = [per_slice_range_empty(ref_store, int(lo), int(hi))
+                for lo, hi in zip(los, his)]
+        ref_delta = np.subtract(ledger(ref_store), before).tolist()
+        before = ledger(loop_store)
+        got_loop = [loop_store.range_empty(int(lo), int(hi))
+                    for lo, hi in zip(los, his)]
+        loop_delta = np.subtract(ledger(loop_store), before).tolist()
+        before = ledger(batch_store)
+        got_batch = shard_batch_empty(batch_store, los, his).tolist()
+        batch_delta = np.subtract(ledger(batch_store), before).tolist()
+
+        assert got_loop == want
+        assert got_batch == want
+        assert loop_delta == ref_delta
+        assert batch_delta == ref_delta
+        if n == len(los) and n >= len(self.FENCED_QUERIES):
+            assert want[:len(self.FENCED_QUERIES)] == [
+                False, False, False, True, True, True, False, False,
+                True, True, True, True, True, False, False, True,
+                False, True, False,
+            ]
+
+    def test_level_index_follows_the_run_set(self):
+        """A level's fence index is rebuilt with the run set: a compaction
+        step that rewrites the level replaces it at once, and every index
+        bisects a range to exactly the slices a fence check on each
+        slice's key bounds would pass."""
+        from repro.lsm.compaction import LeveledPolicy
+
+        store = LSMStore(
+            2**32, memtable_limit=100,
+            compaction_policy=LeveledPolicy(slice_target=64),
+            auto_compact=False,
+        )
+        for key in range(0, 20_000, 7):
+            store.put(key, b"v")
+        store.flush()
+        store.compact()
+
+        def fenced():
+            return [(store._view.runs[start:stop], index)
+                    for start, stop, index in store._view.segments
+                    if index is not None]
+
+        def check():
+            for level, index in fenced():
+                for lo in range(0, 20_100, 331):
+                    hi = lo + (lo % 3) * 97
+                    hits = [p for p, run in enumerate(level)
+                            if run.overlaps(lo, hi)]
+                    first, stop = index.touched(lo, hi)
+                    if hits:
+                        assert (first, stop) == (hits[0], hits[-1] + 1)
+                    else:
+                        assert first == stop
+
+        ((level, index),) = fenced()
+        assert len(level) > 10
+        check()
+        store.put(3, b"x")
+        store.flush()
+        store.request_compaction()
+        store.compact()
+        ((rebuilt_level, rebuilt),) = fenced()
+        assert rebuilt is not index
+        assert list(rebuilt_level) == list(store.levels[0])
+        check()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_get_and_range_scan_keep_the_per_slice_ledger(self, cached):
+        """``get`` and ``range_scan`` go through the same fence index and
+        move the ledger and per-run I/O counts as the run-by-run walk."""
+        ref_store, store = self._fenced_store(cached), self._fenced_store(cached)
+        top = 2**64 - 1
+        for key in (0, 10, 20, 500, 1000, 5000, 6000, 2**39 + 4, 2**41 + 7,
+                    2**41 + 100, 2**46, 2**48 + 3, top - 5, top - 1, top,
+                    7001):
+            before_ref, before = ledger(ref_store), ledger(store)
+            assert store.get(key) == per_slice_get(ref_store, key)
+            assert (np.subtract(ledger(store), before).tolist()
+                    == np.subtract(ledger(ref_store), before_ref).tolist())
+        for lo, hi in self.FENCED_QUERIES:
+            before_ref, before = ledger(ref_store), ledger(store)
+            assert store.range_scan(lo, hi) == per_slice_range_scan(
+                ref_store, lo, hi
+            )
+            assert (np.subtract(ledger(store), before).tolist()
+                    == np.subtract(ledger(ref_store), before_ref).tolist())
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_columnar_lane_never_probes_a_filter_twice(self, cached, monkeypatch):

@@ -25,6 +25,7 @@ from repro.engine import (
     plan_batch,
 )
 from repro.engine import planner as planner_mod
+from repro.engine.batch import SCALAR_CUTOFF
 from repro.engine.planner import PROCESS_FLOOR, _merge_intervals
 from repro.filters import FilterSpec
 
@@ -50,6 +51,18 @@ def build_engine(keys, *, num_shards=4, universe=UNIVERSE, planner=None):
 
 def u64(values):
     return np.asarray(values, dtype=np.uint64)
+
+
+#: Copies per range in the planner integration batches: a batch of at
+#: most ``SCALAR_CUTOFF`` ranges takes the straight path and never meets
+#: the planner, while the dedup pass folds the copies back into one
+#: range, so the negative cache sees exactly the distinct ranges.
+PLANNED = SCALAR_CUTOFF + 1
+
+
+def planned(values):
+    """``values`` as a ``uint64`` column, each repeated ``PLANNED`` times."""
+    return np.repeat(u64(values), PLANNED)
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +376,8 @@ class TestPlannerEngineIntegration:
     def test_second_batch_hits_negative_cache(self):
         planner = BatchPlanner()
         engine = build_engine([5, 10_000], planner=planner)
-        los = u64([100, 200, 100])
-        his = u64([150, 250, 150])
+        los = planned([100, 200, 100])
+        his = planned([150, 250, 150])
         assert engine.batch_range_empty(los, his).all()
         before = planner.cache.hits
         assert engine.batch_range_empty(los, his).all()
@@ -376,58 +389,66 @@ class TestPlannerEngineIntegration:
     def test_memtable_write_disqualifies_cached_empty(self):
         planner = BatchPlanner()
         engine = build_engine([5], planner=planner)
-        assert engine.batch_range_empty(u64([100]), u64([200])).all()
-        assert engine.batch_range_empty(u64([100]), u64([200])).all()
+        assert engine.batch_range_empty(planned([100]), planned([200])).all()
+        assert engine.batch_range_empty(planned([100]), planned([200])).all()
         # An unflushed write inside the cached range must flip the
         # verdict immediately — no version bump happens on put().
         engine.put(150, "x")
-        assert not engine.batch_range_empty(u64([100]), u64([200])).any()
+        assert not engine.batch_range_empty(
+            planned([100]), planned([200])
+        ).any()
         # ... and a tombstone is an overlap too (shadowing semantics
         # are the executor's business, not the cache's).
         engine.delete(150)
-        verdict = engine.batch_range_empty(u64([100]), u64([200]))
+        verdict = engine.batch_range_empty(planned([100]), planned([200]))
         np.testing.assert_array_equal(
-            verdict, [engine.range_empty(100, 200)]
+            verdict, [engine.range_empty(100, 200)] * PLANNED
         )
 
     def test_flush_evicts_via_version_bump(self):
         planner = BatchPlanner()
         engine = build_engine([5], planner=planner)
-        assert engine.batch_range_empty(u64([100]), u64([200])).all()
+        assert engine.batch_range_empty(planned([100]), planned([200])).all()
         engine.put(150, "x")
         engine.flush_all()  # runs_version bump: entry tagged stale
-        assert not engine.batch_range_empty(u64([100]), u64([200])).any()
+        assert not engine.batch_range_empty(
+            planned([100]), planned([200])
+        ).any()
         # Delete + flush makes the range empty again; the new proof is
         # recorded at the new version and replays.
         engine.delete(150)
         engine.flush_all()
-        assert engine.batch_range_empty(u64([100]), u64([200])).all()
+        assert engine.batch_range_empty(planned([100]), planned([200])).all()
         hits_before = planner.cache.hits
-        assert engine.batch_range_empty(u64([100]), u64([200])).all()
+        assert engine.batch_range_empty(planned([100]), planned([200])).all()
         assert planner.cache.hits > hits_before
 
     def test_straddler_segments_replay_from_the_cache(self):
         keys = [5, 10_000, 3 * (UNIVERSE // 4) + 7]
         planner = BatchPlanner()
-        planned = build_engine(keys, planner=planner)
+        planned_engine = build_engine(keys, planner=planner)
         plain = build_engine(keys)
-        width = planned.router.shard_width
+        width = planned_engine.router.shard_width
         # An empty straddler over shards 0-1, and one over shards 1-3
         # whose shard-3 segment holds a key.
-        los = u64([width - 100, 2 * width - 50])
-        his = u64([width + 100, 3 * width + 10])
+        los = planned([width - 100, 2 * width - 50])
+        his = planned([width + 100, 3 * width + 10])
         want = plain.batch_range_empty(los, his)
-        np.testing.assert_array_equal(want, [True, False])
-        np.testing.assert_array_equal(planned.batch_range_empty(los, his), want)
+        np.testing.assert_array_equal(want, np.repeat([True, False], PLANNED))
+        np.testing.assert_array_equal(
+            planned_engine.batch_range_empty(los, his), want
+        )
         before = planner.cache.hits
-        np.testing.assert_array_equal(planned.batch_range_empty(los, his), want)
+        np.testing.assert_array_equal(
+            planned_engine.batch_range_empty(los, his), want
+        )
         # Each empty per-shard segment (two per straddler) is a hit.
         assert planner.cache.hits - before == 4
 
     def test_attach_different_engine_clears_cache(self):
         planner = BatchPlanner()
         engine_a = build_engine([5], planner=planner)
-        assert engine_a.batch_range_empty(u64([100]), u64([200])).all()
+        assert engine_a.batch_range_empty(planned([100]), planned([200])).all()
         assert planner.cache.n_intervals > 0
         build_engine([7], planner=planner)
         # Re-homing the planner dropped every interval proven against
@@ -437,12 +458,40 @@ class TestPlannerEngineIntegration:
     def test_detach_restores_unplanned_path(self):
         planner = BatchPlanner()
         engine = build_engine([5], planner=planner)
-        engine.batch_range_empty(u64([100]), u64([200]))
+        engine.batch_range_empty(planned([100]), planned([200]))
         batches = planner.stats_snapshot()["batches"]
+        assert batches == 1
         engine.attach_planner(None)
         assert engine.planner is None
-        engine.batch_range_empty(u64([100]), u64([200]))
+        engine.batch_range_empty(planned([100]), planned([200]))
         assert planner.stats_snapshot()["batches"] == batches
+
+    @pytest.mark.parametrize("n", [1, SCALAR_CUTOFF])
+    def test_tiny_batch_takes_the_straight_path(self, n):
+        """A batch of at most ``SCALAR_CUTOFF`` ranges skips the planner:
+        it returns a ``range_empty`` loop's verdicts, straddlers and a
+        memtable overlap included, and leaves the negative cache's
+        counters where they were."""
+        keys = [5, 10_000, 3 * (UNIVERSE // 4) + 7]
+        planner = BatchPlanner()
+        engine = build_engine(keys, planner=planner)
+        engine.put(20_000, "m")
+        width = engine.router.shard_width
+        ranges = [(100, 200), (width - 100, 2 * width + 10), (9_990, 10_010),
+                  (19_990, 20_010), (2 * width - 50, 3 * width + 10),
+                  (0, 4), (UNIVERSE - 9, UNIVERSE - 1), (100, 200)][:n]
+        los, his = u64([lo for lo, _ in ranges]), u64([hi for _, hi in ranges])
+        cache = planner.cache
+        # Prime the cache through the planner with a larger batch.
+        engine.batch_range_empty(planned([100]), planned([200]))
+        counters = (cache.hits, cache.misses, cache.insertions)
+        for _ in range(2):
+            got = engine.batch_range_empty(los, his)
+            np.testing.assert_array_equal(
+                got, [engine.range_empty(lo, hi) for lo, hi in ranges]
+            )
+        assert (cache.hits, cache.misses, cache.insertions) == counters
+        assert planner.stats_snapshot()["batches"] == 1
 
 
 class TestPlannerServiceIntegration:
