@@ -31,11 +31,16 @@ the whole pipeline by moving the batch as structure-of-arrays columns:
    the FPR-sized minority. The filter verdicts are reused, never
    probed again: each run is read once for all still-open queries with
    :meth:`~repro.lsm.sstable.SSTable.scan_batch` (a ``searchsorted``
-   pair and a liveness reduce), and only memtable overlaps, queries
-   whose newest matching run holds only dead keys, and stores with a
-   block cache take the store's scalar run walk (which bisects a
-   leveled level's fence index, :mod:`repro.lsm.levels`, to the slices
-   a range touches);
+   pair and a liveness reduce), and only memtable overlaps and queries
+   whose newest matching run holds only dead keys take the store's
+   scalar run walk (which bisects a leveled level's fence index,
+   :mod:`repro.lsm.levels`, to the slices a range touches). A store
+   with a block cache verifies the same way: the reads bypass the cache
+   and log their block spans, and the log is then replayed through the
+   cache in a ``range_empty`` loop's order
+   (:class:`~repro.lsm.cache.BlockTouchLog`), one ``get_block`` per
+   block touch, so the cache keeps the I/O ledger and charges the
+   simulated device exactly as that loop would;
 4. per-shard verdicts are scattered back into the result bitmap by the
    position column (``empty[qid[~sub_empty]] = False``), which AND-folds
    a straddler's segments for free.
@@ -57,6 +62,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import InvalidQueryError
+from repro.lsm.cache import BlockTouchLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.engine import ShardedEngine
@@ -312,8 +318,12 @@ def _columnar_empty(
     most slices on this fence check alone and each slice's filter sees
     only the queries that can touch it. The per-run verdicts are kept:
     the "maybe" minority is then verified exactly without a second
-    filter probe, in columns by :func:`_verify_columns` or, with a block
-    cache attached, through the cache one query at a time.
+    filter probe: in columns by :func:`_verify_columns`, and by the
+    store's scalar walk for the queries the memtable has an opinion on.
+    With a block cache attached, every read logs its block span instead
+    of going through the cache, and the log is replayed through the
+    cache at the end, so hits, misses and the LRU state are those of a
+    ``range_empty`` loop.
     """
     # The memtable is exact (no false positives): any entry in range —
     # live or tombstone — sends the query to the verification path.
@@ -347,23 +357,28 @@ def _columnar_empty(
     clean = int((~maybe).sum())
     store.stats.reads_avoided += clean * len(runs)
     empty = np.ones(q_lo.size, dtype=bool)
-    if store.cache is None:
-        # The memtable has an opinion on the overlapping queries: they
-        # take the scalar walk; the rest verify in columns.
-        scalar = np.flatnonzero(overlap)
-        _verify_columns(store, runs, must_read, q_lo, q_hi,
-                        np.flatnonzero(maybe & ~overlap), empty)
-    else:
-        # Block-granular reads through the cache, in query order, so the
-        # hits and misses are those of a range_empty loop.
-        scalar = np.flatnonzero(maybe)
-    for j in scalar.tolist():
+    cache = store.cache
+    touches = None if cache is None else BlockTouchLog()
+    # The memtable has an opinion on the overlapping queries: they take
+    # the scalar walk; the rest verify in columns.
+    _verify_columns(store, runs, must_read, q_lo, q_hi,
+                    np.flatnonzero(maybe & ~overlap), empty, touches)
+    for j in np.flatnonzero(overlap).tolist():
         lo, hi = int(q_lo[j]), int(q_hi[j])
         shadowed = store._memtable_shadowed(lo, hi)
         empty[j] = shadowed is not None and store._walk_runs(
-            lo, hi, shadowed, 0, _verdicts(must_read, j)
+            lo, hi, shadowed, 0, _verdicts(must_read, j), _logger(touches, j)
         )
+    if touches is not None:
+        hits, misses = touches.replay(cache, runs)
+        store.stats.cache_hits += hits
+        store.stats.cache_misses += misses
     return empty
+
+
+def _logger(touches: Optional[BlockTouchLog], j: int):
+    """The scalar walk's ``log`` for query ``j`` (``None``: no cache)."""
+    return None if touches is None else partial(touches.add, j)
 
 
 def _verdicts(must_read: List[Optional[np.ndarray]], j: int) -> List[bool]:
@@ -379,6 +394,7 @@ def _verify_columns(
     q_hi: np.ndarray,
     open_q: np.ndarray,
     empty: np.ndarray,
+    touches: Optional[BlockTouchLog] = None,
 ) -> None:
     """Exact verification of the queries ``open_q`` with column reads.
 
@@ -389,6 +405,8 @@ def _verify_columns(
     is tombstoned or expired, the query is handed to the store's scalar
     walk from the next run on, with those keys shadowed. Queries no run
     matches stay empty. The ledger moves as a ``range_empty`` loop's.
+    With ``touches`` given (a cached store) no read charges ``io_reads``
+    or touches the cache; each logs its block span there instead.
     """
     stats = store.stats
     now = store.ttl_now
@@ -404,7 +422,12 @@ def _verify_columns(
             continue
         take = open_q[taken]
         stats.reads_performed += int(take.size)
-        starts, stops, live = run.scan_batch(q_lo[take], q_hi[take], now)
+        take_lo, take_hi = q_lo[take], q_hi[take]
+        starts, stops, live = run.scan_batch(
+            take_lo, take_hi, now, charge=touches is None
+        )
+        if touches is not None:
+            touches.add_batch(take, r, run, take_lo, take_hi)
         matched = stops > starts
         stats.wasted_reads += int(take.size - matched.sum())
         empty[take[live]] = False
@@ -414,7 +437,7 @@ def _verify_columns(
             shadowed = set(keys[starts[i]:stops[i]].tolist())
             empty[j] = store._walk_runs(
                 int(q_lo[j]), int(q_hi[j]), shadowed, r + 1,
-                _verdicts(must_read, j),
+                _verdicts(must_read, j), _logger(touches, j),
             )
         keep = np.ones(open_q.size, dtype=bool)
         keep[taken[matched]] = False

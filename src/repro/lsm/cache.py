@@ -38,10 +38,18 @@ a configurable ``miss_latency`` sleep, modelling the device the
 simulated I/O ledger only counts. The sleep releases the GIL, so a
 thread-pool service genuinely overlaps simulated disk fetches.
 
+Two kinds of reader use either cache. The store's scalar reads
+(``range_empty``, ``get``, ``range_scan``) fetch each range's blocks
+through ``scan``. The columnar batch lane reads the run columns
+directly and logs its block touches in a :class:`BlockTouchLog`, which
+replays them through ``get_block`` in the order a ``range_empty`` loop
+would fetch them, so the cache's counters and LRU state do not depend
+on which lane ran.
+
 Hit/miss totals are exposed both here (cache-wide; per attachment for
 the shared slab) and folded into each store's
 :class:`~repro.lsm.store.IoStats` by the callers in
-:mod:`repro.lsm.store`.
+:mod:`repro.lsm.store` and :mod:`repro.engine.batch`.
 """
 
 from __future__ import annotations
@@ -128,6 +136,62 @@ class _CacheCommon:
     def stats(self) -> Dict[str, int]:
         """Snapshot of the hit/miss counters and the resident blocks."""
         return {"hits": self.hits, "misses": self.misses, "resident": len(self)}
+
+
+class BlockTouchLog:
+    """The block reads of one batch verification, replayed through a cache.
+
+    Verdicts never depend on what a cache holds, so a cached store's
+    batch lane reads the run columns straight (no cache, no I/O charge)
+    and logs each (query, run) read here as ``(j, p, first, last)``:
+    query ``j`` read the run at read-view position ``p`` and so touched
+    blocks ``first..last`` (:meth:`SSTable.block_span`'s fence rule).
+    :meth:`replay` then makes one ``get_block`` call per touch, sorted
+    by ``(j, p, block)`` — the calls a ``range_empty`` loop over the
+    batch makes, in its order. Hits, misses, ``miss_latency`` sleeps,
+    each run's ``io_reads`` and the LRU state therefore come out as the
+    loop's at any cache size, for either cache class.
+    """
+
+    __slots__ = ("_reads",)
+
+    def __init__(self) -> None:
+        self._reads: List[Tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
+
+    def add_batch(
+        self, qids: np.ndarray, p: int, run: SSTable,
+        los: np.ndarray, his: np.ndarray,
+    ) -> None:
+        """Queries ``qids`` read run ``p`` over ``[los, his]`` columns."""
+        first, last = run.block_spans(los, his)
+        self._reads.append((qids, p, first, last))
+
+    def add(self, j: int, p: int, run: SSTable, lo: int, hi: int) -> None:
+        """Query ``j`` read run ``p`` over ``[lo, hi]``."""
+        self.add_batch(np.asarray([j], dtype=np.int64), p, run,
+                       np.asarray([lo], dtype=np.uint64),
+                       np.asarray([hi], dtype=np.uint64))
+
+    def replay(self, cache: _CacheCommon, runs: List[SSTable]) -> Tuple[int, int]:
+        """Fetch every logged block through ``cache`` in loop order;
+        ``runs`` is the read view the positions index. Returns
+        ``(hits, misses)``."""
+        if not self._reads:
+            return 0, 0
+        j, pos, first, last = (np.concatenate(col) for col in zip(*(
+            (qids, np.full(qids.size, p, dtype=np.int64), first, last)
+            for qids, p, first, last in self._reads
+        )))
+        order = np.lexsort((pos, j))
+        pos, first = pos[order], first[order]
+        counts = np.maximum(last[order] - first + 1, 0)
+        ends = np.cumsum(counts)
+        blocks = np.repeat(first - ends + counts, counts) + np.arange(int(ends[-1]))
+        get_block = cache.get_block
+        hits = 0
+        for p, index in zip(np.repeat(pos, counts).tolist(), blocks.tolist()):
+            hits += get_block(runs[p], index)[1]
+        return hits, int(blocks.size) - hits
 
 
 class BlockCache(_CacheCommon):

@@ -618,20 +618,27 @@ class SSTable:
             int(self._vexp[i]), self._heap, 0,
         )
 
-    def scan(self, lo: int, hi: int) -> Matches:
+    def scan(self, lo: int, hi: int, *, charge: bool = True) -> Matches:
         """Range scan; counts one I/O (a run read), returns a lazy
-        zero-copy :class:`Matches` view of the matching entries."""
+        zero-copy :class:`Matches` view of the matching entries.
+
+        ``charge=False`` skips the I/O count: the batch lane of a cached
+        store reads the columns straight and charges the device through
+        the cache's block misses instead.
+        """
         self._check_open()
-        self.io_reads += 1
+        if charge:
+            self.io_reads += 1
         start = int(np.searchsorted(self._keys, _u64(lo), side="left"))
         stop = int(np.searchsorted(self._keys, _u64(hi), side="right"))
         return Matches([(self._whole_view(), start, stop)])
 
     def scan_batch(
-        self, los: np.ndarray, his: np.ndarray, now: int
+        self, los: np.ndarray, his: np.ndarray, now: int, *, charge: bool = True
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Range scans of every ``[los[j], his[j]]`` at once; counts one
-        I/O per range, as that many :meth:`scan` calls would.
+        I/O per range, as that many :meth:`scan` calls would (none with
+        ``charge=False``, as for :meth:`scan`).
 
         ``los``/``his`` are ``uint64`` columns. One ``searchsorted`` pair
         locates every range and one gather of the matched entries' tag
@@ -641,7 +648,8 @@ class SSTable:
         ``now``.
         """
         self._check_open()
-        self.io_reads += int(los.size)
+        if charge:
+            self.io_reads += int(los.size)
         starts = np.searchsorted(self._keys, los, side="left")
         stops = np.searchsorted(self._keys, his, side="right")
         counts = stops - starts
@@ -698,6 +706,21 @@ class SSTable:
         if last < 0:
             return None  # the whole range sits before the first key
         return max(first, 0), last
+
+    def block_spans(
+        self, los: np.ndarray, his: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`block_span` of every ``[los[j], his[j]]`` at once.
+
+        ``los``/``his`` are ``uint64`` columns with ``los <= his``.
+        Returns ``int64`` columns ``(first, last)``: range ``j`` touches
+        blocks ``first[j]..last[j]``, none when ``last[j] < first[j]``
+        (where :meth:`block_span` says ``None``).
+        """
+        fences = self._keys[::BLOCK_ENTRIES]
+        first = np.searchsorted(fences, los, side="right").astype(np.int64) - 1
+        last = np.searchsorted(fences, his, side="right").astype(np.int64) - 1
+        return np.maximum(first, 0), last
 
     def block_view(self, index: int) -> Block:
         """Zero-copy :class:`Block` over block ``index`` — no simulated

@@ -813,9 +813,9 @@ class LSMStore:
         hi: int,
         first: int = 0,
         verdicts: Optional[Sequence[bool]] = None,
-    ) -> Iterator[SSTable]:
+    ) -> Iterator[Tuple[int, SSTable]]:
         """The runs ``[lo, hi]`` must read, newest first, from position
-        ``first`` of the read view on.
+        ``first`` of the read view on, as ``(position, run)`` pairs.
 
         Every run it skips is credited to ``reads_avoided`` at the point
         a run-by-run walk would credit it. A fenced level bisects to the
@@ -845,7 +845,7 @@ class LSMStore:
                 else:
                     must = not self._prune(run, lo, hi)
                 if must:
-                    yield run
+                    yield p, run
                 else:
                     stats.reads_avoided += 1
             stats.reads_avoided += stop - end
@@ -856,7 +856,7 @@ class LSMStore:
         found, value = self._memtable.get(key)
         if found:
             return unwrap(value) if self._is_live(value) else None
-        for run in self._must_read(key, key):
+        for _, run in self._must_read(key, key):
             self.stats.reads_performed += 1
             if self._cache is None:
                 found, value = run.get(key)
@@ -879,7 +879,7 @@ class LSMStore:
         for key, value in self._memtable.scan(lo, hi):
             merged.setdefault(key, value)
         # Recency order: setdefault keeps the newest version.
-        for run in self._must_read(lo, hi):
+        for _, run in self._must_read(lo, hi):
             self.stats.reads_performed += 1
             matches = self._run_scan(run, lo, hi)
             if not matches:
@@ -924,6 +924,7 @@ class LSMStore:
         shadowed: set,
         first: int = 0,
         verdicts: Optional[Sequence[bool]] = None,
+        log: Optional[Callable[[int, SSTable, int, int], None]] = None,
     ) -> bool:
         """The run walk of :meth:`range_empty` over the read view from
         position ``first`` on, ``False`` at the first key whose newest
@@ -931,12 +932,21 @@ class LSMStore:
 
         ``shadowed`` holds the keys a newer source already decided dead;
         the walk adds to it. ``verdicts`` is passed to
-        :meth:`_must_read`. The ledger moves exactly as without.
+        :meth:`_must_read`. With ``log`` given, each run is read straight
+        from its columns, bypassing the cache and charging no I/O, and
+        ``log(position, run, lo, hi)`` records the read for a later
+        replay through the cache (:class:`~repro.lsm.cache.BlockTouchLog`),
+        which moves the cache counters. The rest of the ledger moves
+        exactly as without.
         """
         stats = self.stats
-        for run in self._must_read(lo, hi, first, verdicts):
+        for p, run in self._must_read(lo, hi, first, verdicts):
             stats.reads_performed += 1
-            matches = self._run_scan(run, lo, hi)
+            if log is None:
+                matches = self._run_scan(run, lo, hi)
+            else:
+                matches = run.scan(lo, hi, charge=False)
+                log(p, run, lo, hi)
             if not matches:
                 stats.wasted_reads += 1
                 continue

@@ -30,12 +30,19 @@ from repro.engine import (
 )
 from repro.errors import CorruptionError, InvalidParameterError, InvalidQueryError
 from repro.filters import FilterSpec
+from repro.lsm.cache import (
+    _F_BLOCK, _F_LEN, _F_TICK, _F_UID, BlockCache, SharedBlockCache,
+)
 from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.sstable import SSTable
 from repro.lsm.store import IoStats, LSMStore
 from repro.lsm.ttl import unwrap
 
 UNIVERSE = 2**32
+SHADOWING_UNIVERSE = 2**20
+SHADOWING_KEYS = np.random.default_rng(3).choice(
+    SHADOWING_UNIVERSE, 1200, replace=False
+).tolist()
 
 
 GRAFITE_SPEC = FilterSpec("grafite", bits_per_key=14, max_range_size=64, seed=7)
@@ -49,6 +56,54 @@ def ledger(store):
     """The store's read ledger followed by every run's I/O counter."""
     return ([getattr(store.stats, f) for f in LEDGER_FIELDS]
             + [run.io_reads for run in store._runs()])
+
+
+#: Block caches the ledger tests run under, by name: none, the LRU, an
+#: LRU small enough to evict in the middle of a sub-batch, the slab.
+CACHE_KINDS = {
+    "lru": lambda: BlockCache(64, num_stripes=2),
+    "tiny": lambda: BlockCache(2, num_stripes=1),
+    "shared": lambda: SharedBlockCache(8, num_stripes=2),
+}
+
+
+@pytest.fixture
+def caches():
+    """``caches(kind)`` builds a :data:`CACHE_KINDS` cache (``None`` for
+    none); every slab is closed at teardown."""
+    made = []
+
+    def make(kind):
+        cache = None if kind is None else CACHE_KINDS[kind]()
+        made.append(cache)
+        return cache
+    yield make
+    for cache in made:
+        if isinstance(cache, SharedBlockCache):
+            cache.close()
+
+
+def align_run_ids(store):
+    """Number the store's runs by read-view position, in ``uid`` and in
+    ``shared_id``: stores built alike then key their blocks alike, so
+    their caches place and evict them alike."""
+    for p, run in enumerate(store._runs()):
+        run.uid = 10**9 + p
+        run.shared_id = p + 1
+
+
+def cache_state(cache):
+    """The cache's resident blocks in LRU order: each stripe's keys for
+    a ``BlockCache``, ``(slot, uid, block)`` by tick for a slab."""
+    if cache is None:
+        return None
+    if isinstance(cache, SharedBlockCache):
+        slots = cache._slots
+        used = np.flatnonzero(slots[:, _F_LEN])
+        order = used[np.argsort(slots[used, _F_TICK], kind="stable")]
+        return [(int(s), int(slots[s, _F_UID]), int(slots[s, _F_BLOCK]))
+                for s in order]
+    return [list(stripe.blocks) for stripe in cache._stripes]
 
 
 def per_slice_runs(store, lo, hi):
@@ -392,26 +447,82 @@ class TestShardedEngine:
         )
         assert batch_store.stats.reads_performed == 0
 
-    @pytest.mark.parametrize("n, cached", [
-        *(pytest.param(n, True, id=str(n)) for n in (1, 8, 9, 64)),
-        *(pytest.param(n, False, id=f"{n}-uncached") for n in (1, 8, 9, 64)),
+    @staticmethod
+    def _shadowing_store(cache=None):
+        """A leveled shard under a newer run that tombstones and expires
+        older live keys, with live and tombstoned memtable entries, and
+        ``cache`` attached (run ids aligned, see :func:`align_run_ids`)."""
+        from repro.lsm.compaction import LeveledPolicy
+        from repro.lsm.ttl import ExpiringValue
+
+        store = LSMStore(
+            SHADOWING_UNIVERSE, memtable_limit=50,
+            filter_factory=grafite_factory,
+            compaction_policy=LeveledPolicy(slice_target=40),
+            auto_compact=False,
+        )
+        for key in SHADOWING_KEYS:
+            store.put(key, b"v")
+        store.compact()
+        # One newer run: tombstones (some over older live keys) and
+        # entries that expire, over older live keys and over none.
+        for key in range(0, 20_000, 1000):
+            store.delete(key)
+        for key in SHADOWING_KEYS[:4]:
+            store.delete(key)
+        for key in SHADOWING_KEYS[4:8] + [900_001]:
+            store.put(key, ExpiringValue(b"t", 5))
+        store.flush()
+        store.set_ttl_now(10)
+        for key in (600_000, 600_100):
+            store.put(key, b"m")  # live memtable entries
+        for key in (700_000, 700_500):
+            store.delete(key)  # tombstoned memtable entries
+        align_run_ids(store)
+        store.attach_cache(cache)
+        return store
+
+    SHADOWING_FIXED = [
+        (SHADOWING_KEYS[0], SHADOWING_KEYS[0]),
+        (SHADOWING_KEYS[4], SHADOWING_KEYS[4]), (900_001, 900_001),
+        (600_050, 600_100), (700_000, 700_000), (700_400, 700_600),
+        (SHADOWING_KEYS[1] - 5, SHADOWING_KEYS[1] + 200), (5_000, 5_100),
+        (0, 10),
+    ]
+
+    def _shadowing_queries(self, n, seed):
+        """``n`` ranges: the fixed cases above, then random ones."""
+        fixed = self.SHADOWING_FIXED
+        rng = np.random.default_rng(seed)
+        extra = max(n - len(fixed), 0)
+        los = np.concatenate((
+            np.asarray([lo for lo, _ in fixed], dtype=np.uint64),
+            rng.integers(0, SHADOWING_UNIVERSE - 300, extra, dtype=np.uint64),
+        ))[:n]
+        his = np.concatenate((
+            np.asarray([hi for _, hi in fixed], dtype=np.uint64),
+            los[len(fixed):] + rng.integers(0, 256, extra).astype(np.uint64),
+        ))[:n]
+        return los, his
+
+    @pytest.mark.parametrize("n, cache", [
+        pytest.param(n, cache, id=f"{n}{suffix}")
+        for cache, suffix in (("lru", ""), (None, "-uncached"),
+                              ("tiny", "-tiny"), ("shared", "-shared"))
+        for n in (1, 8, 9, 64)
     ])
     def test_scalar_and_columnar_lanes_match_a_range_empty_loop(
-        self, n, cached, monkeypatch
+        self, n, cache, caches, monkeypatch
     ):
         """Both lanes of ``shard_batch_empty`` — a loop for up to
         ``SCALAR_CUTOFF`` ranges, columnar above — give a loop of
         ``range_empty``'s verdicts and move the ledger and every run's
-        I/O counter the same way, with and without a block cache, on a
-        leveled shard under a newer run that tombstones and expires
-        older live keys, with live and tombstoned memtable entries. The
-        loop itself matches the run-by-run reference walk."""
+        I/O counter the same way, and leave the block cache (none, an
+        LRU, one small enough to evict mid-batch, a shared slab) holding
+        the same blocks in the same LRU order, over two sub-batches in a
+        row. The loop itself matches the run-by-run reference walk."""
         from repro.engine import batch as batch_mod
-        from repro.lsm.cache import BlockCache
-        from repro.lsm.compaction import LeveledPolicy
-        from repro.lsm.ttl import ExpiringValue
 
-        universe = 2**20
         columnar_calls = []
         columnar = batch_mod._columnar_empty
         monkeypatch.setattr(
@@ -422,94 +533,95 @@ class TestShardedEngine:
         walk = LSMStore._walk_runs
         monkeypatch.setattr(
             LSMStore, "_walk_runs",
-            lambda self, lo, hi, shadowed, first=0, verdicts=None: (
+            lambda self, lo, hi, shadowed, first=0, *rest: (
                 walked.append(first)
-                or walk(self, lo, hi, shadowed, first, verdicts)
+                or walk(self, lo, hi, shadowed, first, *rest)
             ),
         )
-        keys = np.random.default_rng(3).choice(universe, 1200, replace=False).tolist()
-
-        def build():
-            store = LSMStore(
-                universe, memtable_limit=50, filter_factory=grafite_factory,
-                compaction_policy=LeveledPolicy(slice_target=40),
-                auto_compact=False,
-            )
-            for key in keys:
-                store.put(key, b"v")
-            store.compact()
-            # One newer run: tombstones (some over older live keys) and
-            # entries that expire, over older live keys and over none.
-            for key in range(0, 20_000, 1000):
-                store.delete(key)
-            for key in keys[:4]:
-                store.delete(key)
-            for key in keys[4:8] + [900_001]:
-                store.put(key, ExpiringValue(b"t", 5))
-            store.flush()
-            store.set_ttl_now(10)
-            for key in (600_000, 600_100):
-                store.put(key, b"m")  # live memtable entries
-            for key in (700_000, 700_500):
-                store.delete(key)  # tombstoned memtable entries
-            if cached:
-                store.attach_cache(BlockCache(64, num_stripes=2))
-            return store
-
-        ref_store, loop_store, batch_store = build(), build(), build()
+        ref_store, loop_store, batch_store = (
+            self._shadowing_store(caches(cache)) for _ in range(3)
+        )
         assert len(batch_store._memtable) > 0
         assert batch_store.run_count > 2
-        rng = np.random.default_rng(n)
-        fixed = [
-            (keys[0], keys[0]), (keys[4], keys[4]), (900_001, 900_001),
-            (600_050, 600_100), (700_000, 700_000), (700_400, 700_600),
-            (keys[1] - 5, keys[1] + 200), (5_000, 5_100), (0, 10),
-        ]
-        los = np.concatenate((
-            np.asarray([lo for lo, _ in fixed], dtype=np.uint64),
-            rng.integers(0, universe - 300, max(n - len(fixed), 0),
-                         dtype=np.uint64),
-        ))[:n]
-        his = np.concatenate((
-            np.asarray([hi for _, hi in fixed], dtype=np.uint64),
-            los[len(fixed):] + rng.integers(0, 256, max(n - len(fixed), 0)).astype(np.uint64),
-        ))[:n]
-        before = ledger(ref_store)
-        ref = [per_slice_range_empty(ref_store, int(lo), int(hi))
-               for lo, hi in zip(los, his)]
-        ref_delta = np.subtract(ledger(ref_store), before).tolist()
-        before = ledger(loop_store)
-        want = [loop_store.range_empty(int(lo), int(hi))
-                for lo, hi in zip(los, his)]
-        loop_delta = np.subtract(ledger(loop_store), before).tolist()
-        before = ledger(batch_store)
-        walked.clear()
-        got = batch_mod.shard_batch_empty(batch_store, los, his)
-        batch_delta = np.subtract(ledger(batch_store), before).tolist()
+        for seed in (n, n + 1000):  # the second sub-batch meets a warm cache
+            los, his = self._shadowing_queries(n, seed)
+            before = ledger(ref_store)
+            ref = [per_slice_range_empty(ref_store, int(lo), int(hi))
+                   for lo, hi in zip(los, his)]
+            ref_delta = np.subtract(ledger(ref_store), before).tolist()
+            before = ledger(loop_store)
+            want = [loop_store.range_empty(int(lo), int(hi))
+                    for lo, hi in zip(los, his)]
+            loop_delta = np.subtract(ledger(loop_store), before).tolist()
+            before = ledger(batch_store)
+            walked.clear()
+            got = batch_mod.shard_batch_empty(batch_store, los, his)
+            batch_delta = np.subtract(ledger(batch_store), before).tolist()
 
-        assert got.tolist() == want == ref
-        assert batch_delta == loop_delta == ref_delta
-        if n >= len(fixed):
-            assert want[:3] == [True, True, True]  # shadowed, not deleted
-            assert not all(want) and any(want)
-            assert batch_delta[0] > 0 and batch_delta[1] > 0
-            if cached:
-                assert batch_delta[4] > 0
-            else:
+            assert got.tolist() == want == ref
+            assert batch_delta == loop_delta == ref_delta
+            assert (cache_state(batch_store.cache)
+                    == cache_state(loop_store.cache)
+                    == cache_state(ref_store.cache))
+            if n >= len(self.SHADOWING_FIXED):
+                assert want[:3] == [True, True, True]  # shadowed, not deleted
+                assert not all(want) and any(want)
+                assert batch_delta[0] > 0 and batch_delta[1] > 0
+                if cache is not None and seed == n:
+                    assert batch_delta[4] > 0
                 # A shadowed hand-off walks on from the next run.
                 assert max(walked) > 0
-        assert len(columnar_calls) == int(n > batch_mod.SCALAR_CUTOFF)
+        if cache == "tiny" and n > batch_mod.SCALAR_CUTOFF:
+            assert batch_delta[4] > 2  # evictions within each sub-batch
+        assert len(columnar_calls) == 2 * int(n > batch_mod.SCALAR_CUTOFF)
+
+    @pytest.mark.parametrize("cache", ("lru", "tiny", "shared"))
+    def test_cached_columnar_lane_makes_no_per_query_scan(
+        self, cache, caches, monkeypatch
+    ):
+        """A cached store's columnar lane reads no range through
+        ``scan`` — the per-query walk through the cache is gone — and
+        calls ``get_block`` exactly as often as a ``range_empty`` loop."""
+        from repro.engine.batch import SCALAR_CUTOFF, shard_batch_empty
+        from repro.lsm.cache import BlockCache, SharedBlockCache, _CacheCommon
+
+        scans, fetches = [], []
+        scan = _CacheCommon.scan
+        monkeypatch.setattr(
+            _CacheCommon, "scan",
+            lambda self, *args: scans.append(1) or scan(self, *args),
+        )
+        for cls in (BlockCache, SharedBlockCache):
+            monkeypatch.setattr(
+                cls, "get_block",
+                lambda self, *args, _fetch=cls.get_block: (
+                    fetches.append(1) or _fetch(self, *args)
+                ),
+            )
+        loop_store, batch_store = (
+            self._shadowing_store(caches(cache)) for _ in range(2)
+        )
+        los, his = self._shadowing_queries(64, 7)
+        assert los.size > SCALAR_CUTOFF
+        for lo, hi in zip(los.tolist(), his.tolist()):
+            loop_store.range_empty(lo, hi)
+        loop_scans, loop_fetches = len(scans), len(fetches)
+        assert loop_scans > 0 and loop_fetches > 0
+        del scans[:], fetches[:]
+        shard_batch_empty(batch_store, los, his)
+        assert len(scans) == 0
+        assert len(fetches) == loop_fetches
+        assert cache_state(batch_store.cache) == cache_state(loop_store.cache)
 
     @staticmethod
-    def _fenced_store(cached):
+    def _fenced_store(cache=None):
         """A two-level sliced shard over the full 64-bit universe, built
         run by run: a coalesced empty placeholder slice in each level,
         slices whose tombstones shadow live keys of the older level,
         keys 0 and 2^64 - 1, a level-0 run and memtable entries on top.
         The newer level's slices have filters, the older level's none, so
-        its fence-passing probes read slices that hold nothing in range."""
-        from repro.lsm.cache import BlockCache
-
+        its fence-passing probes read slices that hold nothing in range.
+        ``cache`` is attached with the run ids aligned."""
         universe = 2**64
         top = universe - 1
 
@@ -545,8 +657,8 @@ class TestShardedEngine:
         )
         store.put(6000, b"m")
         store.delete(2**39 + 4)
-        if cached:
-            store.attach_cache(BlockCache(64, num_stripes=2))
+        align_run_ids(store)
+        store.attach_cache(cache)
         return store
 
     FENCED_QUERIES = [
@@ -558,62 +670,70 @@ class TestShardedEngine:
         (2**41, 2**48 + 5),
     ]
 
-    @pytest.mark.parametrize("n, cached", [
-        *(pytest.param(n, False, id=str(n)) for n in (1, 8, 9, 64)),
-        *(pytest.param(n, True, id=f"{n}-cached") for n in (1, 8, 9, 64)),
+    @pytest.mark.parametrize("n, cache", [
+        pytest.param(n, cache, id=f"{n}{suffix}")
+        for cache, suffix in ((None, ""), ("lru", "-cached"),
+                              ("tiny", "-tiny"), ("shared", "-shared"))
+        for n in (1, 8, 9, 64)
     ])
-    def test_fenced_levels_keep_the_per_slice_ledger(self, n, cached):
+    def test_fenced_levels_keep_the_per_slice_ledger(self, n, cache, caches):
         """Reading a sliced level through its fence index — the scalar
         walk's bisect, also where the columnar lane hands a query to
         that walk — gives the verdicts, the ledger and the per-run I/O
-        counts of the run-by-run walk over every slice, for 1-, 8-, 9-
-        and 64-range sub-batches, with and without a block cache."""
+        counts of the run-by-run walk over every slice, and the same
+        cache contents in the same LRU order, for 1-, 8-, 9- and
+        64-range sub-batches, two in a row, without a block cache and
+        with each of :data:`CACHE_KINDS`."""
         from repro.engine.batch import shard_batch_empty
 
         ref_store, loop_store, batch_store = (
-            self._fenced_store(cached) for _ in range(3)
+            self._fenced_store(caches(cache)) for _ in range(3)
         )
         segments = batch_store._view.segments
         assert [index is not None for _, _, index in segments] == [
             False, True, True
         ]
-        rng = np.random.default_rng(n)
         keys = np.asarray(sorted(
             k for run in batch_store._runs() for k in run.keys_view().tolist()
         ), dtype=np.uint64)
-        picks = keys[rng.integers(0, keys.size, n)]
-        widths = rng.integers(0, 8, n).astype(np.uint64)
-        los = np.concatenate((
-            np.asarray([lo for lo, _ in self.FENCED_QUERIES], dtype=np.uint64),
-            picks - np.minimum(picks, widths),
-        ))[:n]
-        his = np.concatenate((
-            np.asarray([hi for _, hi in self.FENCED_QUERIES], dtype=np.uint64),
-            picks + np.minimum(np.uint64(2**64 - 1) - picks, widths),
-        ))[:n]
+        for seed in (n, n + 1000):  # the second sub-batch meets a warm cache
+            rng = np.random.default_rng(seed)
+            picks = keys[rng.integers(0, keys.size, n)]
+            widths = rng.integers(0, 8, n).astype(np.uint64)
+            los = np.concatenate((
+                np.asarray([lo for lo, _ in self.FENCED_QUERIES], dtype=np.uint64),
+                picks - np.minimum(picks, widths),
+            ))[:n]
+            his = np.concatenate((
+                np.asarray([hi for _, hi in self.FENCED_QUERIES], dtype=np.uint64),
+                picks + np.minimum(np.uint64(2**64 - 1) - picks, widths),
+            ))[:n]
 
-        before = ledger(ref_store)
-        want = [per_slice_range_empty(ref_store, int(lo), int(hi))
-                for lo, hi in zip(los, his)]
-        ref_delta = np.subtract(ledger(ref_store), before).tolist()
-        before = ledger(loop_store)
-        got_loop = [loop_store.range_empty(int(lo), int(hi))
+            before = ledger(ref_store)
+            want = [per_slice_range_empty(ref_store, int(lo), int(hi))
                     for lo, hi in zip(los, his)]
-        loop_delta = np.subtract(ledger(loop_store), before).tolist()
-        before = ledger(batch_store)
-        got_batch = shard_batch_empty(batch_store, los, his).tolist()
-        batch_delta = np.subtract(ledger(batch_store), before).tolist()
+            ref_delta = np.subtract(ledger(ref_store), before).tolist()
+            before = ledger(loop_store)
+            got_loop = [loop_store.range_empty(int(lo), int(hi))
+                        for lo, hi in zip(los, his)]
+            loop_delta = np.subtract(ledger(loop_store), before).tolist()
+            before = ledger(batch_store)
+            got_batch = shard_batch_empty(batch_store, los, his).tolist()
+            batch_delta = np.subtract(ledger(batch_store), before).tolist()
 
-        assert got_loop == want
-        assert got_batch == want
-        assert loop_delta == ref_delta
-        assert batch_delta == ref_delta
-        if n == len(los) and n >= len(self.FENCED_QUERIES):
-            assert want[:len(self.FENCED_QUERIES)] == [
-                False, False, False, True, True, True, False, False,
-                True, True, True, True, True, False, False, True,
-                False, True, False,
-            ]
+            assert got_loop == want
+            assert got_batch == want
+            assert loop_delta == ref_delta
+            assert batch_delta == ref_delta
+            assert (cache_state(batch_store.cache)
+                    == cache_state(loop_store.cache)
+                    == cache_state(ref_store.cache))
+            if n == len(los) and n >= len(self.FENCED_QUERIES):
+                assert want[:len(self.FENCED_QUERIES)] == [
+                    False, False, False, True, True, True, False, False,
+                    True, True, True, True, True, False, False, True,
+                    False, True, False,
+                ]
 
     def test_level_index_follows_the_run_set(self):
         """A level's fence index is rebuilt with the run set: a compaction
@@ -661,11 +781,12 @@ class TestShardedEngine:
         assert list(rebuilt_level) == list(store.levels[0])
         check()
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_get_and_range_scan_keep_the_per_slice_ledger(self, cached):
+    @pytest.mark.parametrize("cache", [None, "lru"])
+    def test_get_and_range_scan_keep_the_per_slice_ledger(self, cache, caches):
         """``get`` and ``range_scan`` go through the same fence index and
         move the ledger and per-run I/O counts as the run-by-run walk."""
-        ref_store, store = self._fenced_store(cached), self._fenced_store(cached)
+        ref_store, store = (self._fenced_store(caches(cache))
+                            for _ in range(2))
         top = 2**64 - 1
         for key in (0, 10, 20, 500, 1000, 5000, 6000, 2**39 + 4, 2**41 + 7,
                     2**41 + 100, 2**46, 2**48 + 3, top - 5, top - 1, top,
