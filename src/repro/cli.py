@@ -950,7 +950,7 @@ def cmd_scrub(args: argparse.Namespace) -> int:
     else:
         wal = report["wal"]
         wal_cell = (
-            "missing" if wal == "missing" else
+            wal if isinstance(wal, str) else  # "missing" or "corrupt"
             f"{wal['records']} records"
             + (", torn tail (tolerated)" if wal["torn_tail"] else ", intact")
         )

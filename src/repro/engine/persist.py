@@ -675,7 +675,8 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     single block is pinpointed — and parses structurally, filter blobs
     included; the WAL's record chain is intact (a torn tail is
     reported but is *not* corruption — crash recovery tolerates it by
-    design).
+    design; a checksummed record that does not decode is, and sets
+    ``wal`` to ``"corrupt"``).
 
     Returns a report dict: ``ok`` (no corruption anywhere), per-artifact
     statuses, and an ``errors`` list naming each corrupt artifact — the
@@ -748,13 +749,19 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     if wal_path.exists():
         from repro.engine.wal import scan_wal_file
 
-        records, valid_length, total_length = scan_wal_file(wal_path)
-        report["wal"] = {
-            "records": len(records),
-            "valid_bytes": valid_length,
-            "total_bytes": total_length,
-            "torn_tail": valid_length < total_length,
-        }
+        try:
+            records, valid_length, total_length = scan_wal_file(wal_path)
+        except CorruptionError as exc:
+            report["wal"] = "corrupt"
+            report["ok"] = False
+            report["errors"].append(str(exc))
+        else:
+            report["wal"] = {
+                "records": len(records),
+                "valid_bytes": valid_length,
+                "total_bytes": total_length,
+                "torn_tail": valid_length < total_length,
+            }
     else:
         report["wal"] = "missing"
     return report

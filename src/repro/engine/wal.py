@@ -7,28 +7,46 @@ snapshot. The format is deliberately boring and self-healing:
 
 ``header | record*``
 
-* header: magic ``b"RWAL"``, format version (u16);
-* record: ``crc32(payload) (u32) | len(payload) (u32) | payload`` where
-  the payload is ``op (u8) | key (u64) | pickled value`` (the value part
-  is empty for deletes and TTL clock records, whose key field carries
-  the logical time instead).
+* header: magic ``b"RWAL"``, format version (u16, currently 2 — the
+  only version that loads);
+* record: ``crc32(payload) (u32) | len(payload) (u32) | payload``;
+* put payload: ``op (u8) | key (u64) | tag (u8) | [vexp (u64)] | body``
+  — the run format's typed value encoding
+  (:func:`repro.lsm.sstable._encode_one` / ``decode_value``), so the
+  engine has one value codec. ``vexp`` is present iff the tag carries
+  ``FLAG_EXPIRES``. The body is 8 bytes of ``va`` for an int or float,
+  one byte for a bool, nothing for ``None``, and the raw heap bytes for
+  bytes, str and pickled opaque objects (pickle is used only for those,
+  as in runs);
+* delete and TTL clock payload: ``op (u8) | key (u64)``; a clock record
+  carries the logical time in the key field.
+
+A value therefore comes back from the log exactly as a run returns it
+after a flush (a ``bytearray`` reads back as ``bytes``).
 
 A crash mid-append leaves a torn record at the tail. Opening the log
 scans it, keeps every record whose length and checksum verify, and
 truncates the file at the first record that does not — the standard
-recovery contract (RocksDB's ``kTolerateCorruptedTailRecords``).
+recovery contract (RocksDB's ``kTolerateCorruptedTailRecords``). A
+record whose checksum verifies but whose payload does not decode (an
+unknown opcode or tag, a body whose length does not fit its tag) is not
+a torn tail: it raises :class:`~repro.errors.CorruptionError` naming
+the file and byte offset instead of being truncated away.
 :func:`scan_wal_file` exposes the same scan read-only (no truncation,
 no append handle) for the scrub path.
 
-Appends go through :class:`repro.faults.FaultyFile`, so chaos runs can
-tear or EIO a record mid-write; with no fault plan installed the
-wrapper is a transparent delegate.
+Each record reaches the OS in one ``write`` on an unbuffered handle
+(looping only on a short write), so there is no separate flush and a
+write never carries more than one record. Appends go through
+:class:`repro.faults.FaultyFile`, so chaos runs can tear or EIO a
+record mid-write; with no fault plan installed the wrapper is a
+transparent delegate.
 """
 
 from __future__ import annotations
 
+import errno
 import os
-import pickle
 import struct
 import threading
 import zlib
@@ -36,12 +54,19 @@ from pathlib import Path
 from typing import Any, List, Tuple
 
 from repro import faults
-from repro.errors import InvalidParameterError
+from repro.errors import CorruptionError, InvalidParameterError
+from repro.lsm.sstable import (
+    _HEAP_TAGS, _TYPE_MASK, FLAG_EXPIRES, TAG_BOOL, TAG_FLOAT, TAG_INT,
+    TAG_NONE, _encode_one, decode_value,
+)
 
 _MAGIC = b"RWAL"
-_VERSION = 1
+_VERSION = 2
 _HEADER = _MAGIC + struct.pack("<H", _VERSION)
 _RECORD_HEADER = struct.Struct("<II")  # crc32, payload length
+_KEY_HEAD = struct.Struct("<BQ")       # op, key
+_PUT_HEAD = struct.Struct("<BQB")      # op, key, value tag
+_U64 = struct.Struct("<Q")
 
 #: Record opcodes. ``OP_CLOCK`` reuses the key field for the logical TTL
 #: time (see :meth:`repro.engine.ShardedEngine.advance_clock`): clock
@@ -56,17 +81,63 @@ OP_CLOCK = 3
 _MAX_PAYLOAD = 1 << 28
 
 
-def _encode_payload(op: int, key: int, value: Any) -> bytes:
-    head = struct.pack("<BQ", op, key)
-    if op == OP_PUT:
-        return head + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    return head
+def _encode_put(key: int, value: Any) -> bytes:
+    """A put payload: the value in the run format's typed encoding."""
+    heap = bytearray()
+    tag, va, _vb, vexp = _encode_one(value, heap)
+    head = _PUT_HEAD.pack(OP_PUT, key, tag)
+    if tag & FLAG_EXPIRES:
+        head += _U64.pack(vexp)
+    kind = tag & _TYPE_MASK
+    if kind in _HEAP_TAGS:
+        return head + heap
+    if kind == TAG_INT or kind == TAG_FLOAT:
+        return head + _U64.pack(va)
+    if kind == TAG_BOOL:
+        return head + (b"\x01" if va else b"\x00")
+    if kind == TAG_NONE:
+        return head
+    raise InvalidParameterError("a put cannot log the tombstone; log a delete")
 
 
 def _decode_payload(payload: bytes) -> Tuple[int, int, Any]:
-    op, key = struct.unpack_from("<BQ", payload, 0)
-    value = pickle.loads(payload[9:]) if op == OP_PUT else None
-    return op, key, value
+    """Decode one crc-verified payload; :class:`CorruptionError` (or
+    whatever unpickling an opaque value raises) when it does not fit."""
+    if len(payload) < _KEY_HEAD.size:
+        raise CorruptionError(f"payload of {len(payload)} bytes is too short")
+    op, key = _KEY_HEAD.unpack_from(payload)
+    if op != OP_PUT:
+        if op != OP_DELETE and op != OP_CLOCK:
+            raise CorruptionError(f"unknown opcode {op}")
+        if len(payload) != _KEY_HEAD.size:
+            raise CorruptionError(f"opcode {op} carries a value")
+        return op, key, None
+    if len(payload) < _PUT_HEAD.size:
+        raise CorruptionError("put record without a value tag")
+    tag = payload[_KEY_HEAD.size]
+    start, vexp = _PUT_HEAD.size, 0
+    if tag & FLAG_EXPIRES:
+        if len(payload) < start + _U64.size:
+            raise CorruptionError("expiring put record without its expiry")
+        (vexp,) = _U64.unpack_from(payload, start)
+        start += _U64.size
+    body = payload[start:]
+    kind = tag & _TYPE_MASK
+    va = 0
+    if kind == TAG_INT or kind == TAG_FLOAT:
+        if len(body) != _U64.size:
+            raise CorruptionError(f"tag {tag} body of {len(body)} bytes")
+        (va,) = _U64.unpack(body)
+    elif kind == TAG_BOOL:
+        if body not in (b"\x00", b"\x01"):
+            raise CorruptionError(f"bool body {body!r}")
+        va = body[0]
+    elif kind == TAG_NONE:
+        if body:
+            raise CorruptionError(f"None body of {len(body)} bytes")
+    elif kind not in _HEAP_TAGS:
+        raise CorruptionError(f"unknown value tag {tag}")
+    return op, key, decode_value(tag, va, len(body), vexp, body, 0)
 
 
 def scan_wal_file(
@@ -100,7 +171,13 @@ def scan_wal_file(
         payload = buf[body_start:body_start + length]
         if zlib.crc32(payload) != crc:
             break  # torn or corrupt record
-        records.append(_decode_payload(payload))
+        try:
+            records.append(_decode_payload(payload))
+        except Exception as exc:  # unpickling an opaque value raises anything
+            raise CorruptionError(
+                f"{os.fspath(path)}: WAL record at byte {offset} passes its "
+                f"crc32 but does not decode ({exc})"
+            ) from exc
         offset = body_start + length
     return records, offset, len(buf)
 
@@ -114,8 +191,8 @@ class WriteAheadLog:
         Log file location; created (with its header) if missing.
     sync:
         ``True`` fsyncs after every append — durable against power loss,
-        slow. ``False`` (default) flushes to the OS only, which survives
-        process crashes (the scenario the tests simulate).
+        slow. ``False`` (default) hands each record to the OS only, which
+        survives process crashes (the scenario the tests simulate).
     """
 
     def __init__(self, path: str | os.PathLike, *, sync: bool = False) -> None:
@@ -129,7 +206,10 @@ class WriteAheadLog:
         # Drop any torn tail, then position for appends.
         with open(self._path, "r+b") as fh:
             fh.truncate(valid_length)
-        self._fh = faults.wrap_file(open(self._path, "ab"))
+        self._fh = self._open_append()
+
+    def _open_append(self) -> faults.FaultyFile:
+        return faults.wrap_file(open(self._path, "ab", buffering=0))
 
     # ------------------------------------------------------------------
     # Recovery
@@ -158,16 +238,26 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, op: int, key: int, value: Any = None) -> None:
         """Durably record one mutation (call before applying it)."""
-        if op not in (OP_PUT, OP_DELETE, OP_CLOCK):
+        if op == OP_PUT:
+            payload = _encode_put(key, value)
+        elif op == OP_DELETE or op == OP_CLOCK:
+            payload = _KEY_HEAD.pack(op, key)
+        else:
             raise InvalidParameterError(f"unknown WAL opcode {op}")
-        payload = _encode_payload(op, key, value)
         record = _RECORD_HEADER.pack(zlib.crc32(payload), len(payload)) + payload
         with self._lock:
-            # One write per record: an injected (or real) tear then leaves
-            # a prefix of exactly one record — the torn tail the recovery
-            # scan is contracted to drop.
-            self._fh.write(record)
-            self._fh.flush()
+            # One write per record on an unbuffered handle: an injected
+            # (or real) tear then leaves a prefix of exactly one record —
+            # the torn tail the recovery scan is contracted to drop. A
+            # short write is continued, never merged with the next record.
+            written = self._fh.write(record)
+            while written < len(record):
+                more = self._fh.write(memoryview(record)[written:])
+                if not more:
+                    raise OSError(
+                        errno.EIO, "WAL append made no progress", str(self._path)
+                    )
+                written += more
             if self._sync:
                 self._fh.fsync()
 
@@ -194,14 +284,13 @@ class WriteAheadLog:
             self._fh.close()
             self._path.write_bytes(_HEADER)
             self._recovered.clear()
-            self._fh = faults.wrap_file(open(self._path, "ab"))
+            self._fh = self._open_append()
             if self._sync:
                 self._fh.fsync()
 
     def close(self) -> None:
         with self._lock:
             if not self._fh.closed:
-                self._fh.flush()
                 self._fh.close()
 
     def __enter__(self) -> "WriteAheadLog":

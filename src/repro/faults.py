@@ -321,35 +321,37 @@ class FaultyFile:
     applies. ``write`` may raise an injected EIO, or tear: the prefix is
     written for real and ``OSError(EIO)`` raised — matching what the
     kernel leaves after a mid-write crash. Everything else delegates.
+
+    The file name is read once, when the wrapper is built; with no plan
+    installed ``write`` is one global check and the file's own write.
     """
 
     def __init__(self, fh) -> None:
         self._fh = fh
-
-    def _plan(self) -> Optional[FaultPlan]:
-        return _active_for(getattr(self._fh, "name", ""))
+        self._name = str(getattr(fh, "name", "?"))
 
     def write(self, data: bytes) -> int:
-        plan = self._plan()
-        if plan is not None:
-            plan.maybe_latency()
-            plan.maybe_io_error(getattr(self._fh, "name", "?"), "write")
-            prefix = plan.torn_prefix(data)
-            if prefix is not None:
-                self._fh.write(prefix)
-                self._fh.flush()
-                raise OSError(
-                    errno.EIO,
-                    f"injected torn write ({len(prefix)}/{len(data)} bytes)",
-                    getattr(self._fh, "name", "?"),
-                )
+        plan = _PLAN
+        if plan is None or not plan.applies_to(self._name):
+            return self._fh.write(data)
+        plan.maybe_latency()
+        plan.maybe_io_error(self._name, "write")
+        prefix = plan.torn_prefix(data)
+        if prefix is not None:
+            self._fh.write(prefix)
+            self._fh.flush()
+            raise OSError(
+                errno.EIO,
+                f"injected torn write ({len(prefix)}/{len(data)} bytes)",
+                self._name,
+            )
         return self._fh.write(data)
 
     def fsync(self) -> None:
         """flush + fsync through the seam (used by the WAL's sync mode)."""
-        plan = self._plan()
+        plan = _active_for(self._name)
         if plan is not None:
-            plan.maybe_io_error(getattr(self._fh, "name", "?"), "fsync")
+            plan.maybe_io_error(self._name, "fsync")
         self._fh.flush()
         os.fsync(self._fh.fileno())
 

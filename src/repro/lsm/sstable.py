@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import struct
+from operator import itemgetter
 from typing import (
     Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -122,23 +123,89 @@ def _encode_one(value: Any, heap: bytearray) -> Tuple[int, int, int, int]:
     return TAG_PICKLE | flag, off, len(blob), vexp
 
 
+#: Exact python types :func:`encode_values` encodes in columns, mapped to
+#: their tag. Anything else (an :class:`ExpiringValue`, a subclass, an
+#: opaque object) sends the column down the per-value lane.
+_COLUMN_TAGS = {
+    type(TOMBSTONE): TAG_TOMBSTONE,
+    type(None): TAG_NONE,
+    bool: TAG_BOOL,
+    int: TAG_INT,
+    float: TAG_FLOAT,
+    bytes: TAG_BYTES,
+    bytearray: TAG_BYTES,
+    str: TAG_STR,
+}
+
+
 def encode_values(
     values: Sequence[Any],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bytes]:
-    """Encode a value sequence into the typed columns + heap."""
+    """Encode a value sequence into the typed columns + heap.
+
+    A column of plain values (tombstones, None, bools, int64 ints,
+    floats, bytes, str, in any mix) is encoded with array operations:
+    one type pass yields the tags, each numeric kind fills ``va`` in one
+    ``np.fromiter``, and the heap is one ``b"".join`` with offsets from a
+    ``cumsum`` of the lengths. Any other value — or an int outside int64
+    — sends the whole column through :func:`_encode_one` one value at a
+    time. Both lanes produce byte-identical columns and heap.
+    """
     n = len(values)
-    tags = np.zeros(n, dtype=np.uint8)
     va = np.zeros(n, dtype=np.uint64)
     vb = np.zeros(n, dtype=np.uint64)
     vexp = np.zeros(n, dtype=np.uint64)
-    heap = bytearray()
+    kinds = set(map(type, values))
+    if kinds.issubset(_COLUMN_TAGS):
+        if len(kinds) == 1:  # one tag fill
+            tags = np.full(n, _COLUMN_TAGS[kinds.pop()], dtype=np.uint8)
+        else:
+            tags = np.fromiter(
+                map(_COLUMN_TAGS.__getitem__, map(type, values)),
+                dtype=np.uint8, count=n,
+            )
+        try:
+            heap = _fill_columns(values, tags, va, vb)
+        except OverflowError:  # an int past int64 takes the pickle lane
+            pass
+        else:
+            return tags, va, vb, vexp, heap
+    tags = np.zeros(n, dtype=np.uint8)
+    heap_buf = bytearray()
     for i, value in enumerate(values):
-        t, a, b, e = _encode_one(value, heap)
-        tags[i] = t
-        va[i] = a
-        vb[i] = b
-        vexp[i] = e
-    return tags, va, vb, vexp, bytes(heap)
+        tags[i], va[i], vb[i], vexp[i] = _encode_one(value, heap_buf)
+    return tags, va, vb, vexp, bytes(heap_buf)
+
+
+def _fill_columns(
+    values: Sequence[Any], tags: np.ndarray, va: np.ndarray, vb: np.ndarray
+) -> bytes:
+    """The columnar lane of :func:`encode_values`: fill ``va``/``vb`` in
+    place from the tags and return the heap. Raises ``OverflowError``
+    on an int outside int64."""
+    for tag, dtype in ((TAG_INT, np.int64), (TAG_FLOAT, np.float64),
+                       (TAG_BOOL, np.uint64)):
+        mask = tags == tag
+        count = int(np.count_nonzero(mask))
+        if count:
+            picked = itertools.compress(values, mask.tolist())
+            va[mask] = np.fromiter(picked, dtype=dtype, count=count).view(np.uint64)
+    heap_mask = (tags == TAG_BYTES) | (tags == TAG_STR)
+    count = int(np.count_nonzero(heap_mask))
+    if not count:
+        return b""
+    if count == len(values):
+        blobs = values
+    else:
+        blobs = list(itertools.compress(values, heap_mask.tolist()))
+    if bool((tags == TAG_STR).any()):
+        blobs = [b.encode("utf-8") if type(b) is str else b for b in blobs]
+    lengths = np.fromiter(map(len, blobs), dtype=np.uint64, count=count)
+    offsets = np.zeros(count, dtype=np.uint64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    va[heap_mask] = offsets
+    vb[heap_mask] = lengths
+    return b"".join(blobs)
 
 
 def decode_value(
@@ -429,12 +496,13 @@ class SSTable:
         *,
         slice_bounds: Optional[Tuple[int, int]] = None,
     ) -> None:
-        keys = [k for k, _ in entries]
-        self._keys = np.asarray(keys, dtype=np.uint64)
+        self._keys = np.fromiter(
+            map(itemgetter(0), entries), dtype=np.uint64, count=len(entries)
+        )
         if self._keys.size > 1 and bool((self._keys[1:] <= self._keys[:-1]).any()):
             raise ValueError("SSTable entries must be sorted by strictly increasing key")
         self._tags, self._va, self._vb, self._vexp, self._heap = encode_values(
-            [v for _, v in entries]
+            list(map(itemgetter(1), entries))
         )
         self.universe = int(universe)
         self.io_reads = 0

@@ -27,10 +27,12 @@ Design points:
   ``"expire"`` step — the whole-key-range retirement leveled slices
   make cheap (see :meth:`~repro.lsm.sstable.SSTable.fully_expired`).
 
-The wrapper is deliberately a plain picklable class: it rides the WAL
-record and snapshot run formats unchanged (both pickle values), so TTL
-entries survive crash recovery and process-mode snapshot workers with
-zero format changes.
+The wrapper is deliberately a plain picklable class. Runs and WAL
+records share one typed value encoding, in which a wrapper is a tag
+flag plus a u64 expiry word around its inner value; a pathological
+wrapper (nested, or a deadline outside u64) is pickled whole. Either
+way TTL entries survive crash recovery and process-mode snapshot
+workers.
 """
 
 from __future__ import annotations

@@ -16,18 +16,35 @@ a crash before the rename must recover the *previous* checkpoint plus
 the full WAL, a crash after the rename but before the WAL reset must
 recover the *new* snapshot (idempotently re-applying the WAL), and
 stray ``.tmp`` manifests or orphaned run files must never be read.
+
+The WAL record format is held separately: every value kind a put can
+log round-trips through a crash-reopen as a run returns it, a record
+whose crc32 verifies but whose payload does not decode is corruption
+(never a silently truncated tail), an append completes across short
+writes with exactly one record per write, and an old-format log is
+refused. All of it is drawn from ``REPRO_DIFF_SEED``.
 """
 
 import os
+import pickle
+import re
 import shutil
+import struct
+import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.engine import ShardedEngine, WriteAheadLog, persist
-from repro.engine.wal import _HEADER
+from repro.engine.wal import (
+    _HEADER, _RECORD_HEADER, OP_CLOCK, OP_DELETE, OP_PUT, scan_wal_file,
+)
+from repro.errors import CorruptionError, InvalidParameterError
 from repro.filters import FilterSpec
+from repro.lsm.sstable import SSTable
+from repro.lsm.ttl import ExpiringValue
 
 UNIVERSE = 2**16
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20240731"))
@@ -49,8 +66,6 @@ def record_run(
     index of the last checkpoint, and the final WAL bytes.
     ``drain_every`` runs deferred compaction steps mid-stream so
     non-default policies build real level topologies before the crash."""
-    import numpy as np
-
     rng = np.random.default_rng(SEED)
     engine = ShardedEngine(
         UNIVERSE,
@@ -488,8 +503,6 @@ def test_ttl_wal_truncation_before_clock_record_is_not_resurrection(tmp_path):
 
     # Find the byte offset where replaying stops yielding the clock: the
     # largest prefix whose production parse has no OP_CLOCK record.
-    from repro.engine.wal import OP_CLOCK
-
     parse = tmp_path / "parse"
     parse.mkdir()
     cut = None
@@ -545,3 +558,278 @@ def test_previous_epoch_damage_alone_is_harmless(tmp_path):
         assert {k: v for k, v in engine.range_scan(0, UNIVERSE - 1)} == states[-1]
     finally:
         engine.close(checkpoint=False)
+
+
+# ----------------------------------------------------------------------
+# WAL record format: typed values, undecodable records, short writes
+# ----------------------------------------------------------------------
+class Opaque:
+    """An object only the pickle lane can carry."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __eq__(self, other):
+        return isinstance(other, Opaque) and self.items == other.items
+
+
+def every_value_kind(rng) -> List[Any]:
+    """One value of every kind a put can log, seeded where it has room."""
+    small = int(rng.integers(-1000, 1000))
+    return [
+        None, True, False,
+        -(2**63), 2**63 - 1, small,
+        2**64 + int(rng.integers(0, 99)),  # past int64: pickle lane
+        float("nan"), -0.0, float(rng.normal()),
+        bytes(rng.integers(0, 256, 5, dtype=np.uint8)), b"",
+        bytearray(b"ba"),
+        f"héllo ☃ {small}", "",
+        ExpiringValue(b"x", 10**6 + small),
+        ExpiringValue(ExpiringValue(small, 10**6), 10**6 + 1),  # nested
+        ExpiringValue("late", 2**64 + 1),  # deadline past u64
+        Opaque((small, "o")),
+        {"nested": [1, (2, small)]},
+    ]
+
+
+def same_value(a, b) -> bool:
+    """Equality by type and value; floats by bits (NaN, -0.0)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, ExpiringValue) and isinstance(b, ExpiringValue):
+        return a.expires_at == b.expires_at and same_value(a.value, b.value)
+    return type(a) is type(b) and a == b
+
+
+def wal_record(payload: bytes) -> bytes:
+    return _RECORD_HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+
+
+def record_sizes(wal_bytes: bytes) -> List[int]:
+    """Byte length of every whole record in an intact WAL image."""
+    sizes, offset = [], len(_HEADER)
+    while offset < len(wal_bytes):
+        _, length = _RECORD_HEADER.unpack_from(wal_bytes, offset)
+        sizes.append(_RECORD_HEADER.size + length)
+        offset += sizes[-1]
+    return sizes
+
+
+def test_wal_round_trips_every_value_kind_through_crash_reopen(tmp_path):
+    """What replay recovers is what a run returns for the same value
+    once flushed: a bytearray comes back as bytes in both."""
+    rng = np.random.default_rng(SEED)
+    values = every_value_kind(rng)
+    keys = sorted(int(k) for k in rng.choice(UNIVERSE, len(values), replace=False))
+    db = tmp_path / "db"
+    engine = ShardedEngine(
+        UNIVERSE, num_shards=2, memtable_limit=1000, directory=db
+    )
+    for key, value in zip(keys, values):
+        engine.put(key, value)
+    engine.close(checkpoint=False)  # crash: every value lives in the WAL only
+
+    records, _, _ = scan_wal_file(db / "wal.log")
+    assert [(op, key) for op, key, _ in records] == [(OP_PUT, k) for k in keys]
+    run = SSTable(list(zip(keys, values)), UNIVERSE)
+    for (_, key, recovered), value in zip(records, values):
+        found, from_run = run.get(key)
+        assert found and same_value(recovered, from_run), (value, recovered)
+    assert records[values.index(bytearray(b"ba"))][2] == b"ba"
+    assert type(records[values.index(bytearray(b"ba"))][2]) is bytes
+
+    engine = ShardedEngine.open(db)
+    try:
+        replayed = [engine.get(key) for key in keys]
+        engine.flush_all()
+        flushed = [engine.get(key) for key in keys]
+    finally:
+        engine.close(checkpoint=False)
+    for key, a, b in zip(keys, replayed, flushed):
+        assert same_value(a, b), (key, a, b)
+
+
+def test_wal_of_every_value_kind_truncated_at_every_byte(tmp_path):
+    """Each prefix of a log holding every value kind recovers exactly
+    its whole records: a torn typed record is a tail, never corruption."""
+    rng = np.random.default_rng(SEED)
+    values = every_value_kind(rng)
+    path = tmp_path / "wal.log"
+    with WriteAheadLog(path) as wal:
+        for key, value in enumerate(values):
+            wal.log_put(key, value)
+        wal.log_delete(3)
+        wal.log_clock(int(rng.integers(1, 1 << 40)))
+    wal_bytes = path.read_bytes()
+    full, _, _ = scan_wal_file(path)
+    ends = np.cumsum([len(_HEADER)] + record_sizes(wal_bytes))
+    for offset in range(len(_HEADER), len(wal_bytes) + 1):
+        path.write_bytes(wal_bytes[:offset])
+        wal = WriteAheadLog(path)
+        try:
+            got = wal.recovered
+        finally:
+            wal.close()
+        whole = int(np.searchsorted(ends, offset, side="right")) - 1
+        assert len(got) == whole, offset
+        for (op, key, value), (w_op, w_key, w_value) in zip(got, full):
+            assert (op, key) == (w_op, w_key) and same_value(value, w_value)
+        assert path.stat().st_size == ends[whole]  # the torn tail is cut
+
+
+#: Payloads whose crc32 will verify but which no append writes.
+UNDECODABLE = {
+    "unknown opcode": struct.pack("<BQ", 9, 5),
+    "short payload": b"\x01\x02\x03",
+    "delete with a value": struct.pack("<BQ", OP_DELETE, 5) + b"\x00",
+    "clock with a value": struct.pack("<BQ", OP_CLOCK, 5) + b"\x01",
+    "put without a tag": struct.pack("<BQ", OP_PUT, 5),
+    "unknown tag": struct.pack("<BQB", OP_PUT, 5, 0x0F),
+    "tombstone tag": struct.pack("<BQB", OP_PUT, 5, 0),
+    "short int body": struct.pack("<BQB", OP_PUT, 5, 2) + b"\x01\x02\x03",
+    "long float body": struct.pack("<BQB", OP_PUT, 5, 3) + b"\x00" * 9,
+    "bool body out of range": struct.pack("<BQB", OP_PUT, 5, 7) + b"\x02",
+    "None with a body": struct.pack("<BQB", OP_PUT, 5, 1) + b"x",
+    "expiry cut short": struct.pack("<BQB", OP_PUT, 5, 0x84) + b"\x00" * 4,
+    "str that is not utf-8": struct.pack("<BQB", OP_PUT, 5, 5) + b"\xff\xfe",
+    "pickle that does not load": struct.pack("<BQB", OP_PUT, 5, 6) + b"\x80\x05junk",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_crc_valid_record_that_does_not_decode_is_corruption(tmp_path, case):
+    rng = np.random.default_rng(SEED)
+    path = tmp_path / "wal.log"
+    with WriteAheadLog(path) as wal:
+        for _ in range(int(rng.integers(1, 5))):
+            wal.log_put(int(rng.integers(UNIVERSE)), int(rng.integers(1 << 20)))
+    offset = path.stat().st_size
+    good_after = wal_record(struct.pack("<BQ", OP_DELETE, 1))
+    with open(path, "ab") as fh:
+        fh.write(wal_record(UNDECODABLE[case]) + good_after)
+    before = path.read_bytes()
+    where = re.escape(str(path)) + f".* at byte {offset} "
+
+    with pytest.raises(CorruptionError, match=where):
+        WriteAheadLog(path)
+    with pytest.raises(CorruptionError, match=where):
+        scan_wal_file(path)
+    assert path.read_bytes() == before  # never truncated away
+
+    report = persist.scrub_snapshot(tmp_path)
+    assert not report["ok"] and report["wal"] == "corrupt"
+    assert any(f"at byte {offset} " in error for error in report["errors"])
+
+
+def test_engine_open_refuses_an_undecodable_record(tmp_path):
+    db = tmp_path / "db"
+    engine = ShardedEngine(UNIVERSE, num_shards=2, directory=db)
+    engine.put(int(np.random.default_rng(SEED).integers(UNIVERSE)), b"v")
+    engine.close(checkpoint=False)
+    wal_path = db / "wal.log"
+    offset = wal_path.stat().st_size
+    with open(wal_path, "ab") as fh:
+        fh.write(wal_record(UNDECODABLE["unknown tag"]))
+    with pytest.raises(CorruptionError, match=f"at byte {offset} "):
+        ShardedEngine.open(db)
+    assert wal_path.stat().st_size == offset + len(wal_record(UNDECODABLE["unknown tag"]))
+
+
+def test_scrub_reports_an_intact_chain_and_a_torn_tail(tmp_path):
+    rng = np.random.default_rng(SEED)
+    path = tmp_path / "wal.log"
+    values = every_value_kind(rng)
+    with WriteAheadLog(path) as wal:
+        for value in values:
+            wal.log_put(int(rng.integers(UNIVERSE)), value)
+    n = len(values)
+    report = persist.scrub_snapshot(tmp_path)
+    assert report["ok"]
+    assert report["wal"] == {
+        "records": n, "valid_bytes": path.stat().st_size,
+        "total_bytes": path.stat().st_size, "torn_tail": False,
+    }
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:size - int(rng.integers(1, 5))])
+    report = persist.scrub_snapshot(tmp_path)
+    assert report["ok"] and report["wal"]["torn_tail"]
+    assert report["wal"]["records"] == n - 1
+
+
+class PieceWriter:
+    """A raw handle whose ``write`` takes at most ``piece`` bytes a call
+    (``piece=None``: all of it); it logs what each call was given."""
+
+    def __init__(self, raw, piece: Optional[int]):
+        self.raw = raw
+        self.piece = piece
+        self.given: List[bytes] = []
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        self.given.append(data)
+        return self.raw.write(data if self.piece is None else data[:self.piece])
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
+
+
+def log_every_kind(wal: WriteAheadLog, rng) -> None:
+    for key, value in enumerate(every_value_kind(rng)):
+        wal.log_put(key, value)
+    wal.log_delete(int(rng.integers(UNIVERSE)))
+    wal.log_clock(int(rng.integers(1, 1 << 40)))
+
+
+def test_short_writes_still_append_whole_records(tmp_path, monkeypatch):
+    """A raw handle that takes each record in pieces: every append
+    completes, and the log is byte-identical to one written whole."""
+    piece = int(np.random.default_rng(SEED).integers(1, 4))
+    whole_path, piece_path = tmp_path / "whole.log", tmp_path / "pieces.log"
+    with WriteAheadLog(whole_path) as wal:
+        log_every_kind(wal, np.random.default_rng(SEED))
+    wal = WriteAheadLog(piece_path)
+    pieces = PieceWriter(wal._fh._fh, piece)
+    monkeypatch.setattr(wal._fh, "_fh", pieces)
+    log_every_kind(wal, np.random.default_rng(SEED))
+    wal.close()
+    sizes = record_sizes(whole_path.read_bytes())
+    assert len(pieces.given) > len(sizes)  # records really went in pieces
+    assert piece_path.read_bytes() == whole_path.read_bytes()
+    recovered = WriteAheadLog(piece_path)
+    try:
+        got = recovered.recovered
+    finally:
+        recovered.close()
+    want, _, _ = scan_wal_file(whole_path)
+    assert len(got) == len(want) == len(sizes)
+    for (op, key, value), (w_op, w_key, w_value) in zip(got, want):
+        assert (op, key) == (w_op, w_key) and same_value(value, w_value)
+
+
+def test_each_append_is_one_write_of_one_record(tmp_path, monkeypatch):
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog(path)
+    writes = PieceWriter(wal._fh._fh, None)
+    monkeypatch.setattr(wal._fh, "_fh", writes)
+    log_every_kind(wal, np.random.default_rng(SEED))
+    wal.close()
+    wal_bytes = path.read_bytes()
+    assert [len(data) for data in writes.given] == record_sizes(wal_bytes)
+    assert b"".join(writes.given) == wal_bytes[len(_HEADER):]
+
+
+def test_v1_wal_is_refused(tmp_path):
+    """Only the current record format loads; a v1 (pickled-value) log is
+    refused on open and by the read-only scan, and left untouched."""
+    path = tmp_path / "wal.log"
+    payload = struct.pack("<BQ", OP_PUT, 5) + pickle.dumps(
+        "five", protocol=pickle.HIGHEST_PROTOCOL
+    )
+    path.write_bytes(b"RWAL" + struct.pack("<H", 1) + wal_record(payload))
+    before = path.read_bytes()
+    with pytest.raises(InvalidParameterError, match="unsupported WAL version 1"):
+        WriteAheadLog(path)
+    with pytest.raises(InvalidParameterError, match="unsupported WAL version 1"):
+        scan_wal_file(path)
+    assert path.read_bytes() == before

@@ -15,6 +15,11 @@ cover every value tag, TTL expiry (including nested and out-of-range
 ``drop_tombstones`` settings, span clipping at keys 0 and ``2**64-1``,
 ``slice_target`` chunking with the empty-span placeholder slice, inputs
 reopened from a checkpoint's memory map, and a released input.
+
+The flush side keeps its oracle too: the per-value ``_encode_one`` loop
+``encode_values`` ran before it went columnar. Seeded columns of every
+value kind must encode to the same columns and heap, and a flushed
+2048-entry run must serialise to the same run file.
 """
 
 import heapq
@@ -26,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ShardedEngine
+from repro.engine.persist import run_to_bytes
 from repro.errors import CorruptionError
 from repro.lsm import store as store_mod
 from repro.lsm.compaction import LeveledPolicy, MergeUnit
@@ -35,7 +41,9 @@ from repro.lsm.sstable import (
     _GATHER_BYTES,
     TAG_PICKLE,
     SSTable,
+    _encode_one,
     decode_value,
+    encode_values,
     merge_columns,
     split_columns,
 )
@@ -449,3 +457,105 @@ def test_pickle_lane_bytes_survive_the_merge_unchanged():
     heap = bytes(merged.heap)
     blob = heap[int(merged.va[0]):int(merged.va[0]) + int(merged.vb[0])]
     assert blob == pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+# ----------------------------------------------------------------------
+# Flush encoding: the columnar encode_values against its per-value loop
+# ----------------------------------------------------------------------
+def oracle_encode(values):
+    """The per-value loop ``encode_values`` ran before it went columnar."""
+    n = len(values)
+    tags = np.zeros(n, dtype=np.uint8)
+    va = np.zeros(n, dtype=np.uint64)
+    vb = np.zeros(n, dtype=np.uint64)
+    vexp = np.zeros(n, dtype=np.uint64)
+    heap = bytearray()
+    for i, value in enumerate(values):
+        tags[i], va[i], vb[i], vexp[i] = _encode_one(value, heap)
+    return tags, va, vb, vexp, bytes(heap)
+
+
+def draw_plain_value(rng):
+    """A value of a kind the columnar lane encodes without falling back."""
+    kind = int(rng.integers(0, 9))
+    if kind == 0:
+        return TOMBSTONE
+    if kind == 1:
+        return None
+    if kind == 2:
+        return bool(rng.integers(0, 2))
+    if kind == 3:
+        return int(rng.choice([0, -1, 7, -(2**63), 2**63 - 1]))
+    if kind == 4:
+        return float(rng.choice([rng.normal(), np.nan, -0.0, np.inf]))
+    if kind == 5:
+        return bytes(rng.integers(0, 256, int(rng.integers(0, 6)), dtype=np.uint8))
+    if kind == 6:
+        return bytearray(rng.integers(0, 256, int(rng.integers(0, 4)), dtype=np.uint8))
+    if kind == 7:
+        return "sé☃" * int(rng.integers(0, 3))
+    return b"w"
+
+
+def draw_column(rng, case):
+    """Four column shapes: any kind (falls back per value), plain kinds
+    in a mix, one plain kind alone (one tag fill), and the flush column
+    of a bytes workload with deletes (bytes plus tombstones)."""
+    n = int(rng.integers(0, 300))
+    shape = case % 4
+    if shape == 0:
+        return [draw_value(rng) for _ in range(n)]
+    if shape == 1:
+        return [draw_plain_value(rng) for _ in range(n)]
+    if shape == 2:
+        first = draw_plain_value(rng)
+        same = [draw_plain_value(rng) for _ in range(4 * n)]
+        return [v for v in same if type(v) is type(first)][:n] or [first]
+    return [TOMBSTONE if rng.random() < 0.05 else b"w" for _ in range(n)]
+
+
+def assert_same_encoding(got, want):
+    for g, w in zip(got[:4], want[:4]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert type(got[4]) is bytes and got[4] == want[4]
+
+
+@pytest.mark.parametrize("case", range(48))
+def test_columnar_encode_matches_the_per_value_loop(case):
+    rng = np.random.default_rng(SEED + 5000 + case)
+    values = draw_column(rng, case)
+    assert_same_encoding(encode_values(values), oracle_encode(values))
+
+
+def test_columnar_encode_edges():
+    """An int past int64 (either side) sends the column to the pickle
+    lane; an empty column and an all-empty-bytes heap stay empty."""
+    for values in ([], [b""] * 3, [1, 2**63], [-(2**63) - 1, b"x"],
+                   [ExpiringValue(b"x", 4), b"y"], [b"x", bytearray(b"yz")]):
+        assert_same_encoding(encode_values(values), oracle_encode(values))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_flushed_run_file_matches_the_per_value_loop(mixed):
+    """A 2048-entry flush writes the same run file as columns the
+    per-value loop encoded."""
+    rng = np.random.default_rng(SEED + int(mixed))
+    keys = np.unique(rng.integers(0, 2**40, 3000, dtype=np.uint64))[:2048]
+    draw = draw_value if mixed else (
+        lambda r: TOMBSTONE if r.random() < 0.05 else b"w"
+    )
+    store = LSMStore(UNIVERSE, memtable_limit=len(keys) + 1)
+    entries = []
+    for key in keys.tolist():
+        value = draw(rng)
+        entries.append((key, value))
+        if value is TOMBSTONE:
+            store.delete(key)
+        else:
+            store.put(key, value)
+    store.flush()
+    (run,) = store.level0_runs
+    values = [v for _, v in entries]
+    want = SSTable.from_columns(keys, *oracle_encode(values), UNIVERSE)
+    assert len(run) == 2048
+    assert run_to_bytes(run) == run_to_bytes(want)
