@@ -85,7 +85,7 @@ from repro.core.serialization import (
     pack_int,
     unpack_int,
 )
-from repro.errors import CorruptionError, ReproError
+from repro.errors import CorruptionError, InvalidParameterError, ReproError
 from repro.lsm.sstable import (
     BLOCK_ENTRIES,
     FilterFactory,
@@ -675,8 +675,8 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     single block is pinpointed — and parses structurally, filter blobs
     included; the WAL's record chain is intact (a torn tail is
     reported but is *not* corruption — crash recovery tolerates it by
-    design; a checksummed record that does not decode is, and sets
-    ``wal`` to ``"corrupt"``).
+    design; a checksummed record that does not decode, a bad magic or an
+    unsupported WAL version is, and sets ``wal`` to ``"corrupt"``).
 
     Returns a report dict: ``ok`` (no corruption anywhere), per-artifact
     statuses, and an ``errors`` list naming each corrupt artifact — the
@@ -751,7 +751,9 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
 
         try:
             records, valid_length, total_length = scan_wal_file(wal_path)
-        except CorruptionError as exc:
+        except (CorruptionError, InvalidParameterError) as exc:
+            # Opening such a log refuses it (a bad magic or an unsupported
+            # version is InvalidParameterError there); scrub reports it.
             report["wal"] = "corrupt"
             report["ok"] = False
             report["errors"].append(str(exc))

@@ -11,8 +11,8 @@ snapshot. The format is deliberately boring and self-healing:
   only version that loads);
 * record: ``crc32(payload) (u32) | len(payload) (u32) | payload``;
 * put payload: ``op (u8) | key (u64) | tag (u8) | [vexp (u64)] | body``
-  — the run format's typed value encoding
-  (:func:`repro.lsm.sstable._encode_one` / ``decode_value``), so the
+  — ``op`` and ``key`` around the run format's typed value encoding
+  (:func:`repro.lsm.sstable.pack_value` / ``unpack_value``), so the
   engine has one value codec. ``vexp`` is present iff the tag carries
   ``FLAG_EXPIRES``. The body is 8 bytes of ``va`` for an int or float,
   one byte for a bool, nothing for ``None``, and the raw heap bytes for
@@ -55,18 +55,13 @@ from typing import Any, List, Tuple
 
 from repro import faults
 from repro.errors import CorruptionError, InvalidParameterError
-from repro.lsm.sstable import (
-    _HEAP_TAGS, _TYPE_MASK, FLAG_EXPIRES, TAG_BOOL, TAG_FLOAT, TAG_INT,
-    TAG_NONE, _encode_one, decode_value,
-)
+from repro.lsm.sstable import pack_value, unpack_value
 
 _MAGIC = b"RWAL"
 _VERSION = 2
 _HEADER = _MAGIC + struct.pack("<H", _VERSION)
 _RECORD_HEADER = struct.Struct("<II")  # crc32, payload length
 _KEY_HEAD = struct.Struct("<BQ")       # op, key
-_PUT_HEAD = struct.Struct("<BQB")      # op, key, value tag
-_U64 = struct.Struct("<Q")
 
 #: Record opcodes. ``OP_CLOCK`` reuses the key field for the logical TTL
 #: time (see :meth:`repro.engine.ShardedEngine.advance_clock`): clock
@@ -81,63 +76,19 @@ OP_CLOCK = 3
 _MAX_PAYLOAD = 1 << 28
 
 
-def _encode_put(key: int, value: Any) -> bytes:
-    """A put payload: the value in the run format's typed encoding."""
-    heap = bytearray()
-    tag, va, _vb, vexp = _encode_one(value, heap)
-    head = _PUT_HEAD.pack(OP_PUT, key, tag)
-    if tag & FLAG_EXPIRES:
-        head += _U64.pack(vexp)
-    kind = tag & _TYPE_MASK
-    if kind in _HEAP_TAGS:
-        return head + heap
-    if kind == TAG_INT or kind == TAG_FLOAT:
-        return head + _U64.pack(va)
-    if kind == TAG_BOOL:
-        return head + (b"\x01" if va else b"\x00")
-    if kind == TAG_NONE:
-        return head
-    raise InvalidParameterError("a put cannot log the tombstone; log a delete")
-
-
 def _decode_payload(payload: bytes) -> Tuple[int, int, Any]:
     """Decode one crc-verified payload; :class:`CorruptionError` (or
     whatever unpickling an opaque value raises) when it does not fit."""
     if len(payload) < _KEY_HEAD.size:
         raise CorruptionError(f"payload of {len(payload)} bytes is too short")
     op, key = _KEY_HEAD.unpack_from(payload)
-    if op != OP_PUT:
-        if op != OP_DELETE and op != OP_CLOCK:
-            raise CorruptionError(f"unknown opcode {op}")
-        if len(payload) != _KEY_HEAD.size:
-            raise CorruptionError(f"opcode {op} carries a value")
-        return op, key, None
-    if len(payload) < _PUT_HEAD.size:
-        raise CorruptionError("put record without a value tag")
-    tag = payload[_KEY_HEAD.size]
-    start, vexp = _PUT_HEAD.size, 0
-    if tag & FLAG_EXPIRES:
-        if len(payload) < start + _U64.size:
-            raise CorruptionError("expiring put record without its expiry")
-        (vexp,) = _U64.unpack_from(payload, start)
-        start += _U64.size
-    body = payload[start:]
-    kind = tag & _TYPE_MASK
-    va = 0
-    if kind == TAG_INT or kind == TAG_FLOAT:
-        if len(body) != _U64.size:
-            raise CorruptionError(f"tag {tag} body of {len(body)} bytes")
-        (va,) = _U64.unpack(body)
-    elif kind == TAG_BOOL:
-        if body not in (b"\x00", b"\x01"):
-            raise CorruptionError(f"bool body {body!r}")
-        va = body[0]
-    elif kind == TAG_NONE:
-        if body:
-            raise CorruptionError(f"None body of {len(body)} bytes")
-    elif kind not in _HEAP_TAGS:
-        raise CorruptionError(f"unknown value tag {tag}")
-    return op, key, decode_value(tag, va, len(body), vexp, body, 0)
+    if op == OP_PUT:
+        return op, key, unpack_value(payload[_KEY_HEAD.size:])
+    if op != OP_DELETE and op != OP_CLOCK:
+        raise CorruptionError(f"unknown opcode {op}")
+    if len(payload) != _KEY_HEAD.size:
+        raise CorruptionError(f"opcode {op} carries a value")
+    return op, key, None
 
 
 def scan_wal_file(
@@ -239,7 +190,7 @@ class WriteAheadLog:
     def append(self, op: int, key: int, value: Any = None) -> None:
         """Durably record one mutation (call before applying it)."""
         if op == OP_PUT:
-            payload = _encode_put(key, value)
+            payload = _KEY_HEAD.pack(op, key) + pack_value(value)
         elif op == OP_DELETE or op == OP_CLOCK:
             payload = _KEY_HEAD.pack(op, key)
         else:

@@ -32,7 +32,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, InvalidParameterError
 from repro.filters.base import RangeFilter
 from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.ttl import ExpiringValue
@@ -124,17 +124,14 @@ def _encode_one(value: Any, heap: bytearray) -> Tuple[int, int, int, int]:
 
 
 #: Exact python types :func:`encode_values` encodes in columns, mapped to
-#: their tag. Anything else (an :class:`ExpiringValue`, a subclass, an
+#: their tag: the kinds a flush of a bytes-valued workload holds. Any
+#: other kind (a number, a str, an :class:`ExpiringValue`, a subclass, an
 #: opaque object) sends the column down the per-value lane.
 _COLUMN_TAGS = {
     type(TOMBSTONE): TAG_TOMBSTONE,
     type(None): TAG_NONE,
-    bool: TAG_BOOL,
-    int: TAG_INT,
-    float: TAG_FLOAT,
     bytes: TAG_BYTES,
     bytearray: TAG_BYTES,
-    str: TAG_STR,
 }
 
 
@@ -143,69 +140,109 @@ def encode_values(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bytes]:
     """Encode a value sequence into the typed columns + heap.
 
-    A column of plain values (tombstones, None, bools, int64 ints,
-    floats, bytes, str, in any mix) is encoded with array operations:
-    one type pass yields the tags, each numeric kind fills ``va`` in one
-    ``np.fromiter``, and the heap is one ``b"".join`` with offsets from a
-    ``cumsum`` of the lengths. Any other value — or an int outside int64
-    — sends the whole column through :func:`_encode_one` one value at a
-    time. Both lanes produce byte-identical columns and heap.
+    A column of bytes (with tombstones and ``None`` mixed in, or not) is
+    encoded with array operations: one type pass yields the tags, the
+    heap is one ``b"".join`` and its offsets are a ``cumsum`` of the
+    lengths. A column holding any other kind goes through
+    :func:`_encode_one` one value at a time. Both lanes produce
+    byte-identical columns and heap.
     """
     n = len(values)
     va = np.zeros(n, dtype=np.uint64)
     vb = np.zeros(n, dtype=np.uint64)
     vexp = np.zeros(n, dtype=np.uint64)
     kinds = set(map(type, values))
-    if kinds.issubset(_COLUMN_TAGS):
-        if len(kinds) == 1:  # one tag fill
-            tags = np.full(n, _COLUMN_TAGS[kinds.pop()], dtype=np.uint8)
-        else:
-            tags = np.fromiter(
-                map(_COLUMN_TAGS.__getitem__, map(type, values)),
-                dtype=np.uint8, count=n,
-            )
-        try:
-            heap = _fill_columns(values, tags, va, vb)
-        except OverflowError:  # an int past int64 takes the pickle lane
-            pass
-        else:
-            return tags, va, vb, vexp, heap
-    tags = np.zeros(n, dtype=np.uint8)
-    heap_buf = bytearray()
-    for i, value in enumerate(values):
-        tags[i], va[i], vb[i], vexp[i] = _encode_one(value, heap_buf)
-    return tags, va, vb, vexp, bytes(heap_buf)
-
-
-def _fill_columns(
-    values: Sequence[Any], tags: np.ndarray, va: np.ndarray, vb: np.ndarray
-) -> bytes:
-    """The columnar lane of :func:`encode_values`: fill ``va``/``vb`` in
-    place from the tags and return the heap. Raises ``OverflowError``
-    on an int outside int64."""
-    for tag, dtype in ((TAG_INT, np.int64), (TAG_FLOAT, np.float64),
-                       (TAG_BOOL, np.uint64)):
-        mask = tags == tag
-        count = int(np.count_nonzero(mask))
-        if count:
-            picked = itertools.compress(values, mask.tolist())
-            va[mask] = np.fromiter(picked, dtype=dtype, count=count).view(np.uint64)
-    heap_mask = (tags == TAG_BYTES) | (tags == TAG_STR)
+    if not kinds.issubset(_COLUMN_TAGS):
+        tags = np.zeros(n, dtype=np.uint8)
+        heap_buf = bytearray()
+        for i, value in enumerate(values):
+            tags[i], va[i], vb[i], vexp[i] = _encode_one(value, heap_buf)
+        return tags, va, vb, vexp, bytes(heap_buf)
+    if len(kinds) == 1:  # one tag fill
+        tags = np.full(n, _COLUMN_TAGS[kinds.pop()], dtype=np.uint8)
+    else:
+        tags = np.fromiter(
+            map(_COLUMN_TAGS.__getitem__, map(type, values)),
+            dtype=np.uint8, count=n,
+        )
+    heap_mask = tags == TAG_BYTES
     count = int(np.count_nonzero(heap_mask))
     if not count:
-        return b""
-    if count == len(values):
-        blobs = values
-    else:
-        blobs = list(itertools.compress(values, heap_mask.tolist()))
-    if bool((tags == TAG_STR).any()):
-        blobs = [b.encode("utf-8") if type(b) is str else b for b in blobs]
+        return tags, va, vb, vexp, b""
+    blobs = values if count == n else list(
+        itertools.compress(values, heap_mask.tolist())
+    )
     lengths = np.fromiter(map(len, blobs), dtype=np.uint64, count=count)
     offsets = np.zeros(count, dtype=np.uint64)
     np.cumsum(lengths[:-1], out=offsets[1:])
     va[heap_mask] = offsets
     vb[heap_mask] = lengths
-    return b"".join(blobs)
+    return tags, va, vb, vexp, b"".join(blobs)
+
+
+_U64 = struct.Struct("<Q")
+_BYTES_HEAD = bytes((TAG_BYTES,))
+
+
+def pack_value(value: Any) -> bytes:
+    """One value in the typed encoding as a self-contained byte string:
+    ``tag (u8) | [vexp (u64) iff FLAG_EXPIRES] | body``.
+
+    The body is 8 bytes of ``va`` for an int or float, one byte for a
+    bool, nothing for ``None``, and the heap bytes for bytes, str and
+    pickled opaque objects — the same words a run stores, so
+    :func:`unpack_value` returns what a run returns after a flush. The
+    tombstone is not a value and raises :class:`InvalidParameterError`.
+    """
+    if type(value) is bytes:  # the common kind, without a heap copy
+        return _BYTES_HEAD + value
+    heap = bytearray()
+    tag, va, _vb, vexp = _encode_one(value, heap)
+    head = bytes((tag,))
+    if tag & FLAG_EXPIRES:
+        head += _U64.pack(vexp)
+    kind = tag & _TYPE_MASK
+    if kind in _HEAP_TAGS:
+        return head + heap
+    if kind == TAG_INT or kind == TAG_FLOAT:
+        return head + _U64.pack(va)
+    if kind == TAG_BOOL:
+        return head + (b"\x01" if va else b"\x00")
+    if kind == TAG_NONE:
+        return head
+    raise InvalidParameterError("the tombstone has no value encoding")
+
+
+def unpack_value(buf: bytes) -> Any:
+    """Decode a :func:`pack_value` string; :class:`CorruptionError` on an
+    unknown tag or a body whose length does not fit its tag (unpickling
+    an opaque value may raise whatever ``pickle.loads`` raises)."""
+    if not buf:
+        raise CorruptionError("value without a tag")
+    tag = buf[0]
+    start, vexp = 1, 0
+    if tag & FLAG_EXPIRES:
+        if len(buf) < start + _U64.size:
+            raise CorruptionError("expiring value without its expiry")
+        (vexp,) = _U64.unpack_from(buf, start)
+        start += _U64.size
+    body = buf[start:]
+    kind = tag & _TYPE_MASK
+    va = 0
+    if kind == TAG_INT or kind == TAG_FLOAT:
+        if len(body) != _U64.size:
+            raise CorruptionError(f"tag {tag} body of {len(body)} bytes")
+        (va,) = _U64.unpack(body)
+    elif kind == TAG_BOOL:
+        if body not in (b"\x00", b"\x01"):
+            raise CorruptionError(f"bool body {body!r}")
+        va = body[0]
+    elif kind == TAG_NONE:
+        if body:
+            raise CorruptionError(f"None body of {len(body)} bytes")
+    elif kind not in _HEAP_TAGS:
+        raise CorruptionError(f"unknown value tag {tag}")
+    return decode_value(tag, va, len(body), vexp, body, 0)
 
 
 def decode_value(

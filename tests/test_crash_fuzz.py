@@ -25,6 +25,8 @@ writes with exactly one record per write, and an old-format log is
 refused. All of it is drawn from ``REPRO_DIFF_SEED``.
 """
 
+import contextlib
+import io
 import os
 import pickle
 import re
@@ -37,13 +39,15 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.engine import ShardedEngine, WriteAheadLog, persist
 from repro.engine.wal import (
     _HEADER, _RECORD_HEADER, OP_CLOCK, OP_DELETE, OP_PUT, scan_wal_file,
 )
 from repro.errors import CorruptionError, InvalidParameterError
 from repro.filters import FilterSpec
-from repro.lsm.sstable import SSTable
+from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.sstable import SSTable, pack_value
 from repro.lsm.ttl import ExpiringValue
 
 UNIVERSE = 2**16
@@ -807,6 +811,25 @@ def test_short_writes_still_append_whole_records(tmp_path, monkeypatch):
         assert (op, key) == (w_op, w_key) and same_value(value, w_value)
 
 
+def test_a_put_cannot_log_the_tombstone(tmp_path):
+    """The tombstone has no value encoding: a delete is its own opcode."""
+    path = tmp_path / "wal.log"
+    with WriteAheadLog(path) as wal:
+        with pytest.raises(InvalidParameterError, match="tombstone"):
+            wal.log_put(1, TOMBSTONE)
+    assert path.read_bytes() == _HEADER
+
+
+def test_bytes_shortcut_packs_as_the_general_encoding():
+    """``pack_value`` skips the heap copy for exact ``bytes``; a
+    bytearray of the same bytes takes ``_encode_one`` and must pack to
+    the same string."""
+    rng = np.random.default_rng(SEED)
+    for n in (0, 1, 7, 300):
+        blob = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        assert pack_value(blob) == pack_value(bytearray(blob))
+
+
 def test_each_append_is_one_write_of_one_record(tmp_path, monkeypatch):
     path = tmp_path / "wal.log"
     wal = WriteAheadLog(path)
@@ -821,7 +844,9 @@ def test_each_append_is_one_write_of_one_record(tmp_path, monkeypatch):
 
 def test_v1_wal_is_refused(tmp_path):
     """Only the current record format loads; a v1 (pickled-value) log is
-    refused on open and by the read-only scan, and left untouched."""
+    refused on open and by the read-only scan, reported corrupt by scrub
+    (which exits 1 with a report, not 2 with a usage error), and left
+    untouched."""
     path = tmp_path / "wal.log"
     payload = struct.pack("<BQ", OP_PUT, 5) + pickle.dumps(
         "five", protocol=pickle.HIGHEST_PROTOCOL
@@ -832,4 +857,10 @@ def test_v1_wal_is_refused(tmp_path):
         WriteAheadLog(path)
     with pytest.raises(InvalidParameterError, match="unsupported WAL version 1"):
         scan_wal_file(path)
+    report = persist.scrub_snapshot(tmp_path)
+    assert not report["ok"] and report["wal"] == "corrupt"
+    assert any("unsupported WAL version 1" in error for error in report["errors"])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli_main(["scrub", "--dir", str(tmp_path)])
+    assert code == 1 and "unsupported WAL version 1" in out.getvalue()
     assert path.read_bytes() == before
