@@ -35,12 +35,12 @@ the whole pipeline by moving the batch as structure-of-arrays columns:
    whose newest matching run holds only dead keys take the store's
    scalar run walk (which bisects a leveled level's fence index,
    :mod:`repro.lsm.levels`, to the slices a range touches). A store
-   with a block cache verifies the same way: the reads bypass the cache
-   and log their block spans, and the log is then replayed through the
-   cache in a ``range_empty`` loop's order
-   (:class:`~repro.lsm.cache.BlockTouchLog`), one ``get_block`` per
-   block touch, so the cache keeps the I/O ledger and charges the
-   simulated device exactly as that loop would;
+   with a block cache verifies the same way: the reads take the run
+   columns, as every read does, and log their block spans, and the log
+   is then replayed through the cache in a ``range_empty`` loop's order
+   (:class:`~repro.lsm.cache.BlockTouchLog`), one ``touch`` per block,
+   so the cache keeps the I/O ledger and charges the simulated device
+   exactly as that loop would;
 4. per-shard verdicts are scattered back into the result bitmap by the
    position column (``empty[qid[~sub_empty]] = False``), which AND-folds
    a straddler's segments for free.
@@ -321,8 +321,8 @@ def _columnar_empty(
     filter probe: in columns by :func:`_verify_columns`, and by the
     store's scalar walk for the queries the memtable has an opinion on.
     With a block cache attached, every read logs its block span instead
-    of going through the cache, and the log is replayed through the
-    cache at the end, so hits, misses and the LRU state are those of a
+    of touching the cache, and the log is replayed through the cache at
+    the end, so hits, misses and the LRU state are those of a
     ``range_empty`` loop.
     """
     # The memtable is exact (no false positives): any entry in range —

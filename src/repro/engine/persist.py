@@ -43,9 +43,7 @@ generation-stamped and never overwritten; garbage collection keeps the
 union of the files referenced by the current *and* previous manifests,
 so the last two checkpoint epochs are always on disk intact. (On POSIX,
 unlinking a GC'd file a reader still has mapped is safe — the mapping
-survives until released; an *explicitly released* run raises
-:class:`~repro.errors.CorruptionError` on any further read instead of
-serving unmapped pages.)
+survives until the last column view over it is dropped.)
 
 Only the formats this module writes load: run format v4 and manifest
 version 3. Any other version stamp raises
@@ -266,7 +264,7 @@ def _restore_filter(filter_mode: int, filter_blob: bytes):
     raise CorruptionError(f"unknown run filter mode {filter_mode}")
 
 
-def _parse_run_v4(buf, *, backing=None) -> SSTable:
+def _parse_run_v4(buf) -> SSTable:
     mv = memoryview(buf)
     if len(mv) < _V4_HEADER:
         raise CorruptionError("run file too short for a v4 header")
@@ -340,27 +338,27 @@ def _parse_run_v4(buf, *, backing=None) -> SSTable:
     filt = _restore_filter(filter_mode, filter_blob)
     return SSTable.from_columns(
         keys, tags, va, vb, vexp, heap, int(universe), filt,
-        slice_bounds=slice_bounds, backing=backing,
+        slice_bounds=slice_bounds,
     )
 
 
-def _parse_run(buf, *, backing=None) -> SSTable:
+def _parse_run(buf) -> SSTable:
     head = bytes(memoryview(buf)[:6])
     if head[:4] != _RUN_MAGIC:
         raise CorruptionError("not a serialised SSTable run (bad magic)")
     (version,) = struct.unpack_from("<H", head, 4)
     if version != _RUN_VERSION:
         raise CorruptionError(f"unsupported run format version {version}")
-    return _parse_run_v4(buf, backing=backing)
+    return _parse_run_v4(buf)
 
 
-def run_from_bytes(buf, *, backing=None) -> SSTable:
+def run_from_bytes(buf) -> SSTable:
     """Load a run serialised by :func:`run_to_bytes`.
 
     ``buf`` may be ``bytes`` or any contiguous buffer — notably an
     ``np.memmap`` of the run file, in which case a v4 run adopts the
-    mapping zero-copy and ``backing`` should be the memmap so the run
-    keeps the mapping alive for as long as any view needs it.
+    mapping zero-copy: its column views keep the mapping alive for as
+    long as anything holds them.
 
     Every stored checksum is verified before the bytes are trusted: the
     metadata crc and every per-block crc (eagerly — a later
@@ -375,7 +373,7 @@ def run_from_bytes(buf, *, backing=None) -> SSTable:
     byte-for-byte: the same hash constants, so the same verdicts.
     """
     try:
-        return _parse_run(buf, backing=backing)
+        return _parse_run(buf)
     except ReproError:
         raise
     except Exception as exc:
@@ -521,7 +519,7 @@ def save_snapshot(
     # Garbage-collect run files neither retained epoch references. The
     # previous epoch's files stay on disk so a corrupt newest checkpoint
     # can roll back to an intact one. (A GC'd file some reader still has
-    # mapped stays readable through its mapping until released.)
+    # mapped stays readable through its mapping.)
     prev_live: Dict[int, Set[str]] = {}
     try:
         prev_manifest = load_manifest(root, name=PREV_MANIFEST_NAME)
@@ -581,8 +579,8 @@ def load_shard(
 
     A v4 run file is opened with ``np.memmap``: its columns become
     zero-copy views over the page cache (checksums are still verified
-    eagerly — integrity before laziness), the mapping is retained as the
-    run's backing, and the run is stamped with its
+    eagerly — integrity before laziness), the column views keep the
+    mapping alive, and the run is stamped with its
     :func:`stable_run_id` for the shared block cache. When a fault plan
     targets the file, loading falls back to the byte-reading seam so
     injected bit flips and EIO are observed. The store never compacts
@@ -609,8 +607,7 @@ def load_shard(
         path = shard_dir / name
         try:
             if faults._active_for(path) is None:
-                mapped = np.memmap(path, dtype=np.uint8, mode="r")
-                run = run_from_bytes(mapped, backing=mapped)
+                run = run_from_bytes(np.memmap(path, dtype=np.uint8, mode="r"))
             else:
                 # Fault injection targets this file: read through the
                 # seam so the plan's damage is actually applied.

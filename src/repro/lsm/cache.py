@@ -2,49 +2,48 @@
 
 Real engines put a block cache between the read path and storage: a
 probe that a filter could not prune still often finds its block already
-in memory. This module reproduces that layer over the columnar blocks
-of :class:`~repro.lsm.sstable.SSTable`, twice:
+in memory. Here a run's columns are already in memory (or mapped), so
+what a cache can model is the *device*: which blocks are resident, the
+hit/miss ledger, the LRU order and the ``miss_latency`` a miss pays.
+Both caches are therefore **residency ledgers**. They record which
+blocks of :class:`~repro.lsm.sstable.SSTable` runs are resident and
+never hold block data; every read takes its entries from the run's own
+columns, so a cache never keeps a dropped run's columns alive. The
+unit is one run block (:data:`~repro.lsm.sstable.BLOCK_ENTRIES`
+entries), and a reader marks each block it reads with
+``touch(run, index)``, which returns whether the block was resident.
+A miss sleeps ``miss_latency`` (the sleep releases the GIL, so a
+thread-pool service genuinely overlaps simulated device fetches),
+charges the run one ``io_reads`` and admits the block.
 
-* :class:`BlockCache` — the in-process sharded LRU. The unit of caching
-  is one run block (:data:`~repro.lsm.sstable.BLOCK_ENTRIES` entries),
-  keyed by the run's immutable ``uid`` plus the block index — runs
-  never mutate, so an entry can never go stale, and compaction simply
-  strands the dead run's blocks until LRU evicts them. The cache is
-  *sharded into stripes*, each with its own lock and LRU order, so
-  concurrent readers on different stripes never contend — the standard
-  trick (RocksDB's ``LRUCache`` shards by key hash). What a stripe
-  stores is the zero-copy :class:`~repro.lsm.sstable.Block` *view*
-  itself; hits hand the view straight back and
-  :meth:`BlockCache.scan` returns a lazy
-  :class:`~repro.lsm.sstable.Matches` — no per-hit tuple rebuilding.
+* :class:`BlockCache` — the in-process sharded LRU, keyed by the run's
+  immutable ``uid`` plus the block index. Runs never mutate, so a key
+  can never go stale, and compaction simply strands the dead run's keys
+  until LRU evicts them. The cache is *sharded into stripes*, each with
+  its own lock and LRU order, so concurrent readers on different
+  stripes never contend — the standard trick (RocksDB's ``LRUCache``
+  shards by key hash).
 
-* :class:`SharedBlockCache` — the same API re-homed in one
+* :class:`SharedBlockCache` — the same ledger re-homed in one
   ``multiprocessing.shared_memory`` slab so every process-mode worker
   (:class:`~repro.engine.workers.ShardWorkerPool`) attaches to a single
-  cache instead of each filling a private copy: one admission warms all
-  workers, and cache memory stops scaling with worker count. The slab
-  is a set-associative array of fixed-size block slots; writers take a
-  lock-striped ``multiprocessing.Lock``, readers validate per-slot
-  seqlock versions and copy the slot payload before trusting it (the
-  one copy shared-memory safety costs; still far cheaper than the
-  simulated device the miss would pay). Cross-process identity comes
-  from each persisted run's :attr:`~repro.lsm.sstable.SSTable.shared_id`
-  — a stable 64-bit digest of its checkpoint file name — so two workers
-  loading the same run file agree on its blocks' cache keys.
-
-Misses load the block outside any lock (two racing readers may load
-the same block twice — the usual benign thundering herd) and can charge
-a configurable ``miss_latency`` sleep, modelling the device the
-simulated I/O ledger only counts. The sleep releases the GIL, so a
-thread-pool service genuinely overlaps simulated disk fetches.
+  cache instead of each filling a private one: one admission warms all
+  workers, and cache capacity stops scaling with worker count. The slab
+  is a set-associative array of slots that hold a block's identity;
+  writers take a lock-striped ``multiprocessing.Lock``, readers validate
+  per-slot seqlock versions around the identity fields. Cross-process
+  identity comes from each persisted run's
+  :attr:`~repro.lsm.sstable.SSTable.shared_id` — a stable 64-bit digest
+  of its checkpoint file name — so two workers loading the same run
+  file agree on its blocks' cache keys.
 
 Two kinds of reader use either cache. The store's scalar reads
-(``range_empty``, ``get``, ``range_scan``) fetch each range's blocks
-through ``scan``. The columnar batch lane reads the run columns
-directly and logs its block touches in a :class:`BlockTouchLog`, which
-replays them through ``get_block`` in the order a ``range_empty`` loop
-would fetch them, so the cache's counters and LRU state do not depend
-on which lane ran.
+(``range_empty``, ``get``, ``range_scan``) read each range through
+``scan``: the run's columns, plus one ``touch`` per block of the range.
+The columnar batch lane reads the run columns directly and logs its
+block touches in a :class:`BlockTouchLog`, which replays them through
+``touch`` in the order a ``range_empty`` loop would make them, so the
+cache's counters and LRU state do not depend on which lane ran.
 
 Hit/miss totals are exposed both here (cache-wide; per attachment for
 the shared slab) and folded into each store's
@@ -60,12 +59,12 @@ import time
 from collections import OrderedDict
 from multiprocessing import Lock as MPLock
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.lsm.sstable import Block, Matches, SSTable
+from repro.lsm.sstable import Matches, SSTable
 
 #: Cache key: (run uid, block index).
 _BlockKey = Tuple[int, int]
@@ -78,14 +77,14 @@ class _Stripe:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.blocks: "OrderedDict[_BlockKey, Block]" = OrderedDict()
+        self.blocks: "OrderedDict[_BlockKey, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
 
 class _CacheCommon:
-    """What both caches share: the settings checks, the range read over
-    ``get_block`` and the counter views."""
+    """What both caches share: the settings checks, the miss charge, the
+    range read over ``touch`` and the counter views."""
 
     @staticmethod
     def _check_settings(
@@ -98,30 +97,31 @@ class _CacheCommon:
         if miss_latency < 0:
             raise InvalidParameterError("miss_latency must be >= 0")
 
+    def _fetch(self, run: SSTable) -> None:
+        """What a miss pays the simulated device: the ``miss_latency``
+        sleep and one of ``run``'s ``io_reads``."""
+        if self._miss_latency:
+            time.sleep(self._miss_latency)
+        run.io_reads += 1
+
     def scan(self, run: SSTable, lo: int, hi: int) -> Tuple[Matches, int, int]:
         """Range read of ``[lo, hi]`` through the cache.
 
-        Returns ``(matches, hits, misses)``; ``matches`` is a lazy
-        :class:`~repro.lsm.sstable.Matches` view over the cached blocks
-        — entry-equal to what ``run.scan(lo, hi)`` yields, but fetched
-        block-by-block so repeated probes of a hot region stop touching
-        the simulated disk, and decoded only if the caller actually
-        materialises values.
+        Returns ``(matches, hits, misses)``: ``matches`` is
+        ``run.scan(lo, hi, charge=False)``, and each block of
+        ``run.block_span(lo, hi)`` is touched once, so repeated probes of
+        a hot region stop charging the simulated disk. A range before
+        the run's first key touches nothing.
         """
+        matches = run.scan(lo, hi, charge=False)
         span = run.block_span(lo, hi)
         if span is None:
-            return Matches([]), 0, 0
-        hits = misses = 0
-        segments: List[Tuple[Block, int, int]] = []
+            return matches, 0, 0
+        touch = self.touch
+        hits = 0
         for index in range(span[0], span[1] + 1):
-            block, hit = self.get_block(run, index)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            start, stop = block.range_indices(lo, hi)
-            segments.append((block, start, stop))
-        return Matches(segments), hits, misses
+            hits += touch(run, index)
+        return matches, hits, span[1] - span[0] + 1 - hits
 
     @property
     def miss_latency(self) -> float:
@@ -146,7 +146,7 @@ class BlockTouchLog:
     and logs each (query, run) read here as ``(j, p, first, last)``:
     query ``j`` read the run at read-view position ``p`` and so touched
     blocks ``first..last`` (:meth:`SSTable.block_span`'s fence rule).
-    :meth:`replay` then makes one ``get_block`` call per touch, sorted
+    :meth:`replay` then makes one ``touch`` call per block, sorted
     by ``(j, p, block)`` — the calls a ``range_empty`` loop over the
     batch makes, in its order. Hits, misses, ``miss_latency`` sleeps,
     each run's ``io_reads`` and the LRU state therefore come out as the
@@ -173,7 +173,7 @@ class BlockTouchLog:
                        np.asarray([hi], dtype=np.uint64))
 
     def replay(self, cache: _CacheCommon, runs: List[SSTable]) -> Tuple[int, int]:
-        """Fetch every logged block through ``cache`` in loop order;
+        """Touch every logged block in ``cache`` in loop order;
         ``runs`` is the read view the positions index. Returns
         ``(hits, misses)``."""
         if not self._reads:
@@ -187,20 +187,20 @@ class BlockTouchLog:
         counts = np.maximum(last[order] - first + 1, 0)
         ends = np.cumsum(counts)
         blocks = np.repeat(first - ends + counts, counts) + np.arange(int(ends[-1]))
-        get_block = cache.get_block
+        touch = cache.touch
         hits = 0
         for p, index in zip(np.repeat(pos, counts).tolist(), blocks.tolist()):
-            hits += get_block(runs[p], index)[1]
+            hits += touch(runs[p], index)
         return hits, int(blocks.size) - hits
 
 
 class BlockCache(_CacheCommon):
-    """Sharded LRU cache over immutable SSTable block views.
+    """Sharded LRU residency ledger over immutable SSTable blocks.
 
     Parameters
     ----------
     capacity_blocks:
-        Total blocks held across all stripes, honoured exactly: the
+        Total blocks resident across all stripes, honoured exactly: the
         capacity divides across stripes with the remainder spread one
         block at a time.
     num_stripes:
@@ -231,36 +231,30 @@ class BlockCache(_CacheCommon):
         self._miss_latency = float(miss_latency)
 
     # ------------------------------------------------------------------
-    # Core block fetch
+    # Block residency
     # ------------------------------------------------------------------
-    def get_block(self, run: SSTable, index: int) -> Tuple[Block, bool]:
-        """Return ``(block_view, hit)`` for one block of ``run``.
-
-        The returned :class:`~repro.lsm.sstable.Block` is the cached
-        zero-copy view itself — callers must treat it as immutable
-        (runs are), never mutate it, and decode entries lazily.
-        """
+    def touch(self, run: SSTable, index: int) -> bool:
+        """Read block ``index`` of ``run`` through the cache; returns
+        whether it was resident (a hit). A miss pays :meth:`_fetch` and
+        admits the block, evicting the stripe's least recently used."""
         key = (run.uid, index)
         stripe_id = hash(key) % self._num_stripes
         stripe = self._stripes[stripe_id]
         with stripe.lock:
-            cached = stripe.blocks.get(key)
-            if cached is not None:
+            if key in stripe.blocks:
                 stripe.blocks.move_to_end(key)
                 stripe.hits += 1
-                return cached, True
-        # Load outside the lock: a slow simulated fetch must not block
-        # hits on other blocks of the same stripe.
-        if self._miss_latency:
-            time.sleep(self._miss_latency)
-        block = run.read_block(index)
+                return True
+        # Pay the miss outside the lock: a slow simulated fetch must not
+        # block hits on other blocks of the same stripe.
+        self._fetch(run)
         with stripe.lock:
             stripe.misses += 1
-            stripe.blocks[key] = block
+            stripe.blocks[key] = None
             stripe.blocks.move_to_end(key)
             while len(stripe.blocks) > self._stripe_caps[stripe_id]:
                 stripe.blocks.popitem(last=False)
-        return block, False
+        return False
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -304,27 +298,25 @@ class BlockCache(_CacheCommon):
 # ----------------------------------------------------------------------
 # Shared-memory slab cache
 # ----------------------------------------------------------------------
-#: Slot-header u64 fields (one 64-byte row per slot).
-_F_VERSION = 0   # seqlock: odd while a writer is mid-copy
+#: Slot u64 fields. A slot is padded to one 64-byte row, so a writer
+#: updating one slot never shares a cache line with its neighbours.
+_F_VERSION = 0   # seqlock: odd while a writer is mid-update
 _F_UID = 1       # 64-bit run identity (shared_id, or salted local uid)
 _F_BLOCK = 2     # block index within the run
-_F_N = 3         # entries in the packed payload
-_F_HEAPBASE = 4  # absolute heap offset the payload's heap slice starts at
-_F_LEN = 5       # payload bytes (0 == empty slot)
-_F_TICK = 6      # LRU clock (advisory; racy updates are fine)
+_F_USED = 3      # 1 while the slot holds a block (0 == empty slot)
+_F_TICK = 4      # LRU clock (advisory; racy updates are fine)
 _SLOT_FIELDS = 8
 
 #: Slab-header u64 fields.
 _H_MAGIC = 0
 _H_NSLOTS = 1
-_H_SLOT_BYTES = 2
-_H_NSETS = 3
-_H_TICK = 4
-_H_MISS_LATENCY = 5  # float64 bits: seconds slept per miss
+_H_NSETS = 2
+_H_TICK = 3
+_H_MISS_LATENCY = 4  # float64 bits: seconds slept per miss
 _HDR_FIELDS = 8
 _HDR_BYTES = _HDR_FIELDS * 8
 
-_SLAB_MAGIC = 0x52_53_4C_41_42_34  # "RSLAB4"
+_SLAB_MAGIC = 0x52_53_4C_41_42_35  # "RSLAB5"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -339,18 +331,16 @@ def _mix_key(uid64: int, block: int) -> int:
 
 
 class SharedBlockCache(_CacheCommon):
-    """A block cache whose storage lives in one shared-memory slab.
+    """A block residency ledger that lives in one shared-memory slab.
 
-    Shares :class:`BlockCache`'s API (``get_block`` / ``scan`` /
-    counters), so :class:`~repro.lsm.store.LSMStore` and the serving
-    layer use either interchangeably. The slab is divided into
-    ``capacity_blocks`` fixed-size slots grouped into small
-    set-associative sets (~``ways`` slots per set, LRU within the set by
+    Shares :class:`BlockCache`'s API (``touch`` / ``scan`` / counters),
+    so :class:`~repro.lsm.store.LSMStore` and the serving layer use
+    either interchangeably. The slab is divided into ``capacity_blocks``
+    slots, each holding one block's identity, grouped into small
+    set-associative sets (~``WAYS`` slots per set, LRU within the set by
     an advisory tick); admission takes one of ``num_stripes``
     cross-process locks, readers are lock-free behind per-slot seqlock
-    versions. A block whose packed payload exceeds ``slot_bytes``
-    bypasses the slab (served straight from the run, counted as a
-    miss). The slab header records ``miss_latency``, so every
+    versions. The slab header records ``miss_latency``, so every
     attachment charges the owner's simulated device cost.
 
     Identity: runs restored from a checkpoint carry a stable
@@ -374,14 +364,11 @@ class SharedBlockCache(_CacheCommon):
         *,
         num_stripes: int = 8,
         miss_latency: float = 0.0,
-        slot_bytes: int = 16384,
     ) -> None:
         self._check_settings(capacity_blocks, num_stripes, miss_latency)
-        if slot_bytes < 1024:
-            raise InvalidParameterError("slot_bytes must be >= 1024")
         nslots = int(capacity_blocks)
         nsets = max(1, nslots // self.WAYS)
-        size = _HDR_BYTES + nslots * _SLOT_FIELDS * 8 + nslots * int(slot_bytes)
+        size = _HDR_BYTES + nslots * _SLOT_FIELDS * 8
         self._bind(
             shared_memory.SharedMemory(create=True, size=size),
             [MPLock() for _ in range(min(int(num_stripes), nsets))],
@@ -389,7 +376,6 @@ class SharedBlockCache(_CacheCommon):
         )
         self._hdr[_H_MAGIC] = _SLAB_MAGIC
         self._hdr[_H_NSLOTS] = nslots
-        self._hdr[_H_SLOT_BYTES] = int(slot_bytes)
         self._hdr[_H_NSETS] = nsets
         self._hdr.view(np.float64)[_H_MISS_LATENCY] = float(miss_latency)
         self._geometry()
@@ -435,14 +421,12 @@ class SharedBlockCache(_CacheCommon):
 
     def _geometry(self) -> None:
         self._nslots = int(self._hdr[_H_NSLOTS])
-        self._slot_bytes = int(self._hdr[_H_SLOT_BYTES])
         self._nsets = int(self._hdr[_H_NSETS])
         self._miss_latency = float(self._hdr.view(np.float64)[_H_MISS_LATENCY])
         self._slots = np.frombuffer(
             self._buf, dtype=np.uint64, offset=_HDR_BYTES,
             count=self._nslots * _SLOT_FIELDS,
         ).reshape(self._nslots, _SLOT_FIELDS)
-        self._data_off = _HDR_BYTES + self._nslots * _SLOT_FIELDS * 8
         base, extra = divmod(self._nslots, self._nsets)
         bounds = [0]
         for i in range(self._nsets):
@@ -465,82 +449,60 @@ class SharedBlockCache(_CacheCommon):
         self._hdr[_H_TICK] = tick
         return tick
 
-    def _slot_payload(self, slot: int, length: int) -> memoryview:
-        off = self._data_off + slot * self._slot_bytes
-        return self._buf[off:off + length]
-
     # ------------------------------------------------------------------
-    # Core block fetch
+    # Block residency
     # ------------------------------------------------------------------
-    def get_block(self, run: SSTable, index: int) -> Tuple[Block, bool]:
-        """Return ``(block_view, hit)``; the hit path serves a local
-        seqlock-validated copy of the slot payload, never touching the
-        run (no simulated I/O)."""
+    def touch(self, run: SSTable, index: int) -> bool:
+        """Read block ``index`` of ``run`` through the slab; returns
+        whether it was resident (a hit). A hit only refreshes the slot's
+        tick; a miss pays :meth:`_fetch` and admits the block."""
         if self._closed:
             raise InvalidParameterError("SharedBlockCache is closed")
         uid64 = self._uid64(run)
-        block_id = _mix_key(uid64, index)
-        set_id = block_id % self._nsets
-        lo, hi = self._set_bounds[set_id], self._set_bounds[set_id + 1]
+        set_id = _mix_key(uid64, index) % self._nsets
         slots = self._slots
-        for slot in range(lo, hi):
+        for slot in range(self._set_bounds[set_id], self._set_bounds[set_id + 1]):
             v1 = int(slots[slot, _F_VERSION])
             if v1 & 1:
-                continue  # writer mid-copy
+                continue  # writer mid-update
             if (
                 int(slots[slot, _F_UID]) != uid64
                 or int(slots[slot, _F_BLOCK]) != index
-                or int(slots[slot, _F_LEN]) == 0
+                or not int(slots[slot, _F_USED])
             ):
                 continue
-            n = int(slots[slot, _F_N])
-            heap_base = int(slots[slot, _F_HEAPBASE])
-            length = int(slots[slot, _F_LEN])
-            payload = bytes(self._slot_payload(slot, length))
             if int(slots[slot, _F_VERSION]) != v1:
                 continue  # overwritten mid-read; fall through to miss
             slots[slot, _F_TICK] = self._next_tick()
             self._hits += 1
-            return Block.from_bytes(payload, n, heap_base), True
-        # Miss: charge the simulated device, read from the run, admit.
-        if self._miss_latency:
-            time.sleep(self._miss_latency)
-        block = run.read_block(index)
+            return True
+        self._fetch(run)
         self._misses += 1
-        payload, n, heap_base = block.to_bytes()
-        if len(payload) <= self._slot_bytes:
-            self._admit(set_id, uid64, index, payload, n, heap_base)
-        return block, False
+        self._admit(set_id, uid64, index)
+        return False
 
-    def _admit(
-        self, set_id: int, uid64: int, index: int,
-        payload: bytes, n: int, heap_base: int,
-    ) -> None:
+    def _admit(self, set_id: int, uid64: int, index: int) -> None:
         lo, hi = self._set_bounds[set_id], self._set_bounds[set_id + 1]
         slots = self._slots
         lock = self._locks[set_id % len(self._locks)]
         with lock:
             victim = lo
             for slot in range(lo, hi):
+                if not int(slots[slot, _F_USED]):
+                    victim = slot
+                    break
                 if (
                     int(slots[slot, _F_UID]) == uid64
                     and int(slots[slot, _F_BLOCK]) == index
-                    and int(slots[slot, _F_LEN]) != 0
                 ):
                     return  # raced: another process already admitted it
-                if int(slots[slot, _F_LEN]) == 0:
-                    victim = slot
-                    break
                 if int(slots[slot, _F_TICK]) < int(slots[victim, _F_TICK]):
                     victim = slot
             slots[victim, _F_VERSION] = int(slots[victim, _F_VERSION]) + 1
             slots[victim, _F_UID] = uid64
             slots[victim, _F_BLOCK] = index
-            slots[victim, _F_N] = n
-            slots[victim, _F_HEAPBASE] = heap_base
-            slots[victim, _F_LEN] = len(payload)
+            slots[victim, _F_USED] = 1
             slots[victim, _F_TICK] = self._next_tick()
-            self._slot_payload(victim, len(payload))[:] = payload
             slots[victim, _F_VERSION] = int(slots[victim, _F_VERSION]) + 1
 
     # ------------------------------------------------------------------
@@ -564,13 +526,9 @@ class SharedBlockCache(_CacheCommon):
     def num_stripes(self) -> int:
         return len(self._locks)
 
-    @property
-    def slot_bytes(self) -> int:
-        return self._slot_bytes
-
     def __len__(self) -> int:
         """Blocks currently resident in the slab (all attachments)."""
-        return int((self._slots[:, _F_LEN] != 0).sum())
+        return int(self._slots[:, _F_USED].sum())
 
     @property
     def hits(self) -> int:
@@ -591,7 +549,7 @@ class SharedBlockCache(_CacheCommon):
                         self._slots[slot, _F_VERSION] = (
                             int(self._slots[slot, _F_VERSION]) + 2
                         )
-                        self._slots[slot, _F_LEN] = 0
+                        self._slots[slot, _F_USED] = 0
         self._hits = 0
         self._misses = 0
 
@@ -615,7 +573,4 @@ class SharedBlockCache(_CacheCommon):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"resident={len(self)}"
-        return (
-            f"SharedBlockCache(capacity={self._nslots}, "
-            f"slot_bytes={self._slot_bytes}, {state})"
-        )
+        return f"SharedBlockCache(capacity={self._nslots}, {state})"

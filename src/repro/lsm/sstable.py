@@ -9,9 +9,10 @@ the hot path. Runs loaded from a format-v4 snapshot keep their columns
 as views over an ``np.memmap`` of the run file, so opening a checkpoint
 moves no bytes until a block is actually read.
 
-Block-granular access returns :class:`Block` / :class:`Matches` views
-(zero-copy over the columns) rather than rebuilt tuple lists; the block
-cache (:mod:`repro.lsm.cache`) stores and serves these views directly.
+A range read returns a :class:`Matches` view (zero-copy over the run's
+columns) rather than a rebuilt tuple list, and the run is the only
+holder of its columns: the block cache (:mod:`repro.lsm.cache`) records
+which blocks are resident and never keeps block data of its own.
 Every access that would touch storage still increments the simulated
 I/O counter, and the attached range filter — any
 :class:`repro.filters.base.RangeFilter` — is consulted *before*
@@ -41,8 +42,8 @@ from repro.lsm.ttl import ExpiringValue
 FilterFactory = Callable[[np.ndarray, int], RangeFilter]
 
 #: Entries per simulated disk block — the granularity the block cache
-#: fetches and pins. Fence pointers (the first key of every block) stay
-#: in memory, like real SSTable index blocks.
+#: tracks residency in. Fence pointers (the first key of every block)
+#: stay in memory, like real SSTable index blocks.
 BLOCK_ENTRIES = 256
 
 #: Process-wide run ids. Runs are immutable, so a cache may key on the
@@ -80,8 +81,8 @@ _U64_MAX = (1 << 64) - 1
 def _encode_one(value: Any, heap: bytearray) -> Tuple[int, int, int, int]:
     """Encode one python value into ``(tag, va, vb, vexp)``; heap-typed
     payloads are appended to ``heap`` in entry order, so each block's
-    heap references stay contiguous (the property the shared-memory
-    cache relies on to ship a block's heap slice in one piece)."""
+    heap references stay contiguous (the property a run file's per-block
+    checksum and the compaction merge's heap clipping rely on)."""
     vexp = 0
     flag = 0
     if isinstance(value, ExpiringValue):
@@ -242,18 +243,15 @@ def unpack_value(buf: bytes) -> Any:
             raise CorruptionError(f"None body of {len(body)} bytes")
     elif kind not in _HEAP_TAGS:
         raise CorruptionError(f"unknown value tag {tag}")
-    return decode_value(tag, va, len(body), vexp, body, 0)
+    return decode_value(tag, va, len(body), vexp, body)
 
 
-def decode_value(
-    tag: int, va: int, vb: int, vexp: int, heap, heap_base: int
-) -> Any:
+def decode_value(tag: int, va: int, vb: int, vexp: int, heap) -> Any:
     """Decode one ``(tag, va, vb, vexp)`` entry back to a python value.
 
-    ``heap`` may be any buffer holding at least the run's heap bytes
-    this entry references; ``heap_base`` is the absolute offset the
-    buffer starts at (non-zero when a cache slot holds only one block's
-    heap slice). The tombstone decodes to the identity singleton.
+    ``heap`` may be any buffer holding the run's heap bytes, which this
+    entry references at ``heap[va : va+vb]``. The tombstone decodes to
+    the identity singleton.
     """
     kind = tag & _TYPE_MASK
     if kind == TAG_TOMBSTONE:
@@ -267,10 +265,7 @@ def decode_value(
     elif kind == TAG_FLOAT:
         (value,) = struct.unpack("<d", struct.pack("<Q", va))
     else:
-        lo = va - heap_base
-        if lo < 0:
-            raise CorruptionError("value heap reference out of bounds")
-        blob = bytes(memoryview(heap)[lo:lo + vb])
+        blob = bytes(memoryview(heap)[va:va + vb])
         if len(blob) != vb:
             raise CorruptionError("value heap reference out of bounds")
         if kind == TAG_BYTES:
@@ -326,148 +321,52 @@ def _live_mask(tags: np.ndarray, vexp: np.ndarray, now: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy block + scan views
+# Zero-copy range view
 # ----------------------------------------------------------------------
-class Block:
-    """A zero-copy view of one :data:`BLOCK_ENTRIES`-sized run block.
-
-    Holds column *slices* (possibly backed by an ``np.memmap`` of the
-    run file, or by a shared-memory cache slot) and decodes values only
-    on demand. Iterating yields ``(key, value)`` pairs like the old
-    tuple lists did, so existing consumers keep working — but emptiness
-    probes use :meth:`live_mask` and never decode a value at all.
-    """
-
-    __slots__ = ("keys", "tags", "va", "vb", "vexp", "heap", "heap_base")
-
-    def __init__(self, keys, tags, va, vb, vexp, heap, heap_base=0):
-        self.keys = keys
-        self.tags = tags
-        self.va = va
-        self.vb = vb
-        self.vexp = vexp
-        self.heap = heap
-        self.heap_base = heap_base
-
-    def __len__(self) -> int:
-        return int(self.keys.size)
-
-    def value_at(self, i: int) -> Any:
-        """Decode the value of entry ``i`` (block-local index)."""
-        return decode_value(
-            int(self.tags[i]), int(self.va[i]), int(self.vb[i]),
-            int(self.vexp[i]), self.heap, self.heap_base,
-        )
-
-    def entry(self, i: int) -> Tuple[int, Any]:
-        return int(self.keys[i]), self.value_at(i)
-
-    def __iter__(self) -> Iterator[Tuple[int, Any]]:
-        for i in range(len(self)):
-            yield self.entry(i)
-
-    def range_indices(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Block-local ``[start, stop)`` of keys inside ``[lo, hi]``."""
-        start = int(np.searchsorted(self.keys, _u64(lo), side="left"))
-        stop = int(np.searchsorted(self.keys, _u64(hi), side="right"))
-        return start, stop
-
-    def live_mask(self, now: int) -> np.ndarray:
-        return _live_mask(self.tags, self.vexp, now)
-
-    def is_live(self, i: int, now: int) -> bool:
-        tag = int(self.tags[i])
-        if tag == TAG_TOMBSTONE:
-            return False
-        if tag & FLAG_EXPIRES:
-            return now < int(self.vexp[i])
-        return True
-
-    # -- shared-memory packing ----------------------------------------
-    def heap_slice(self) -> Tuple[int, bytes]:
-        """The contiguous heap span this block references, as
-        ``(heap_base, bytes)`` — empty when no entry is heap-typed."""
-        uses_heap = np.isin(self.tags & _TYPE_MASK, _HEAP_TAGS)
-        idx = np.flatnonzero(uses_heap)
-        if idx.size == 0:
-            return 0, b""
-        first, last = int(idx[0]), int(idx[-1])
-        base = int(self.va[first])
-        end = int(self.va[last]) + int(self.vb[last])
-        lo, hi = base - self.heap_base, end - self.heap_base
-        return base, bytes(memoryview(self.heap)[lo:hi])
-
-    def to_bytes(self) -> Tuple[bytes, int, int]:
-        """Pack the block for a fixed-size cache slot.
-
-        Returns ``(payload, n_entries, heap_base)``; the payload layout
-        is ``keys | va | vb | vexp | tags | pad-to-8 | heap`` so the u64
-        columns stay aligned when sliced back out of the slot.
-        """
-        n = len(self)
-        base, heap = self.heap_slice()
-        pad = (-n) % 8
-        payload = b"".join([
-            np.ascontiguousarray(self.keys).tobytes(),
-            np.ascontiguousarray(self.va).tobytes(),
-            np.ascontiguousarray(self.vb).tobytes(),
-            np.ascontiguousarray(self.vexp).tobytes(),
-            np.ascontiguousarray(self.tags).tobytes(),
-            b"\x00" * pad,
-            heap,
-        ])
-        return payload, n, base
-
-    @classmethod
-    def from_bytes(cls, buf, n: int, heap_base: int) -> "Block":
-        """Rebuild a block over a packed :meth:`to_bytes` payload."""
-        keys = np.frombuffer(buf, dtype=np.uint64, count=n, offset=0)
-        va = np.frombuffer(buf, dtype=np.uint64, count=n, offset=8 * n)
-        vb = np.frombuffer(buf, dtype=np.uint64, count=n, offset=16 * n)
-        vexp = np.frombuffer(buf, dtype=np.uint64, count=n, offset=24 * n)
-        tags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=32 * n)
-        heap_off = 32 * n + n + ((-n) % 8)
-        heap = memoryview(buf)[heap_off:]
-        return cls(keys, tags, va, vb, vexp, heap, heap_base)
-
-
 class Matches:
-    """Lazy result of a block-granular range read: a list of
-    ``(Block, start, stop)`` segments presented as one sequence of
-    ``(key, value)`` entries, decoded only on access.
+    """Lazy result of a range read: entries ``[start, stop)`` of a run's
+    columns, presented as one sequence of ``(key, value)`` entries and
+    decoded only on access.
 
-    Compares equal to a materialised tuple list (tests and callers that
-    still want lists get exactly the old semantics via ``list(m)``).
+    It holds the column arrays, not the run, so a result stays readable
+    whatever becomes of the run. Compares equal to a materialised tuple
+    list (callers that want lists get them via ``list(m)``).
     """
 
-    __slots__ = ("_segments",)
+    __slots__ = ("_keys", "_tags", "_va", "_vb", "_vexp", "_heap",
+                 "_start", "_stop")
 
-    def __init__(self, segments: List[Tuple[Block, int, int]]):
-        self._segments = [
-            (block, start, stop) for block, start, stop in segments
-            if stop > start
-        ]
+    def __init__(self, keys, tags, va, vb, vexp, heap, start: int, stop: int):
+        self._keys = keys
+        self._tags = tags
+        self._va = va
+        self._vb = vb
+        self._vexp = vexp
+        self._heap = heap
+        self._start = start
+        self._stop = max(start, stop)
 
     def __len__(self) -> int:
-        return sum(stop - start for _, start, stop in self._segments)
+        return self._stop - self._start
 
     def __bool__(self) -> bool:
-        return bool(self._segments)
+        return self._stop > self._start
+
+    def _entry(self, i: int) -> Tuple[int, Any]:
+        return int(self._keys[i]), decode_value(
+            int(self._tags[i]), int(self._va[i]), int(self._vb[i]),
+            int(self._vexp[i]), self._heap,
+        )
 
     def __iter__(self) -> Iterator[Tuple[int, Any]]:
-        for block, start, stop in self._segments:
-            for i in range(start, stop):
-                yield block.entry(i)
+        for i in range(self._start, self._stop):
+            yield self._entry(i)
 
     def __getitem__(self, index: int) -> Tuple[int, Any]:
-        if index < 0:
-            index += len(self)
-        for block, start, stop in self._segments:
-            width = stop - start
-            if index < width:
-                return block.entry(start + index)
-            index -= width
-        raise IndexError("Matches index out of range")
+        n = self._stop - self._start
+        if not -n <= index < n:
+            raise IndexError("Matches index out of range")
+        return self._entry(self._start + index % n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, tuple, Matches)):
@@ -476,36 +375,21 @@ class Matches:
 
     def keys_ints(self) -> List[int]:
         """All matched keys as python ints (no value decode)."""
-        out: List[int] = []
-        for block, start, stop in self._segments:
-            out.extend(int(k) for k in block.keys[start:stop])
-        return out
+        return self._keys[self._start:self._stop].tolist()
+
+    def _live(self, now: int) -> np.ndarray:
+        window = slice(self._start, self._stop)
+        return _live_mask(self._tags[window], self._vexp[window], now)
 
     def any_live(self, now: int) -> bool:
         """Vectorised: is any matched entry live at time ``now``? Never
         decodes a value — the emptiness-probe fast path."""
-        for block, start, stop in self._segments:
-            if bool(
-                _live_mask(
-                    block.tags[start:stop], block.vexp[start:stop], now
-                ).any()
-            ):
-                return True
-        return False
+        return bool(self._live(now).any())
 
     def items_with_liveness(self, now: int) -> Iterator[Tuple[int, bool]]:
         """Stream ``(key, is_live)`` without decoding values — the
         shadowed-set walk of ``range_empty`` needs nothing more."""
-        for block, start, stop in self._segments:
-            for i in range(start, stop):
-                yield int(block.keys[i]), block.is_live(i, now)
-
-
-def _released() -> CorruptionError:
-    return CorruptionError(
-        "run storage was released (its epoch was retired); the view is "
-        "no longer readable"
-    )
+        return zip(self.keys_ints(), self._live(now).tolist())
 
 
 class SSTable:
@@ -522,7 +406,7 @@ class SSTable:
     __slots__ = (
         "_keys", "_tags", "_va", "_vb", "_vexp", "_heap", "_filter",
         "io_reads", "universe", "uid", "slice_bounds", "max_expiry",
-        "_backing", "_is_released", "shared_id",
+        "shared_id",
     )
 
     def __init__(
@@ -546,8 +430,6 @@ class SSTable:
         self.uid = next(_RUN_IDS)
         self.slice_bounds = slice_bounds
         self.max_expiry = _max_expiry_from_columns(self._tags, self._vexp)
-        self._backing = None
-        self._is_released = False
         self.shared_id = None
         self._filter = (
             filter_factory(self._keys, self.universe) if filter_factory else None
@@ -566,13 +448,11 @@ class SSTable:
         filt: Optional[RangeFilter] = None,
         *,
         slice_bounds: Optional[Tuple[int, int]] = None,
-        backing=None,
     ) -> "SSTable":
         """Adopt already-encoded columns zero-copy (the mmap load path).
 
-        ``backing`` keeps the underlying buffer (an ``np.memmap``) alive
-        for as long as the run — or any block view the cache pinned —
-        references it; :meth:`release` drops it.
+        Column views over an ``np.memmap`` keep the mapping alive for as
+        long as the run, or any :class:`Matches` read from it, holds them.
         """
         run = cls.__new__(cls)
         run._keys = np.asarray(keys, dtype=np.uint64)
@@ -592,8 +472,6 @@ class SSTable:
         run.uid = next(_RUN_IDS)
         run.slice_bounds = slice_bounds
         run.max_expiry = _max_expiry_from_columns(run._tags, run._vexp)
-        run._backing = backing
-        run._is_released = False
         run.shared_id = None
         run._filter = filt
         return run
@@ -642,32 +520,6 @@ class SSTable:
     def heap_nbytes(self) -> int:
         return len(self._heap)
 
-    @property
-    def released(self) -> bool:
-        """True once :meth:`release` retired this run's storage."""
-        return self._is_released
-
-    def release(self) -> None:
-        """Retire the run's storage: drop the column views and the
-        mmap backing so the OS mapping can go away with the last block
-        view. Reads after release raise
-        :class:`~repro.errors.CorruptionError` cleanly — never a
-        use-after-unmap surprise. Idempotent.
-        """
-        if self._is_released:
-            return
-        self._is_released = True
-        empty_u64 = np.zeros(0, dtype=np.uint64)
-        self._keys = empty_u64
-        self._tags = np.zeros(0, dtype=np.uint8)
-        self._va = self._vb = self._vexp = empty_u64
-        self._heap = b""
-        self._backing = None
-
-    def _check_open(self) -> None:
-        if self._is_released:
-            raise _released()
-
     def fully_expired(self, now: int) -> bool:
         """Whether every entry of this run is dead at logical time ``now``.
 
@@ -710,7 +562,6 @@ class SSTable:
     # ------------------------------------------------------------------
     def get(self, key: int) -> Tuple[bool, Any]:
         """Point lookup; counts one I/O."""
-        self._check_open()
         self.io_reads += 1
         idx = int(np.searchsorted(self._keys, _u64(key)))
         if idx < self._keys.size and int(self._keys[idx]) == key:
@@ -720,23 +571,22 @@ class SSTable:
     def _decode(self, i: int) -> Any:
         return decode_value(
             int(self._tags[i]), int(self._va[i]), int(self._vb[i]),
-            int(self._vexp[i]), self._heap, 0,
+            int(self._vexp[i]), self._heap,
         )
 
     def scan(self, lo: int, hi: int, *, charge: bool = True) -> Matches:
         """Range scan; counts one I/O (a run read), returns a lazy
         zero-copy :class:`Matches` view of the matching entries.
 
-        ``charge=False`` skips the I/O count: the batch lane of a cached
-        store reads the columns straight and charges the device through
-        the cache's block misses instead.
+        ``charge=False`` skips the I/O count: a cached store charges the
+        device through the cache's block misses instead.
         """
-        self._check_open()
         if charge:
             self.io_reads += 1
         start = int(np.searchsorted(self._keys, _u64(lo), side="left"))
         stop = int(np.searchsorted(self._keys, _u64(hi), side="right"))
-        return Matches([(self._whole_view(), start, stop)])
+        return Matches(self._keys, self._tags, self._va, self._vb,
+                       self._vexp, self._heap, start, stop)
 
     def scan_batch(
         self, los: np.ndarray, his: np.ndarray, now: int, *, charge: bool = True
@@ -752,7 +602,6 @@ class SSTable:
         and ``live[j]`` says whether any of them is live at logical time
         ``now``.
         """
-        self._check_open()
         if charge:
             self.io_reads += int(los.size)
         starts = np.searchsorted(self._keys, los, side="left")
@@ -768,16 +617,8 @@ class SSTable:
             live[hit] = np.logical_or.reduceat(mask, first)
         return starts, stops, live
 
-    def _whole_view(self) -> Block:
-        """One :class:`Block` view spanning the entire run (internal)."""
-        return Block(
-            self._keys, self._tags, self._va, self._vb, self._vexp,
-            self._heap, 0,
-        )
-
     def entries(self) -> List[Tuple[int, Any]]:
         """Full decoded dump; counts one I/O."""
-        self._check_open()
         self.io_reads += 1
         return [
             (int(self._keys[i]), self._decode(i))
@@ -785,7 +626,7 @@ class SSTable:
         ]
 
     # ------------------------------------------------------------------
-    # Block-granular access (the unit the block cache works in)
+    # Block geometry (the unit the block cache works in)
     # ------------------------------------------------------------------
     @property
     def block_count(self) -> int:
@@ -826,33 +667,6 @@ class SSTable:
         first = np.searchsorted(fences, los, side="right").astype(np.int64) - 1
         last = np.searchsorted(fences, his, side="right").astype(np.int64) - 1
         return np.maximum(first, 0), last
-
-    def block_view(self, index: int) -> Block:
-        """Zero-copy :class:`Block` over block ``index`` — no simulated
-        I/O charge (the cache's admission path pairs this with its own
-        miss accounting)."""
-        self._check_open()
-        if not 0 <= index < self.block_count:
-            raise IndexError(f"block {index} outside [0, {self.block_count})")
-        start = index * BLOCK_ENTRIES
-        stop = min(start + BLOCK_ENTRIES, int(self._keys.size))
-        return Block(
-            self._keys[start:stop], self._tags[start:stop],
-            self._va[start:stop], self._vb[start:stop],
-            self._vexp[start:stop], self._heap, 0,
-        )
-
-    def read_block(self, index: int) -> Block:
-        """Fetch one block from the simulated disk; counts one I/O.
-
-        Returns a zero-copy :class:`Block` view (iterable as ``(key,
-        value)`` pairs) instead of a rebuilt tuple list.
-        """
-        block = self.block_view(index)
-        self.io_reads += 1
-        return block
-
-
 
 
 # ----------------------------------------------------------------------
@@ -919,7 +733,6 @@ def merge_columns(
     heaps = []
     heap_size = 0
     for age, run in enumerate(runs):
-        run._check_open()
         run.io_reads += 1
         keys = run._keys
         start = (
@@ -980,7 +793,7 @@ def merge_columns(
                 vexp <= np.uint64(min(expire_before, _U64_MAX))
             )
         for i in np.flatnonzero(tags == TAG_PICKLE).tolist():
-            value = decode_value(TAG_PICKLE, int(va[i]), int(vb[i]), 0, heap, 0)
+            value = decode_value(TAG_PICKLE, int(va[i]), int(vb[i]), 0, heap)
             if (
                 isinstance(value, ExpiringValue)
                 and value.expires_at <= expire_before

@@ -755,10 +755,11 @@ class LSMStore:
     def attach_cache(self, cache: Optional["BlockCache"]) -> None:
         """Route run reads through ``cache`` (``None`` detaches).
 
-        With a cache attached, probes fetch block-granular pieces of each
-        run through the shared LRU instead of whole-run ``scan`` calls;
-        hit/miss counts fold into :attr:`stats`. Runs are immutable, so
-        attaching or detaching never changes any query result.
+        With a cache attached, a run read touches each block of its
+        range in the cache, and only the misses charge the run's
+        ``io_reads``; hit/miss counts fold into :attr:`stats`. Entries
+        always come from the run's columns, so attaching or detaching
+        never changes any query result.
         """
         self._cache = cache
 
@@ -932,8 +933,8 @@ class LSMStore:
 
         ``shadowed`` holds the keys a newer source already decided dead;
         the walk adds to it. ``verdicts`` is passed to
-        :meth:`_must_read`. With ``log`` given, each run is read straight
-        from its columns, bypassing the cache and charging no I/O, and
+        :meth:`_must_read`. With ``log`` given, each run is read from its
+        columns without touching the cache or charging I/O, and
         ``log(position, run, lo, hi)`` records the read for a later
         replay through the cache (:class:`~repro.lsm.cache.BlockTouchLog`),
         which moves the cache counters. The rest of the ledger moves

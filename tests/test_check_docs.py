@@ -1,0 +1,31 @@
+"""Tests for the documentation lint's member check (``tools/check_docs.py``).
+
+A backticked ``Class.member`` in the docs whose class is a ``repro``
+class must name a member that class still has; the check must flag a
+stale name and stay quiet on the repository's own docs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_docs.py"
+_spec = importlib.util.spec_from_file_location("check_docs", TOOL)
+check_docs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_docs)
+
+
+def test_member_check_flags_a_stale_name(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Read with `SSTable.scan(lo, hi)`; mark blocks with `BlockCache.touch`.\n"
+        "Stale: `SSTable.release()` and `BlockCache.get_block`.\n"
+        "`IoStats.cache_hits` is a field; `Unknown.thing` is no repro class.\n"
+    )
+    problems = check_docs.check_members([doc])
+    assert len(problems) == 2, problems
+    assert problems[0].startswith("doc.md:2: `SSTable.release`")
+    assert problems[1].startswith("doc.md:2: `BlockCache.get_block`")
+
+
+def test_member_check_passes_on_the_repo_docs():
+    assert check_docs.check_members() == []

@@ -31,7 +31,7 @@ from repro.engine import (
 from repro.errors import CorruptionError, InvalidParameterError, InvalidQueryError
 from repro.filters import FilterSpec
 from repro.lsm.cache import (
-    _F_BLOCK, _F_LEN, _F_TICK, _F_UID, BlockCache, SharedBlockCache,
+    _F_BLOCK, _F_TICK, _F_UID, _F_USED, BlockCache, SharedBlockCache,
 )
 from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.sstable import SSTable
@@ -99,7 +99,7 @@ def cache_state(cache):
         return None
     if isinstance(cache, SharedBlockCache):
         slots = cache._slots
-        used = np.flatnonzero(slots[:, _F_LEN])
+        used = np.flatnonzero(slots[:, _F_USED])
         order = used[np.argsort(slots[used, _F_TICK], kind="stable")]
         return [(int(s), int(slots[s, _F_UID]), int(slots[s, _F_BLOCK]))
                 for s in order]
@@ -581,7 +581,7 @@ class TestShardedEngine:
     ):
         """A cached store's columnar lane reads no range through
         ``scan`` — the per-query walk through the cache is gone — and
-        calls ``get_block`` exactly as often as a ``range_empty`` loop."""
+        calls ``touch`` exactly as often as a ``range_empty`` loop."""
         from repro.engine.batch import SCALAR_CUTOFF, shard_batch_empty
         from repro.lsm.cache import BlockCache, SharedBlockCache, _CacheCommon
 
@@ -593,8 +593,8 @@ class TestShardedEngine:
         )
         for cls in (BlockCache, SharedBlockCache):
             monkeypatch.setattr(
-                cls, "get_block",
-                lambda self, *args, _fetch=cls.get_block: (
+                cls, "touch",
+                lambda self, *args, _fetch=cls.touch: (
                     fetches.append(1) or _fetch(self, *args)
                 ),
             )
@@ -829,33 +829,6 @@ class TestShardedEngine:
         assert scalar_probes == []
         store.range_empty(int(los[0]), int(los[0]) + 40)
         assert scalar_probes  # the scalar path does probe
-
-    def test_columnar_lane_raises_on_a_released_run(self, monkeypatch):
-        """A run whose storage is retired between the filter pass and the
-        read raises ``CorruptionError`` from the columnar lane, as
-        ``SSTable.scan`` does."""
-        from repro.engine.batch import shard_batch_empty
-        from repro.errors import CorruptionError
-
-        store = LSMStore(UNIVERSE, memtable_limit=100, filter_factory=grafite_factory)
-        keys = list(range(1000, 60_000, 500))
-        for key in keys:
-            store.put(key, b"v")
-        store.flush()
-        store.request_compaction()
-        store.compact()
-        (run,) = store._runs()
-        batch_probe = Grafite.may_contain_range_batch
-
-        def probe_then_release(self, los, his):
-            verdicts = batch_probe(self, los, his)
-            if self is run.filter:
-                run.release()
-            return verdicts
-        monkeypatch.setattr(Grafite, "may_contain_range_batch", probe_then_release)
-        los = np.asarray(keys[:20], dtype=np.uint64)
-        with pytest.raises(CorruptionError):
-            shard_batch_empty(store, los, los)
 
     def test_batch_sees_memtable_and_tombstones(self):
         engine = ShardedEngine(1000, num_shards=2, memtable_limit=100)

@@ -13,8 +13,8 @@ Run sets are drawn from ``REPRO_DIFF_SEED`` (CI pins a second seed) and
 cover every value tag, TTL expiry (including nested and out-of-range
 :class:`ExpiringValue` wrappers, which ride the pickle lane), both
 ``drop_tombstones`` settings, span clipping at keys 0 and ``2**64-1``,
-``slice_target`` chunking with the empty-span placeholder slice, inputs
-reopened from a checkpoint's memory map, and a released input.
+``slice_target`` chunking with the empty-span placeholder slice, and
+inputs reopened from a checkpoint's memory map.
 
 The flush side keeps its oracle too: the per-value ``_encode_one`` loop
 ``encode_values`` ran before it went columnar. Seeded columns of every
@@ -32,7 +32,6 @@ import pytest
 
 from repro.engine import ShardedEngine
 from repro.engine.persist import run_to_bytes
-from repro.errors import CorruptionError
 from repro.lsm import store as store_mod
 from repro.lsm.compaction import LeveledPolicy, MergeUnit
 from repro.lsm.memtable import TOMBSTONE
@@ -136,9 +135,9 @@ def assert_same_columns(got, want_run):
     assert va[~uses].tobytes() == w_va[~uses].tobytes()
     assert vb[~uses].tobytes() == w_vb[~uses].tobytes()
     for i in np.flatnonzero(uses).tolist():
-        got_v = decode_value(int(tags[i]), int(va[i]), int(vb[i]), int(vexp[i]), heap, 0)
+        got_v = decode_value(int(tags[i]), int(va[i]), int(vb[i]), int(vexp[i]), heap)
         want_v = decode_value(
-            int(w_tags[i]), int(w_va[i]), int(w_vb[i]), int(w_vexp[i]), w_heap, 0
+            int(w_tags[i]), int(w_va[i]), int(w_vb[i]), int(w_vexp[i]), w_heap
         )
         assert got_v == want_v
 
@@ -343,20 +342,13 @@ def test_memmap_inputs_from_a_reopened_checkpoint(tmp_path):
     reopened = ShardedEngine.open(tmp_path / "db")
     runs = tuple(reopened.shards[0]._runs())
     assert len(runs) >= 3
-    assert all(isinstance(run._backing, np.memmap) for run in runs)
+    # Each key column is a view (via a memoryview) over the file's mapping.
+    assert all(isinstance(run.keys_view().base.obj, np.memmap) for run in runs)
     for drop in (False, True):
         for target in (None, 17):
             check_unit(MergeUnit(runs, slice_target=target),
                        2**32, drop_tombstones=drop, expire_before=30)
     reopened.close(checkpoint=False)
-
-
-def test_released_input_raises_corruption():
-    live = SSTable([(1, b"a")], UNIVERSE)
-    gone = SSTable([(2, b"b")], UNIVERSE)
-    gone.release()
-    with pytest.raises(CorruptionError):
-        merge_columns([live, gone], drop_tombstones=False)
 
 
 # ----------------------------------------------------------------------

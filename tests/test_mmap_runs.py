@@ -10,10 +10,8 @@ Three hazards specific to memory-mapped storage, each pinned here:
   or a manifest stamped version 1 or 2 is rejected as corrupt, by the
   loaders, by ``ShardedEngine.open`` and by the scrub;
 * **unmap discipline** — unlinking a mapped run file must not break
-  in-flight readers (POSIX keeps mapped pages alive), and a run that
-  has been explicitly :meth:`~repro.lsm.sstable.SSTable.release`-d must
-  raise :class:`~repro.errors.CorruptionError` cleanly on any further
-  read — never serve stale bytes or segfault.
+  in-flight readers (POSIX keeps mapped pages alive while a column
+  view over them does).
 """
 
 import json
@@ -66,6 +64,18 @@ def all_runs(engine):
     return [run for store in engine.shards for run in store._runs()]
 
 
+def mapped_by_memmap(column) -> bool:
+    """Whether ``column``'s buffer chain (``.base`` of an array, ``.obj``
+    of a memoryview) ends in an ``np.memmap``: the column is a view over
+    the run file's mapping, not a copy of it."""
+    owner = column.base
+    while owner is not None:
+        if isinstance(owner, np.memmap):
+            return True
+        owner = getattr(owner, "base" if isinstance(owner, np.ndarray) else "obj", None)
+    return False
+
+
 def test_v4_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
     engine, keys = build_db(tmp_path / "db")
     want = probe_all(engine, keys)
@@ -75,11 +85,8 @@ def test_v4_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
     runs = all_runs(reopened)
     assert runs, "reopened engine lost its runs"
     for run in runs:
-        backing = run._backing
-        assert backing is not None, "v4 run loaded without mmap backing"
-        assert isinstance(backing, np.memmap)
         # Zero-copy: the key column is a view over the mapping itself.
-        assert run.keys_view().base is not None
+        assert mapped_by_memmap(run.keys_view()), "v4 run loaded without mmap"
         assert run.shared_id is not None, "persisted run lost its shared_id"
 
 
@@ -140,22 +147,3 @@ def test_unlink_mid_read_keeps_mapped_pages_alive(tmp_path):
     # POSIX semantics: the pages stay valid until the mapping is
     # dropped, so every query keeps answering identically.
     assert probe_all(reopened, keys) == want
-
-
-def test_reads_after_release_raise_cleanly(tmp_path):
-    engine, keys = build_db(tmp_path / "db", spec=None)
-    reopened = ShardedEngine.open(tmp_path / "db")
-    runs = all_runs(reopened)
-    assert runs
-    hot = max(runs, key=len)
-    lo, hi = hot.key_bounds
-    assert hot.scan(lo, hi)  # readable before release
-    for run in runs:
-        run.release()
-        assert run.released
-    with pytest.raises(CorruptionError):
-        hot.scan(lo, hi)
-    with pytest.raises(CorruptionError):
-        hot.block_view(0)
-    # Idempotent: releasing again is a no-op, not an error.
-    hot.release()

@@ -8,8 +8,10 @@ engine, background compaction, checkpoint/reopen under locks, and a
 concurrent reader/writer hammer.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from repro.engine import RangeQueryService, RWLock, ShardedEngine
 from repro.errors import InvalidParameterError
 from repro.filters import FilterSpec
 from repro.lsm import BLOCK_ENTRIES, BlockCache, LSMStore, SSTable
+from repro.lsm.cache import SharedBlockCache
+from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.ttl import ExpiringValue
 
 UNIVERSE = 2**32
 
@@ -128,28 +133,33 @@ class TestBlocks:
     def test_block_layout_and_reads(self):
         run = self.make_run(BLOCK_ENTRIES * 2 + 5)
         assert run.block_count == 3
+        last = run.keys_view()[2 * BLOCK_ENTRIES:3 * BLOCK_ENTRIES]
+        assert last.tolist() == [
+            i * 10 for i in range(2 * BLOCK_ENTRIES, 2 * BLOCK_ENTRIES + 5)
+        ]
+        # Reading a block through a cache costs one I/O on a miss only.
+        cache = BlockCache(4)
         before = run.io_reads
-        block = run.read_block(2)
+        assert not cache.touch(run, 2)
         assert run.io_reads == before + 1
-        assert len(block) == 5
-        with pytest.raises(IndexError):
-            run.read_block(3)
+        assert cache.touch(run, 2)
+        assert run.io_reads == before + 1
 
     def test_block_span_matches_scan(self):
         run = self.make_run(BLOCK_ENTRIES + 10)
+        keys = run.keys_view()
         top = (BLOCK_ENTRIES + 9) * 10
         for lo, hi in [
             (0, 0), (5, 5), (0, top), (top, top), (top + 1, top + 500),
             (3, 47), (BLOCK_ENTRIES * 10 - 1, BLOCK_ENTRIES * 10 + 1),
         ]:
             span = run.block_span(lo, hi)
-            expected = run.scan(lo, hi)
+            expected = [k for k, _ in run.scan(lo, hi)]
             got = []
             if span is not None:
                 for b in range(span[0], span[1] + 1):
-                    got.extend(
-                        (k, v) for k, v in run.read_block(b) if lo <= k <= hi
-                    )
+                    block = keys[b * BLOCK_ENTRIES:(b + 1) * BLOCK_ENTRIES]
+                    got.extend(k for k in block.tolist() if lo <= k <= hi)
             assert got == expected, (lo, hi)
 
     def test_span_before_first_key_is_free(self):
@@ -158,16 +168,26 @@ class TestBlocks:
         assert run.block_span(100, 100) == (0, 0)
         assert run.block_span(101, 500) == (0, 0)  # costs one wasted block
 
+    def test_matches_index_stays_inside_the_match(self):
+        run = SSTable([(i * 10, i) for i in range(100)], UNIVERSE)
+        matches = run.scan(200, 215)
+        assert matches == [(200, 20), (210, 21)]
+        assert matches[0] == matches[-2] == (200, 20)
+        assert matches[1] == matches[-1] == (210, 21)
+        for index in (2, 5, -3, -5, -100):
+            with pytest.raises(IndexError):
+                matches[index]
+        with pytest.raises(IndexError):
+            run.scan(201, 209)[-1]
+
     def test_cache_hits_and_lru_eviction(self):
         run = self.make_run(BLOCK_ENTRIES * 4)
         cache = BlockCache(2, num_stripes=1)
-        cache.get_block(run, 0)
-        _, hit = cache.get_block(run, 0)
-        assert hit
-        cache.get_block(run, 1)
-        cache.get_block(run, 2)  # evicts block 0 (capacity 2, LRU)
-        _, hit = cache.get_block(run, 0)
-        assert not hit
+        cache.touch(run, 0)
+        assert cache.touch(run, 0)
+        cache.touch(run, 1)
+        cache.touch(run, 2)  # evicts block 0 (capacity 2, LRU)
+        assert not cache.touch(run, 0)
         assert cache.misses == 4 and cache.hits == 1
         assert len(cache) == 2
         cache.clear()
@@ -180,14 +200,71 @@ class TestBlocks:
         assert cache.scan(a, 0, 10)[0] == [(1, "a")]
         assert cache.scan(b, 0, 10)[0] == [(1, "b")]
 
-    def test_scan_through_cache_equals_direct(self):
+    @pytest.mark.parametrize("cache_class", [BlockCache, SharedBlockCache])
+    def test_scan_through_cache_equals_direct(self, cache_class):
+        """A cached scan returns the run's own entries, touches each block
+        of the range's fence span once and charges the run one I/O per
+        miss — tombstones, expiring values, ranges off either end of the
+        run and ranges straddling a block boundary included."""
         rng = np.random.default_rng(3)
-        keys = np.unique(rng.integers(0, 10_000, 2000, dtype=np.uint64))
-        run = SSTable([(int(k), int(k)) for k in keys], UNIVERSE)
-        cache = BlockCache(64)
-        for lo, hi in rng.integers(0, 10_000, (200, 2)):
-            lo, hi = int(min(lo, hi)), int(max(lo, hi))
-            assert cache.scan(run, lo, hi)[0] == run.scan(lo, hi)
+        keys = np.unique(rng.integers(100, 10_000, 2000, dtype=np.uint64))
+        entries = []
+        for i, key in enumerate(keys.tolist()):
+            if i % 7 == 0:
+                entries.append((key, TOMBSTONE))
+            elif i % 5 == 0:
+                entries.append((key, ExpiringValue(key, i % 40)))
+            else:
+                entries.append((key, key))
+        run = SSTable(entries, UNIVERSE)
+        assert run.block_count > 2
+        first, top = int(keys[0]), int(keys[-1])
+        edge = int(keys[BLOCK_ENTRIES])
+        ranges = [
+            (0, 99), (0, first - 1), (0, first), (top, top + 50),
+            (top + 1, UNIVERSE - 1), (edge - 1, edge), (edge - 1, edge + 1),
+            (first, top),
+        ]
+        for lo, hi in rng.integers(0, 10_000, (200, 2)).tolist():
+            ranges.append((min(lo, hi), max(lo, hi)))
+        cache = cache_class(64)
+        try:
+            for _ in range(2):
+                for lo, hi in ranges:
+                    span = run.block_span(lo, hi)
+                    before = run.io_reads
+                    matches, hits, misses = cache.scan(run, lo, hi)
+                    assert matches == run.scan(lo, hi, charge=False)
+                    touched = 0 if span is None else span[1] - span[0] + 1
+                    assert hits + misses == touched, (lo, hi)
+                    assert run.io_reads == before + misses
+            assert cache.hits > 0 and cache.misses > 0
+        finally:
+            if isinstance(cache, SharedBlockCache):
+                cache.close()
+
+    @pytest.mark.parametrize("kind", ["lru", "shared"])
+    def test_warm_cache_pins_no_run_data(self, kind):
+        """A cache records block residency, never block data: once the
+        store and its runs are dropped, their key columns are freed
+        while the cache is still warm."""
+        cache = BlockCache(64) if kind == "lru" else SharedBlockCache(64)
+        try:
+            store = LSMStore(UNIVERSE, memtable_limit=64)
+            for key in range(0, 6400, 10):
+                store.put(key, key)
+            store.flush()
+            store.attach_cache(cache)
+            assert store.range_scan(0, 6400)
+            columns = [weakref.ref(run.keys_view()) for run in store._runs()]
+            assert columns and len(cache) > 0
+            del store
+            gc.collect()
+            assert all(column() is None for column in columns)
+            assert len(cache) > 0
+        finally:
+            if isinstance(cache, SharedBlockCache):
+                cache.close()
 
     def test_store_folds_cache_counters(self):
         store = LSMStore(UNIVERSE, memtable_limit=64)

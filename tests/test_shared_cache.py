@@ -8,7 +8,8 @@ pinned here:
   stable ``shared_id`` that keys the slab identically everywhere;
 * **bounded residency + LRU** — the slab never holds more blocks than
   its capacity, and with a single set the eviction order is exact LRU
-  (verified against a hand-run model);
+  (verified against a hand-run model); a slot holds a block's identity,
+  never its data;
 * **no leaked segments** — closing the owner unlinks the shared-memory
   segment; closing a mere attachment does not destroy the slab the
   other processes are still using.
@@ -58,7 +59,7 @@ def _warm_slab_from_child(slab_name, locks, run_path, run_name, done):
     cache = SharedBlockCache.attach(slab_name, locks, unregister=True)
     try:
         for index in range(run.block_count):
-            cache.get_block(run, index)
+            cache.touch(run, index)
         done.put((cache.hits, cache.misses))
     finally:
         cache.close()
@@ -88,7 +89,7 @@ def test_child_process_warms_slab_for_parent(tmp_path):
         # The parent never touched the slab, yet every block is a hit —
         # stable_run_id keys the same file identically across processes.
         for index in range(run.block_count):
-            _, hit = cache.get_block(run, index)
+            hit = cache.touch(run, index)
             assert hit
         assert cache.hits == run.block_count
         assert cache.misses == 0
@@ -106,9 +107,9 @@ def test_unpersisted_runs_never_collide_across_attachments(tmp_path):
         other = SharedBlockCache.attach(owner.name, owner.locks)
         try:
             for index in range(run.block_count):
-                owner.get_block(run, index)
+                owner.touch(run, index)
             for index in range(run.block_count):
-                _, hit = other.get_block(run, index)
+                hit = other.touch(run, index)
                 assert not hit
         finally:
             other.close()
@@ -123,8 +124,7 @@ def test_single_set_eviction_is_exact_lru(tmp_path):
     cache = SharedBlockCache(capacity_blocks=4)
     try:
         def touch(index):
-            _, hit = cache.get_block(run, index)
-            return hit
+            return cache.touch(run, index)
 
         assert [touch(i) for i in (0, 1, 2, 3)] == [False] * 4
         assert len(cache) == 4
@@ -146,22 +146,19 @@ def test_slab_residency_stays_bounded_under_cycling(tmp_path):
     try:
         for _ in range(3):
             for index in range(run.block_count):
-                cache.get_block(run, index)
+                cache.touch(run, index)
                 assert len(cache) <= cache.capacity_blocks
         assert cache.misses > cache.capacity_blocks  # cycling churns
     finally:
         cache.close()
 
 
-def test_oversized_blocks_bypass_the_slab(tmp_path):
-    run = persisted_run(tmp_path, 2)
-    cache = SharedBlockCache(capacity_blocks=8, slot_bytes=1024)
+def test_slab_holds_block_identities_only():
+    """A slot records which block is resident, never the block's data:
+    the segment is one 64-byte header plus one 64-byte row per slot."""
+    cache = SharedBlockCache(capacity_blocks=4096)
     try:
-        for _ in range(2):
-            block, hit = cache.get_block(run, 0)
-            assert not hit  # too big for a slot: served from the run
-        assert len(cache) == 0
-        assert cache.misses == 2
+        assert cache._shm.size <= 64 * (4096 + 1)
     finally:
         cache.close()
 
@@ -181,10 +178,10 @@ def test_attachment_close_leaves_slab_alive(tmp_path):
     name = owner.name
     try:
         attachment = SharedBlockCache.attach(name, owner.locks)
-        attachment.get_block(run, 0)
+        attachment.touch(run, 0)
         attachment.close()
         # The owner keeps working — and sees the attachment's admission.
-        _, hit = owner.get_block(run, 0)
+        hit = owner.touch(run, 0)
         assert hit
     finally:
         owner.close()
@@ -223,12 +220,10 @@ def test_constructor_validation():
         SharedBlockCache(capacity_blocks=8, num_stripes=0)
     with pytest.raises(InvalidParameterError):
         SharedBlockCache(capacity_blocks=8, miss_latency=-1.0)
-    with pytest.raises(InvalidParameterError):
-        SharedBlockCache(capacity_blocks=8, slot_bytes=16)
     cache = SharedBlockCache(capacity_blocks=8)
     cache.close()
     with pytest.raises(InvalidParameterError):
-        cache.get_block(make_run(1), 0)
+        cache.touch(make_run(1), 0)
 
 
 def test_rejected_process_service_releases_its_slab():

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Documentation lint: intra-repo links + public-symbol docstrings.
+"""Documentation lint: intra-repo links, public-symbol docstrings and
+the class members the docs name.
 
-Two checks, both cheap enough for every CI run:
+Three checks, all cheap enough for every CI run:
 
 1. **Links** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at a file that exists (anchors and external
@@ -11,6 +12,11 @@ Two checks, both cheap enough for every CI run:
    :data:`DOC_PACKAGES` (its ``__all__``), and every module in those
    packages, must carry a docstring. New subsystems land with their
    documentation or not at all.
+3. **Members** — every backticked ``Class.member`` (or
+   ``Class.member(...)``) in ``README.md`` and ``docs/*.md`` whose
+   ``Class`` is a class defined in ``repro`` must name an attribute that
+   class has (``hasattr``, or a dataclass field). A doc that still names
+   a removed method or property is caught the day it goes stale.
 
 Exit code 0 when clean; 1 with a problem list otherwise. Run from the
 repo root: ``python tools/check_docs.py`` (``src/`` is put on the path
@@ -44,6 +50,8 @@ DOC_PACKAGES = (
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: A backticked span that starts ``Class.member``.
+_MEMBER = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)[^`]*`")
 
 
 def check_links() -> list[str]:
@@ -90,8 +98,46 @@ def check_docstrings() -> list[str]:
     return problems
 
 
+def repro_classes() -> dict[str, list[type]]:
+    """Every class defined in a ``repro`` module, by name."""
+    import repro
+
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing it runs the CLI
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                classes.setdefault(obj.__name__, []).append(obj)
+    return classes
+
+
+def _has_member(cls: type, name: str) -> bool:
+    return hasattr(cls, name) or name in getattr(cls, "__dataclass_fields__", {})
+
+
+def check_members(doc_files=DOC_FILES) -> list[str]:
+    classes = repro_classes()
+    problems = []
+    for md in doc_files:
+        if not md.exists():
+            continue  # check_links reports it
+        for lineno, line in enumerate(md.read_text().splitlines(), 1):
+            for cls_name, member in _MEMBER.findall(line):
+                candidates = classes.get(cls_name)
+                if candidates and not any(
+                    _has_member(cls, member) for cls in candidates
+                ):
+                    problems.append(
+                        f"{md.name}:{lineno}: `{cls_name}.{member}` names no "
+                        f"member of {cls_name}"
+                    )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_docstrings()
+    problems = check_links() + check_docstrings() + check_members()
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
         for problem in problems:
