@@ -630,7 +630,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
 def _parse_hostport(spec: str) -> tuple:
     host, sep, port = spec.rpartition(":")
     if not sep or not port.isdigit() or int(port) > 65535:
-        raise SystemExit(f"expected HOST:PORT, got {spec!r}")
+        raise InvalidParameterError(f"expected HOST:PORT, got {spec!r}")
     return host or "127.0.0.1", int(port)
 
 

@@ -11,12 +11,6 @@ from repro.core.hashing import (
     PairwiseIndependentHash,
     PowerOfTwoLocalityHash,
 )
-from repro.core.serialization import (
-    bucketing_from_bytes,
-    bucketing_to_bytes,
-    grafite_from_bytes,
-    grafite_to_bytes,
-)
 from repro.core.strings import (
     StringGrafite,
     StringKeyCodec,
@@ -33,13 +27,9 @@ __all__ = [
     "PowerOfTwoLocalityHash",
     "StringGrafite",
     "StringKeyCodec",
-    "bucketing_from_bytes",
-    "bucketing_to_bytes",
     "decode_string",
     "encode_endpoint",
     "encode_string",
     "eps_from_bits_per_key",
-    "grafite_from_bytes",
-    "grafite_to_bytes",
     "hashed_query_intervals",
 ]

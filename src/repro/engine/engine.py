@@ -199,9 +199,9 @@ class ShardedEngine:
     ) -> "ShardedEngine":
         """Recover a persistent engine: snapshot, then WAL replay.
 
-        Every run's filter restores byte-for-byte from its snapshot
-        blob, so a reopened engine answers every query exactly as before
-        the crash/shutdown. The manifest names the engine's
+        Every run's filter is rebuilt from the spec its run file
+        records, from the same keys with the same seed, so a reopened
+        engine answers every query exactly as before the crash/shutdown. The manifest names the engine's
         ``filter_spec``, so runs flushed after the reopen (WAL replay
         included) get the same filter the engine was created with.
 

@@ -12,27 +12,27 @@ newest checkpoint fails verification; ``shard-<i>/*.sst`` — one file
 per run; ``wal.log`` — the write-ahead log, reset by the checkpoint
 and replayed over the snapshot on reopen.
 
-Run format **v4** is columnar and mmap-able: a fixed 96-byte header of
+Run format **v5** is columnar and mmap-able: a fixed 96-byte header of
 section offsets, then the run's 8-byte-aligned columns exactly as
 :class:`~repro.lsm.sstable.SSTable` holds them in memory — sorted
 ``<u8`` keys, the one-byte value tags, the ``va``/``vb``/``vexp``
 operand words, and the var-width value heap — followed by a **per-block
 crc32 array** (one checksum per :data:`~repro.lsm.sstable.BLOCK_ENTRIES`
 block, covering that block's slice of every column plus its contiguous
-heap span) and a filter/metadata section sealed by a crc32 over the
-header and metadata together. Loading a v4 file goes through
-``np.memmap``: the columns become zero-copy views over the page cache
-and no value is deserialised until something actually reads it. There
-is no whole-run pickle: values are typed column entries, and only
-genuinely opaque objects take a per-value pickle lane inside the heap.
+heap span) and a metadata section sealed by a crc32 over the header and
+metadata together. Loading a run file goes through ``np.memmap``: the
+columns become zero-copy views over the page cache and no value is
+deserialised until something actually reads it. There is no whole-run
+pickle: values are typed column entries, and only genuinely opaque
+objects take a per-value pickle lane inside the heap.
 
 Every checksum failure raises :class:`~repro.errors.CorruptionError` —
 the storage layer never serves bytes that failed verification; crc32
 detects every single-bit flip and every burst shorter than 32 bits,
 which covers the realistic torn-write and bit-rot cases the crash-fuzz
 and chaos suites inject (see ``docs/robustness.md``). Alignment padding
-is required to be zero, so no byte of a v4 file is outside some check's
-coverage.
+is required to be zero, so no byte of a run file is outside some
+check's coverage.
 
 Durability follows the classic rename-commit protocol, with the fsyncs
 real filesystems require: every run blob is fsynced, the manifest is
@@ -45,18 +45,19 @@ so the last two checkpoint epochs are always on disk intact. (On POSIX,
 unlinking a GC'd file a reader still has mapped is safe — the mapping
 survives until the last column view over it is dropped.)
 
-Only the formats this module writes load: run format v4 and manifest
+Only the formats this module writes load: run format v5 and manifest
 version 3. Any other version stamp raises
 :class:`~repro.errors.CorruptionError` naming the version.
 
-A run file embeds the run's *filter bytes* — every backend in
-:mod:`repro.filters.registry` (Grafite, Bucketing, SuRF, Rosetta,
-Proteus, SNARF, REncoder) has a stable format. Persisting the filter —
-rather than rebuilding it from the keys — matters: a rebuild would draw
-fresh hash constants, so a reopened store would false-positive on
-*different* probes than before the restart. With the blob, query
-results are bit-for-bit identical across a reopen. A run records one of
-two filter modes, none or blob; any other mode byte is corruption.
+A run file records *how* its filter was built, not the filter itself:
+the :class:`~repro.filters.registry.FilterSpec` parameters as JSON, or
+JSON ``null`` for a run without a filter. Every registry backend is a
+pure function of its keys and its seeded spec, so loading rebuilds the
+filter from the run's key column — once every checksum has passed — and
+gets the same hash constants, the same size and the same verdicts as
+before the restart, in any process. The cost moves from the file to
+the load: a rebuild per filtered run (``docs/storage.md`` measures it).
+A filter that no spec built cannot be checkpointed.
 
 All file I/O routes through :mod:`repro.faults` so the chaos suites can
 inject torn writes, bit flips and EIO at exactly this seam; with no
@@ -77,13 +78,9 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import faults
-from repro.core.serialization import (
-    filter_from_bytes,
-    filter_to_bytes,
-    pack_int,
-    unpack_int,
-)
 from repro.errors import CorruptionError, InvalidParameterError, ReproError
+from repro.filters.base import RangeFilter
+from repro.filters.registry import FilterSpec
 from repro.lsm.sstable import (
     BLOCK_ENTRIES,
     FilterFactory,
@@ -94,16 +91,29 @@ from repro.lsm.sstable import (
 from repro.lsm.store import LSMStore
 
 _RUN_MAGIC = b"RSST"
-_RUN_VERSION = 4          # columnar + mmap-able; the only version read
-_V4_HEADER = 96           # magic(4) version(2) hdr_size(2) n(8) + 10 u64s
+_RUN_VERSION = 5          # columnar, mmap-able, filter spec; the only version read
+_HEADER = 96              # magic(4) version(2) hdr_size(2) n(8) + 10 u64s
 
 MANIFEST_NAME = "MANIFEST.json"
 PREV_MANIFEST_NAME = "MANIFEST.prev.json"
 MANIFEST_VERSION = 3      # carries a crc32 field; the only version read
 
-#: Filter persistence modes recorded in a run file.
-_FILTER_NONE = 0       # the run never had a filter
-_FILTER_BLOB = 1       # serialised bytes follow; restore exactly
+
+def pack_int(value: int) -> bytes:
+    """Length-prefixed little-endian encoding of a non-negative int
+    (universes and slice bounds may exceed 64 bits)."""
+    raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def unpack_int(buf: bytes, offset: int) -> Tuple[int, int]:
+    """Inverse of :func:`pack_int`: ``(value, offset past it)``."""
+    (length,) = struct.unpack_from("<I", buf, offset)
+    offset += 4
+    raw = buf[offset:offset + length]
+    if len(raw) != length:
+        raise CorruptionError("run metadata integer truncated")
+    return int.from_bytes(raw, "little"), offset + length
 
 
 def _align8(offset: int) -> int:
@@ -127,7 +137,7 @@ def stable_run_id(shard_id: int, name: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Run files — v4 columnar writer
+# Run files — writer
 # ----------------------------------------------------------------------
 def _block_heap_bounds(
     tags: np.ndarray, va: np.ndarray, vb: np.ndarray, start: int, stop: int
@@ -147,7 +157,7 @@ def _block_heap_bounds(
     return int(va[first]), int(va[last]) + int(vb[last])
 
 
-def _v4_block_crcs(
+def _block_crcs(
     keys: np.ndarray,
     tags: np.ndarray,
     va: np.ndarray,
@@ -176,11 +186,23 @@ def _v4_block_crcs(
     return crcs
 
 
-def _filter_parts(run: SSTable) -> Tuple[int, bytes]:
+def _spec_part(run: SSTable) -> bytes:
+    """The run's filter spec as length-prefixed JSON (``null``: no filter).
+
+    Raises :class:`~repro.errors.InvalidParameterError` for a filter no
+    :class:`FilterSpec` built: nothing could rebuild it on load.
+    """
     filt = run.filter
-    if filt is None:
-        return _FILTER_NONE, b""
-    return _FILTER_BLOB, filter_to_bytes(filt)
+    params = None
+    if filt is not None:
+        if getattr(filt, "spec", None) is None:
+            raise InvalidParameterError(
+                f"{type(filt).__name__} filter was not built by a FilterSpec, "
+                "so a checkpoint cannot rebuild it"
+            )
+        params = filt.spec.to_params()
+    raw = json.dumps(params, sort_keys=True, allow_nan=False).encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
 
 
 def _bounds_part(run: SSTable) -> bytes:
@@ -191,15 +213,15 @@ def _bounds_part(run: SSTable) -> bytes:
 
 
 def run_to_bytes(run: SSTable) -> bytes:
-    """Serialise one immutable run in columnar format v4.
+    """Serialise one immutable run in columnar format v5.
 
     Layout: a 96-byte header (magic, version, entry count, the offset of
     every section, heap and metadata lengths), then 8-byte-aligned
     sections — keys, tags, ``va``, ``vb``, ``vexp``, heap, the per-block
-    crc32 array, and metadata (universe, slice bounds, filter mode +
-    blob) ending in a crc32 over header+metadata. The section layout is
-    byte-identical to what ``np.memmap`` hands back on load, so writing
-    is a straight column dump and loading is zero-copy.
+    crc32 array, and metadata (universe, slice bounds, the filter's spec
+    record) ending in a crc32 over header+metadata. The section layout
+    is byte-identical to what ``np.memmap`` hands back on load, so
+    writing is a straight column dump and loading is zero-copy.
     """
     keys = np.ascontiguousarray(run.keys_view(), dtype=np.uint64)
     tags_c, va_c, vb_c, vexp_c, heap = run.value_columns()
@@ -211,7 +233,7 @@ def run_to_bytes(run: SSTable) -> bytes:
     nblocks = -(-n // BLOCK_ENTRIES)
     heap_len = len(heap)
 
-    off_keys = _V4_HEADER
+    off_keys = _HEADER
     off_tags = off_keys + 8 * n
     off_va = _align8(off_tags + n)
     off_vb = off_va + 8 * n
@@ -220,16 +242,10 @@ def run_to_bytes(run: SSTable) -> bytes:
     off_blockcrc = _align8(off_heap + heap_len)
     off_meta = _align8(off_blockcrc + 4 * nblocks)
 
-    filter_mode, filter_blob = _filter_parts(run)
-    meta_body = b"".join([
-        pack_int(run.universe),
-        _bounds_part(run),
-        struct.pack("<BQ", filter_mode, len(filter_blob)),
-        filter_blob,
-    ])
+    meta_body = pack_int(run.universe) + _bounds_part(run) + _spec_part(run)
     meta_len = len(meta_body) + 4  # + crc32 trailer
 
-    header = struct.pack("<4sHHQ", _RUN_MAGIC, _RUN_VERSION, _V4_HEADER, n)
+    header = struct.pack("<4sHHQ", _RUN_MAGIC, _RUN_VERSION, _HEADER, n)
     header += struct.pack(
         "<10Q", off_keys, off_tags, off_va, off_vb, off_vexp,
         off_heap, off_blockcrc, off_meta, heap_len, meta_len,
@@ -237,14 +253,14 @@ def run_to_bytes(run: SSTable) -> bytes:
     meta_crc = zlib.crc32(meta_body, zlib.crc32(header)) & 0xFFFFFFFF
 
     out = bytearray(off_meta + meta_len)
-    out[0:_V4_HEADER] = header
+    out[0:_HEADER] = header
     out[off_keys:off_keys + 8 * n] = keys.tobytes()
     out[off_tags:off_tags + n] = tags.tobytes()
     out[off_va:off_va + 8 * n] = va.tobytes()
     out[off_vb:off_vb + 8 * n] = vb.tobytes()
     out[off_vexp:off_vexp + 8 * n] = vexp.tobytes()
     out[off_heap:off_heap + heap_len] = heap
-    crcs = _v4_block_crcs(keys, tags, va, vb, vexp, heap)
+    crcs = _block_crcs(keys, tags, va, vb, vexp, heap)
     out[off_blockcrc:off_blockcrc + 4 * nblocks] = (
         crcs.astype("<u4").tobytes()
     )
@@ -254,24 +270,41 @@ def run_to_bytes(run: SSTable) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Run files — parsing (v4, zero-copy)
+# Run files — parsing (zero-copy)
 # ----------------------------------------------------------------------
-def _restore_filter(filter_mode: int, filter_blob: bytes):
-    if filter_mode == _FILTER_BLOB:
-        return filter_from_bytes(filter_blob)
-    if filter_mode == _FILTER_NONE:
+def _rebuild_filter(
+    record: bytes, keys: np.ndarray, universe: int
+) -> Optional[RangeFilter]:
+    """Rebuild a run's filter from its spec record and its key column.
+
+    A record that is not JSON, or names no buildable spec (an unknown
+    backend, a malformed field), is corruption: its checksum held, but
+    no writer of this format produces it.
+    """
+    try:
+        params = json.loads(record.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptionError(f"run filter spec is not valid JSON: {exc}") from exc
+    if params is None:
         return None
-    raise CorruptionError(f"unknown run filter mode {filter_mode}")
+    try:
+        spec = FilterSpec.from_params(params)
+    except InvalidParameterError as exc:
+        raise CorruptionError(f"run filter spec is invalid: {exc}") from exc
+    try:
+        return spec.factory()(keys, universe)
+    except ReproError as exc:
+        raise CorruptionError(f"run filter failed to rebuild: {exc}") from exc
 
 
-def _parse_run_v4(buf) -> SSTable:
+def _parse_run_columns(buf) -> SSTable:
     mv = memoryview(buf)
-    if len(mv) < _V4_HEADER:
-        raise CorruptionError("run file too short for a v4 header")
-    header = bytes(mv[:_V4_HEADER])
+    if len(mv) < _HEADER:
+        raise CorruptionError("run file too short for its header")
+    header = bytes(mv[:_HEADER])
     _, _, header_size, n = struct.unpack_from("<4sHHQ", header, 0)
-    if header_size != _V4_HEADER:
-        raise CorruptionError(f"unexpected v4 header size {header_size}")
+    if header_size != _HEADER:
+        raise CorruptionError(f"unexpected run header size {header_size}")
     (
         off_keys, off_tags, off_va, off_vb, off_vexp,
         off_heap, off_blockcrc, off_meta, heap_len, meta_len,
@@ -282,7 +315,7 @@ def _parse_run_v4(buf) -> SSTable:
         (off_vexp, 8 * n), (off_heap, heap_len), (off_blockcrc, 4 * nblocks),
         (off_meta, meta_len),
     ]
-    cursor = _V4_HEADER
+    cursor = _HEADER
     for off, length in expected:
         if off < cursor or off + length > len(mv):
             raise CorruptionError("run file truncated or section offsets invalid")
@@ -312,7 +345,7 @@ def _parse_run_v4(buf) -> SSTable:
     recorded_crcs = np.frombuffer(
         mv, dtype="<u4", count=nblocks, offset=off_blockcrc
     )
-    actual_crcs = _v4_block_crcs(keys, tags, va, vb, vexp, heap)
+    actual_crcs = _block_crcs(keys, tags, va, vb, vexp, heap)
     if not np.array_equal(recorded_crcs, actual_crcs):
         bad = int(np.flatnonzero(recorded_crcs != actual_crcs)[0])
         raise CorruptionError(
@@ -330,12 +363,11 @@ def _parse_run_v4(buf) -> SSTable:
         bounds_lo, offset = unpack_int(meta, offset)
         bounds_hi, offset = unpack_int(meta, offset)
         slice_bounds = (int(bounds_lo), int(bounds_hi))
-    filter_mode, filter_len = struct.unpack_from("<BQ", meta, offset)
-    offset += 9
-    filter_blob = meta[offset:offset + filter_len]
-    if len(filter_blob) != filter_len:
-        raise CorruptionError("run filter blob truncated")
-    filt = _restore_filter(filter_mode, filter_blob)
+    (spec_len,) = struct.unpack_from("<I", meta, offset)
+    offset += 4
+    if offset + spec_len != meta_len - 4:
+        raise CorruptionError("run filter spec record has the wrong length")
+    filt = _rebuild_filter(meta[offset:offset + spec_len], keys, int(universe))
     return SSTable.from_columns(
         keys, tags, va, vb, vexp, heap, int(universe), filt,
         slice_bounds=slice_bounds,
@@ -349,28 +381,29 @@ def _parse_run(buf) -> SSTable:
     (version,) = struct.unpack_from("<H", head, 4)
     if version != _RUN_VERSION:
         raise CorruptionError(f"unsupported run format version {version}")
-    return _parse_run_v4(buf)
+    return _parse_run_columns(buf)
 
 
 def run_from_bytes(buf) -> SSTable:
     """Load a run serialised by :func:`run_to_bytes`.
 
     ``buf`` may be ``bytes`` or any contiguous buffer — notably an
-    ``np.memmap`` of the run file, in which case a v4 run adopts the
+    ``np.memmap`` of the run file, in which case the run adopts the
     mapping zero-copy: its column views keep the mapping alive for as
     long as anything holds them.
 
     Every stored checksum is verified before the bytes are trusted: the
     metadata crc and every per-block crc (eagerly — a later
     lazily-discovered bad block could not roll the open back). A
-    mismatch, any structural damage, a version stamp other than v4 or
-    a filter mode other than none or blob raises
+    mismatch, any structural damage, a version stamp other than v5 or a
+    spec record that names no buildable filter raises
     :class:`~repro.errors.CorruptionError`. The caller (shard loading in
     :meth:`ShardedEngine.open`) treats that as "this checkpoint epoch is
     bad" and rolls back rather than serving a partially-decoded run.
 
-    The run's filter, if it had one, restores from the embedded blob
-    byte-for-byte: the same hash constants, so the same verdicts.
+    The run's filter, if it had one, is rebuilt from the recorded spec
+    and the verified key column: the same seed, so the same hash
+    constants and the same verdicts as the run that was written.
     """
     try:
         return _parse_run(buf)
@@ -577,7 +610,7 @@ def load_shard(
 ) -> LSMStore:
     """Rebuild one shard's :class:`LSMStore` from a snapshot manifest.
 
-    A v4 run file is opened with ``np.memmap``: its columns become
+    A run file is opened with ``np.memmap``: its columns become
     zero-copy views over the page cache (checksums are still verified
     eagerly — integrity before laziness), the column views keep the
     mapping alive, and the run is stamped with its
@@ -589,10 +622,9 @@ def load_shard(
 
     The per-shard granularity is what the process-mode serving workers
     use: each worker owns a subset of the shards and loads only those
-    from the checkpoint, read-only — every run restores its filter
-    byte-for-byte from its embedded blob, no factory needed.
-    ``filter_factory`` only builds the filters of runs the store flushes
-    or compacts later.
+    from the checkpoint, read-only — every run rebuilds its filter from
+    the spec its file records, no factory needed. ``filter_factory``
+    only builds the filters of runs the store flushes or compacts later.
 
     A referenced run file that is missing, truncated, or fails its
     checksum raises :class:`~repro.errors.CorruptionError` naming the
@@ -667,10 +699,10 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
 
     Checks, without mutating anything: the current manifest parses and
     its crc32 matches; every run file each retained manifest
-    references exists, passes its checksums — for a v4 run that means
-    the metadata crc *and every per-block crc32*, so a flip in any
-    single block is pinpointed — and parses structurally, filter blobs
-    included; the WAL's record chain is intact (a torn tail is
+    references exists, passes its checksums — the metadata crc *and
+    every per-block crc32*, so a flip in any single block is pinpointed
+    — and parses structurally, its filter rebuilt from the recorded
+    spec; the WAL's record chain is intact (a torn tail is
     reported but is *not* corruption — crash recovery tolerates it by
     design; a checksummed record that does not decode, a bad magic or an
     unsupported WAL version is, and sets ``wal`` to ``"corrupt"``).

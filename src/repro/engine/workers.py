@@ -8,9 +8,10 @@ back end that sidesteps the GIL entirely:
 
 * a :class:`ShardWorkerPool` spawns ``num_workers`` child processes;
   worker ``w`` owns shards ``{sid : sid % num_workers == w}`` and loads
-  them **read-only from the engine's last checkpoint** — run files plus
-  their serialised filters, no WAL, no memtable, no filter factory (so
-  nothing unpicklable ever crosses the process boundary);
+  them **read-only from the engine's last checkpoint** — run files,
+  each rebuilding its filter from the spec it records; no WAL, no
+  memtable, no filter factory (so nothing unpicklable ever crosses the
+  process boundary);
 * query payloads travel through ``multiprocessing.shared_memory`` ring
   buffers: the parent writes ``lo``/``hi`` ``uint64`` columns into a
   request slot, the worker writes a verdict bitmap (plus an I/O-stats
@@ -199,7 +200,7 @@ def worker_main(
                         )
                     stores = {
                         # Workers only read, so they own no filter factory:
-                        # every run restores its filter from its blob.
+                        # every run rebuilds its filter from its recorded spec.
                         sid: persist.load_shard(directory, manifest, sid)
                         for sid in owned_sids
                     }

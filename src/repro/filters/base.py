@@ -62,6 +62,11 @@ class RangeFilter(abc.ABC):
     #: Human-readable name used in benchmark tables (subclasses override).
     name: str = "range-filter"
 
+    #: The :class:`~repro.filters.registry.FilterSpec` that built this
+    #: filter, stamped by its factory; ``None`` for a filter built any
+    #: other way. A checkpoint records it to rebuild the filter on load.
+    spec = None
+
     def __init__(self, universe: int) -> None:
         if universe <= 0:
             raise InvalidKeyError(f"universe must be positive, got {universe}")

@@ -11,8 +11,11 @@ facts the serving layer and the auto-tuner act on:
 * does it have a vectorised batch probe, or does it ride the generic
   :meth:`~repro.filters.base.RangeFilter.may_contain_range_batch` loop?
 
-Every backend here has a byte format in :mod:`repro.core.serialization`,
-so a checkpoint restores its filters byte-for-byte.
+Every backend here is a pure function of its keys and its spec: the
+seed fixes every hash constant, so a rebuild from the same keys is
+bit-for-bit the same filter, in any process. That is why a checkpoint
+records the spec that built each run's filter rather than the filter's
+bytes (:mod:`repro.engine.persist`), and rebuilds the filter on load.
 
 :class:`FilterSpec` is the value that travels: a named backend plus the
 construction knobs (bits/key, design range size, seed). The engine
@@ -29,6 +32,8 @@ keeps rebuilt filters identical across runs of the same seed.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -52,6 +57,10 @@ class FilterBackend:
     build: Callable[["FilterSpec", np.ndarray, int], RangeFilter]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """A backend choice plus construction knobs, JSON-serialisable.
@@ -59,6 +68,12 @@ class FilterSpec:
     ``max_range_size`` is the design bound ``L`` for the backends that
     take one (Grafite, Rosetta); ``seed`` fixes every hash constant so a
     rebuild from the same keys is bit-for-bit reproducible.
+
+    Only values every backend can build from are accepted: a finite
+    positive ``bits_per_key``, an integral ``max_range_size >= 1`` and an
+    integral ``seed`` in ``[0, 2**64)``. They are normalised to ``float``
+    and ``int``, so :meth:`to_params` is standard JSON and a spec read
+    back from it builds the identical filter.
     """
 
     backend: str
@@ -67,26 +82,48 @@ class FilterSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
+        if not isinstance(self.backend, str) or self.backend not in BACKENDS:
             raise InvalidParameterError(
                 f"unknown filter backend {self.backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
             )
-        if self.bits_per_key <= 0:
-            raise InvalidParameterError("bits_per_key must be positive")
-        if self.max_range_size < 1:
-            raise InvalidParameterError("max_range_size must be >= 1")
+        bits = self.bits_per_key
+        # The chained comparison also rejects NaN, infinity and ints too
+        # large for a float.
+        if (not isinstance(bits, numbers.Real) or isinstance(bits, bool)
+                or not 0 < bits <= sys.float_info.max):
+            raise InvalidParameterError(
+                f"bits_per_key must be finite and positive, got {bits!r}"
+            )
+        if not _is_int(self.max_range_size) or self.max_range_size < 1:
+            raise InvalidParameterError(
+                f"max_range_size must be an integer >= 1, got "
+                f"{self.max_range_size!r}"
+            )
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise InvalidParameterError(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
+            )
+        object.__setattr__(self, "bits_per_key", float(bits))
+        object.__setattr__(self, "max_range_size", int(self.max_range_size))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def info(self) -> FilterBackend:
         return BACKENDS[self.backend]
 
     def factory(self) -> EngineFactory:
-        """The ``(keys, universe) -> RangeFilter`` builder the LSM uses."""
+        """The ``(keys, universe) -> RangeFilter`` builder the LSM uses.
+
+        Each filter it builds is stamped with this spec
+        (:attr:`RangeFilter.spec`), which is what a checkpoint records.
+        """
         info = self.info
 
         def build(keys: np.ndarray, universe: int) -> RangeFilter:
-            return info.build(self, keys, universe)
+            filt = info.build(self, keys, universe)
+            filt.spec = self
+            return filt
 
         return build
 
@@ -101,13 +138,23 @@ class FilterSpec:
 
     @classmethod
     def from_params(cls, params: Dict[str, object]) -> "FilterSpec":
-        """Inverse of :meth:`to_params` (manifest recovery path)."""
-        return cls(
-            backend=str(params["backend"]),
-            bits_per_key=float(params["bits_per_key"]),
-            max_range_size=int(params["max_range_size"]),
-            seed=int(params["seed"]),
-        )
+        """Inverse of :meth:`to_params` (manifest and run-file recovery).
+
+        Values are taken as they are, not coerced, so a malformed record
+        (a missing field, a string seed, ``1.5`` as a range size) raises
+        :class:`~repro.errors.InvalidParameterError`.
+        """
+        try:
+            return cls(
+                backend=params["backend"],
+                bits_per_key=params["bits_per_key"],
+                max_range_size=params["max_range_size"],
+                seed=params["seed"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise InvalidParameterError(
+                f"malformed filter spec {params!r}: {exc!r}"
+            ) from exc
 
 
 def _synthetic_sample(

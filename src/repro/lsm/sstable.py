@@ -5,9 +5,9 @@ plus a typed value column — a one-byte tag, two fixed-width ``<u8``
 operand words, an expiry word, and a var-width byte heap for strings,
 bytes and pickled opaques. The columns are the single source of truth;
 ``(key, value)`` tuples are decoded lazily and never materialised on
-the hot path. Runs loaded from a format-v4 snapshot keep their columns
-as views over an ``np.memmap`` of the run file, so opening a checkpoint
-moves no bytes until a block is actually read.
+the hot path. Runs loaded from a snapshot keep their columns as views
+over an ``np.memmap`` of the run file, so opening a checkpoint copies no
+column into the heap.
 
 A range read returns a :class:`Matches` view (zero-copy over the run's
 columns) rather than a rebuilt tuple list, and the run is the only

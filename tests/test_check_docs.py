@@ -1,8 +1,10 @@
-"""Tests for the documentation lint's member check (``tools/check_docs.py``).
+"""Tests for the documentation lint's member and dotted-path checks
+(``tools/check_docs.py``).
 
 A backticked ``Class.member`` in the docs whose class is a ``repro``
-class must name a member that class still has; the check must flag a
-stale name and stay quiet on the repository's own docs.
+class must name a member that class still has, and a backticked
+``repro.…`` path must import; each check must flag a stale name and
+stay quiet on the repository's own docs.
 """
 
 import importlib.util
@@ -29,3 +31,21 @@ def test_member_check_flags_a_stale_name(tmp_path):
 
 def test_member_check_passes_on_the_repo_docs():
     assert check_docs.check_members() == []
+
+
+def test_dotted_path_check_flags_a_stale_path(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Live: `repro.engine.persist`, `repro.CorruptionError` and\n"
+        "`repro.filters.registry.FilterSpec.from_params(params)`.\n"
+        "Stale: `repro.core.serialization` and `repro.engine.persist.filter_to_bytes`.\n"
+    )
+    problems = check_docs.check_dotted_paths([doc])
+    assert problems == [
+        "doc.md:3: `repro.core.serialization` does not resolve",
+        "doc.md:3: `repro.engine.persist.filter_to_bytes` does not resolve",
+    ]
+
+
+def test_dotted_path_check_passes_on_the_repo_docs():
+    assert check_docs.check_dotted_paths() == []

@@ -174,6 +174,18 @@ class TestServeCommand:
         ["attack", "--universe-bits", "0"],
         ["table1", "--universe-bits", "0"],
         ["table1", "--universe-bits", "-3"],
+        ["engine", "--bits-per-key", "nan"],
+        ["engine", "--bits-per-key", "inf"],
+        ["engine", "--filter", "proteus", "--bits-per-key", "nan"],
+        ["engine", "--filter", "bucketing", "--bits-per-key", "inf"],
+        *(
+            [command, flag, address]
+            for command, flag in (("loadgen", "--connect"), ("serve", "--listen"))
+            for address in (
+                "127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:-5",
+                "127.0.0.1:http", "nonsense",
+            )
+        ),
     ],
     ids=" ".join,
 )
@@ -187,17 +199,6 @@ def test_out_of_domain_parameter_is_a_one_line_usage_error(argv, capsys):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("repro: error: ")
-
-
-@pytest.mark.parametrize("port", ["70000", "65536", "-5", "http"])
-@pytest.mark.parametrize(
-    "argv",
-    [["loadgen", "--connect"], ["serve", "--listen"]],
-    ids=["loadgen-connect", "serve-listen"],
-)
-def test_out_of_range_port_is_rejected(argv, port):
-    with pytest.raises(SystemExit, match="expected HOST:PORT"):
-        run_cli(argv + [f"127.0.0.1:{port}"] + COMMON)
 
 
 class TestScrubCommand:
@@ -220,7 +221,7 @@ class TestScrubCommand:
         directory = self.build_db(tmp_path)
         victim = max(directory.glob("shard-*/*.sst"), key=lambda p: p.stat().st_size)
         buf = bytearray(victim.read_bytes())
-        # Flip one byte mid-file — inside a column covered by a v4
+        # Flip one byte mid-file — inside a column covered by a
         # per-block crc, far past the header and checksum arrays.
         buf[len(buf) // 2] ^= 0xFF
         victim.write_bytes(bytes(buf))

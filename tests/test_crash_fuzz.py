@@ -185,7 +185,7 @@ def test_wal_truncation_every_byte_with_checkpoints(tmp_path):
 
 def test_wal_truncation_with_filters(tmp_path):
     """Strided sweep with Grafite filters on every run (slower restore
-    path: snapshots carry filter blobs that must deserialise bit-exact)."""
+    path: every reopen rebuilds each run's filter from its recorded spec)."""
     run_truncation_sweep(tmp_path, filter_spec=GRAFITE_SPEC, stride=7)
 
 

@@ -497,9 +497,10 @@ def test_differential_engine_heuristic_in_memory(backend):
 
 @pytest.mark.parametrize("backend", sorted(HEURISTIC_SPECS))
 def test_differential_engine_heuristic_persistent(tmp_path, backend):
-    """Persistent streams exercise the new serialization formats: every
-    checkpoint snapshots SuRF/SNARF blobs and every reopen restores them
-    (the spec comes back from the manifest)."""
+    """Persistent streams exercise checkpoint and reopen of heuristic
+    backends: every checkpoint records each run's SuRF/SNARF spec and
+    every reopen rebuilds the filters from it (the engine's spec comes
+    back from the manifest)."""
     rng = np.random.default_rng(SEED + 13)
     replay(
         EngineTarget(directory=tmp_path / "db", spec=HEURISTIC_SPECS[backend]),

@@ -2,7 +2,7 @@
 
 Covers the contracts the subsystem introduces: shard routing and
 cross-shard queries, WAL replay (including a torn tail after a simulated
-crash), snapshot round trips that preserve filter behaviour bit for bit,
+crash), snapshot round trips that rebuild filters with identical verdicts,
 the deferred compaction scheduler, and parity of the vectorised batch
 paths with their scalar counterparts.
 """
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.bucketing import Bucketing
 from repro.core.grafite import Grafite
-from repro.core.serialization import unpack_int
 from repro.engine import (
     OP_DELETE,
     OP_PUT,
@@ -28,6 +27,7 @@ from repro.engine import (
     run_from_bytes,
     run_to_bytes,
 )
+from repro.engine.persist import unpack_int
 from repro.errors import CorruptionError, InvalidParameterError, InvalidQueryError
 from repro.filters import FilterSpec
 from repro.lsm.cache import (
@@ -277,12 +277,14 @@ class TestRunPersistence:
         assert restored.entries()[2] == (9, {"x": 1})
         assert restored.universe == UNIVERSE
 
-    def test_filter_restored_byte_for_byte(self):
+    def test_filter_rebuilt_with_identical_verdicts(self):
         keys = list(range(0, 20_000, 7))
         run = SSTable([(k, "v") for k in keys], UNIVERSE, grafite_factory)
         restored = run_from_bytes(run_to_bytes(run))
-        # Same hash constants => identical answers on every probe,
-        # including which empty ranges false-positive.
+        # The recorded spec fixes the seed => the same hash constants, so
+        # identical answers on every probe, including which empty ranges
+        # false-positive.
+        assert restored.filter.spec == GRAFITE_SPEC
         rng = np.random.default_rng(3)
         for _ in range(500):
             lo = int(rng.integers(0, UNIVERSE - 64))
@@ -295,25 +297,58 @@ class TestRunPersistence:
         restored = run_from_bytes(run_to_bytes(run))
         assert restored.filter is None
 
-    @pytest.mark.parametrize("mode", [2, 3])
-    def test_unknown_filter_mode_is_corruption(self, mode):
-        """Only modes 0 (no filter) and 1 (blob) load; any other mode
-        byte under a valid checksum is corruption, not a filterless run."""
-        blob = bytearray(run_to_bytes(SSTable([(1, "a")], UNIVERSE, None)))
-        # Header: magic, version, size, count, then ten u64 offsets and
-        # lengths; off_meta is the eighth, meta_len the tenth.
-        (off_meta,) = struct.unpack_from("<Q", blob, 16 + 7 * 8)
-        (meta_len,) = struct.unpack_from("<Q", blob, 16 + 9 * 8)
-        # Metadata: universe, slice-bounds flag, then the filter mode byte.
-        _, offset = unpack_int(bytes(blob), off_meta)
-        mode_at = offset + 1
-        assert blob[mode_at] == 0
-        blob[mode_at] = mode
-        meta_end = off_meta + meta_len - 4
-        crc = zlib.crc32(blob[off_meta:meta_end], zlib.crc32(blob[:96]))
-        struct.pack_into("<I", blob, meta_end, crc & 0xFFFFFFFF)
-        with pytest.raises(CorruptionError, match="filter mode"):
-            run_from_bytes(bytes(blob))
+    def test_filter_no_spec_built_cannot_be_checkpointed(self):
+        run = SSTable([(1, "a"), (9, "b")], UNIVERSE,
+                      lambda keys, u: Grafite(keys, u, bits_per_key=10))
+        with pytest.raises(InvalidParameterError, match="not built by a FilterSpec"):
+            run_to_bytes(run)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b'{"backend": "nope", "bits_per_key": 12.0, '
+            b'"max_range_size": 32, "seed": 0}',
+            b'{"backend": "grafite", "bits_per_key": NaN, '
+            b'"max_range_size": 32, "seed": 0}',
+            b'{"backend": "grafite", "bits_per_key": 12.0, '
+            b'"max_range_size": 32, "seed": -1}',
+            b'{"backend": "grafite", "bits_per_key": 12.0, '
+            b'"max_range_size": 1.5, "seed": 0}',
+            b'{"backend": "grafite", "bits_per_key": 12.0}',
+            b'["grafite"]',
+            b"not json",
+        ],
+        ids=["unknown-backend", "nan-bits", "negative-seed", "float-range",
+             "missing-fields", "list", "not-json"],
+    )
+    def test_unbuildable_spec_record_is_corruption(self, record):
+        """A spec record under a valid checksum that names no buildable
+        filter is corruption, never an escaping InvalidParameterError."""
+        blob = run_to_bytes(SSTable([(1, "a")], UNIVERSE, grafite_factory))
+        with pytest.raises(CorruptionError, match="filter spec"):
+            run_from_bytes(with_spec_record(blob, record))
+
+
+def with_spec_record(blob: bytes, record: bytes) -> bytes:
+    """Rewrite a run file's filter-spec record, re-sealing the header
+    and metadata under a valid crc32."""
+    header = bytearray(blob[:96])
+    # Header: magic, version, size, count, then ten u64 offsets and
+    # lengths; off_meta is the eighth, meta_len the tenth.
+    (off_meta,) = struct.unpack_from("<Q", header, 16 + 7 * 8)
+    (meta_len,) = struct.unpack_from("<Q", header, 16 + 9 * 8)
+    meta = blob[off_meta:off_meta + meta_len - 4]
+    # Metadata: universe, slice-bounds flag (+ bounds), then the record.
+    _, offset = unpack_int(meta, 0)
+    sliced = meta[offset]
+    offset += 1
+    if sliced:
+        _, offset = unpack_int(meta, offset)
+        _, offset = unpack_int(meta, offset)
+    body = meta[:offset] + struct.pack("<I", len(record)) + record
+    struct.pack_into("<Q", header, 16 + 9 * 8, len(body) + 4)
+    crc = zlib.crc32(body, zlib.crc32(bytes(header))) & 0xFFFFFFFF
+    return bytes(header) + blob[96:off_meta] + body + struct.pack("<I", crc)
 
 
 # ----------------------------------------------------------------------
@@ -898,8 +933,8 @@ class TestDurability:
         reopened = ShardedEngine.open(tmp_path / "db")
         assert reopened.range_scan(0, UNIVERSE - 1) == sorted(model.items())
         after = reopened.batch_range_empty(los, his)
-        # Identical answers, including which probes false-positive: the
-        # snapshot restored the filters' hash constants, not rebuilt them.
+        # Identical answers, including which probes false-positive: each
+        # filter was rebuilt from its recorded spec, hence the same seed.
         assert bool((before == after).all())
         assert before_stats_decisions > 0
 
@@ -1033,6 +1068,58 @@ class TestDurability:
         recovered.batch_range_empty([500], [600])
         assert not any(s.needs_compaction for s in recovered.shards)
         assert recovered.stats.compactions > persist_stats
+
+    @pytest.mark.parametrize("damage", ["v4-stamp", "unknown-backend"])
+    def test_unloadable_run_rolls_back_and_fails_scrub(self, tmp_path, damage):
+        """A run file from the retired v4 format, or a crc-valid v5 spec
+        record naming no backend, is corruption everywhere: ``open``
+        rolls back to the intact previous epoch (and raises, naming the
+        file, when there is none), and ``scrub`` reports the file."""
+        from repro.cli import main as cli_main
+        from repro.engine import persist
+
+        db = tmp_path / "db"
+        engine = ShardedEngine(
+            UNIVERSE, num_shards=1, memtable_limit=32,
+            filter_spec=GRAFITE_SPEC, directory=db,
+        )
+        self._fill(engine, seed=8, ops=120)
+        engine.checkpoint()
+        older = set(db.glob("shard-0000/*.sst"))
+        self._fill(engine, seed=9, ops=120)
+        engine.close()
+        newest = persist.load_manifest(db)
+        victim = db / "shard-0000" / f"run-{newest['generation']:06d}-0000.sst"
+        assert victim.exists() and victim not in older
+        blob = victim.read_bytes()
+        if damage == "v4-stamp":
+            blob = blob[:4] + struct.pack("<H", 4) + blob[6:]
+            expected = "unsupported run format version 4"
+        else:
+            blob = with_spec_record(
+                blob,
+                b'{"backend": "quotient", "bits_per_key": 12.0, '
+                b'"max_range_size": 64, "seed": 7}',
+            )
+            expected = "unknown filter backend 'quotient'"
+        victim.write_bytes(blob)
+
+        report = persist.scrub_snapshot(db)
+        assert not report["ok"] and report["runs_corrupt"] == 1
+        (error,) = report["errors"]
+        assert victim.name in error and expected in error
+        assert cli_main(["scrub", "--dir", str(db)]) == 1
+
+        with pytest.warns(UserWarning, match=expected):
+            rolled = ShardedEngine.open(db)
+        assert rolled.rolled_back
+        rolled._wal.close()
+        # No intact epoch left: the damage surfaces, naming the file.
+        (db / "MANIFEST.json").write_bytes((db / "MANIFEST.corrupt.json").read_bytes())
+        (db / "MANIFEST.prev.json").unlink()
+        with pytest.raises(CorruptionError, match=expected) as info:
+            ShardedEngine.open(db)
+        assert victim.name in str(info.value)
 
     def test_context_manager_checkpoints_on_clean_exit(self, tmp_path):
         with ShardedEngine(1000, num_shards=2, directory=tmp_path / "db") as engine:

@@ -1,12 +1,12 @@
-"""Lifecycle tests for zero-copy mmap-backed run files (format v4).
+"""Lifecycle tests for zero-copy mmap-backed run files (format v5).
 
 Three hazards specific to memory-mapped storage, each pinned here:
 
-* **reopen fidelity** — a v4 checkpoint reopened through ``np.memmap``
+* **reopen fidelity** — a checkpoint reopened through ``np.memmap``
   must answer every query identically to the engine that wrote it, and
   its runs must actually be backed by the mapping (zero-copy, not a
   read-into-heap fallback);
-* **one format** — a run file stamped with a retired version (v1–v3)
+* **one format** — a run file stamped with a retired version (v1–v4)
   or a manifest stamped version 1 or 2 is rejected as corrupt, by the
   loaders, by ``ShardedEngine.open`` and by the scrub;
 * **unmap discipline** — unlinking a mapped run file must not break
@@ -76,7 +76,7 @@ def mapped_by_memmap(column) -> bool:
     return False
 
 
-def test_v4_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
+def test_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
     engine, keys = build_db(tmp_path / "db")
     want = probe_all(engine, keys)
 
@@ -86,17 +86,18 @@ def test_v4_checkpoint_reopens_mmap_backed_and_identical(tmp_path):
     assert runs, "reopened engine lost its runs"
     for run in runs:
         # Zero-copy: the key column is a view over the mapping itself.
-        assert mapped_by_memmap(run.keys_view()), "v4 run loaded without mmap"
+        assert mapped_by_memmap(run.keys_view()), "run loaded without mmap"
         assert run.shared_id is not None, "persisted run lost its shared_id"
 
 
 @pytest.mark.parametrize(
     "kind, version",
-    [("run", 1), ("run", 2), ("run", 3), ("manifest", 1), ("manifest", 2)],
-    ids=["run-v1", "run-v2", "run-v3", "manifest-v1", "manifest-v2"],
+    [("run", 1), ("run", 2), ("run", 3), ("run", 4), ("manifest", 1),
+     ("manifest", 2)],
+    ids=["run-v1", "run-v2", "run-v3", "run-v4", "manifest-v1", "manifest-v2"],
 )
 def test_retired_format_is_rejected(tmp_path, kind, version):
-    """Only run format v4 and manifest version 3 load. A retired version
+    """Only run format v5 and manifest version 3 load. A retired version
     stamp is corruption: the loader names it, ``open`` finds no intact
     epoch to roll back to, and the scrub reports the damage."""
     db = tmp_path / "db"

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Documentation lint: intra-repo links, public-symbol docstrings and
-the class members the docs name.
+"""Documentation lint: intra-repo links, public-symbol docstrings, the
+class members and the dotted module paths the docs name.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 1. **Links** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at a file that exists (anchors and external
@@ -17,6 +17,10 @@ Three checks, all cheap enough for every CI run:
    ``Class`` is a class defined in ``repro`` must name an attribute that
    class has (``hasattr``, or a dataclass field). A doc that still names
    a removed method or property is caught the day it goes stale.
+4. **Dotted paths** — every backticked ``repro.…`` path in the same
+   files must resolve: its longest prefix that is a module imports, and
+   each remaining name is an attribute of what came before. A doc that
+   names a deleted module or a moved function is caught the same way.
 
 Exit code 0 when clean; 1 with a problem list otherwise. Run from the
 repo root: ``python tools/check_docs.py`` (``src/`` is put on the path
@@ -52,6 +56,8 @@ DOC_PACKAGES = (
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A backticked span that starts ``Class.member``.
 _MEMBER = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)[^`]*`")
+#: A backticked span that starts with a dotted ``repro.…`` path.
+_DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def check_links() -> list[str]:
@@ -136,8 +142,45 @@ def check_members(doc_files=DOC_FILES) -> list[str]:
     return problems
 
 
+def resolves(path: str) -> bool:
+    """Whether a dotted ``repro.…`` path names a module or an attribute
+    reachable from one."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name is not None and (name + ".").startswith(exc.name + "."):
+                continue  # this prefix is not a module; try a shorter one
+            raise
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_paths(doc_files=DOC_FILES) -> list[str]:
+    problems = []
+    for md in doc_files:
+        if not md.exists():
+            continue  # check_links reports it
+        for lineno, line in enumerate(md.read_text().splitlines(), 1):
+            for path in _DOTTED.findall(line):
+                if not resolves(path):
+                    problems.append(
+                        f"{md.name}:{lineno}: `{path}` does not resolve"
+                    )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_docstrings() + check_members()
+    problems = (
+        check_links() + check_docstrings() + check_members()
+        + check_dotted_paths()
+    )
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
         for problem in problems:
