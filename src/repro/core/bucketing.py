@@ -149,10 +149,9 @@ class Bucketing(RangeFilter):
     def may_contain_range_batch(self, los, his) -> np.ndarray:
         """Vectorised probe: bucket the bounds, one batch EF predecessor.
 
-        Rides directly on the succinct bulk kernels — the bucketed bound
-        columns go through :meth:`EliasFano.contains_in_range_batch`,
-        i.e. one batched ``select0`` bucket isolation plus a lock-step
-        low-part binary search, with no decode and no per-query Python.
+        The bucketed bound columns go through
+        :meth:`EliasFano.contains_in_range_batch`: one ``searchsorted``
+        over the decoded codes, with no per-query Python.
         """
         los_arr = np.asarray(los, dtype=np.uint64)
         his_arr = np.asarray(his, dtype=np.uint64)

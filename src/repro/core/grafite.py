@@ -230,9 +230,8 @@ class Grafite(RangeFilter):
         """Vectorised Algorithm 2 over a batch of query ranges.
 
         The whole pipeline runs in numpy: the block-boundary split of
-        Footnote 2 produces up to two segments per query, segments are
-        hashed with one modular evaluation of ``q`` per *distinct block*
-        (as in :meth:`LocalityPreservingHash.hash_many`), wrap-arounds
+        Footnote 2 produces up to two segments per query, each segment's
+        block is hashed by one vectorised evaluation of ``q``, wrap-arounds
         become two plain intervals, and all resulting intervals go
         through one vectorised Elias-Fano predecessor
         (:meth:`EliasFano.contains_in_range_batch`). Results are OR-ed
@@ -283,15 +282,11 @@ class Grafite(RangeFilter):
             [np.where(split, boundary - np.uint64(1), q_hi), q_hi[split]]
         )
         seg_qid = np.concatenate([qid, qid[split]])
-        # One q() evaluation per distinct block, vectorised end to end
-        # (:meth:`PairwiseIndependentHash.hash_many`), broadcast back over
-        # the segments that share the block. This was the last per-query
-        # Python loop on the batch path: uniform workloads make nearly
-        # every block distinct, so a scalar q() here costs one interpreted
-        # big-int evaluation per query per run.
-        blocks, inverse = np.unique(seg_lo // r, return_inverse=True)
+        # q() is vectorised (:meth:`PairwiseIndependentHash.hash_many`),
+        # so every segment hashes its own block: deduplicating blocks
+        # first (np.unique) costs more than the evaluations it saves.
         assert self._hash is not None
-        offsets = self._hash.hash_blocks(blocks)[inverse]
+        offsets = self._hash.hash_blocks(seg_lo // r)
         h_lo = (offsets + (seg_lo % r)) % r
         h_hi = (offsets + (seg_hi % r)) % r
         wrap = h_lo > h_hi  # hashed interval wraps around the reduced universe

@@ -21,10 +21,9 @@ the whole pipeline by moving the batch as structure-of-arrays columns:
    — no python splits, no dict-of-lists, no per-query tuples;
 2. per shard, every run's filter is consulted once for the *whole*
    sub-batch via :meth:`RangeFilter.may_contain_range_batch` — for
-   Grafite that is the vectorised Algorithm 2 riding on the succinct
-   bulk kernels (batched ``select0`` bucket isolation, lock-step
-   low-part search), an ``O(log(L/eps))`` probe amortised over
-   thousands of queries; the memtable is probed with one
+   Grafite that is the vectorised Algorithm 2, its intervals answered
+   by one ``searchsorted`` over the run's decoded codes (decoded once,
+   on the run's first batch probe); the memtable is probed with one
    ``searchsorted`` over its cached key column;
 3. only queries some filter (or the memtable) flagged as "maybe
    non-empty" are verified exactly — under a well-sized filter that is

@@ -266,16 +266,24 @@ class ShardedEngine:
     ) -> "ShardedEngine":
         """Build an engine from one manifest's topology (no WAL yet).
 
-        Raises :class:`~repro.errors.CorruptionError` if any referenced
-        run fails verification — the caller decides whether an earlier
-        epoch can be promoted instead.
+        Raises :class:`~repro.errors.CorruptionError` if the manifest's
+        filter spec names no buildable filter or any referenced run fails
+        verification — the caller decides whether an earlier epoch can be
+        promoted instead.
         """
         spec_params = manifest["filter_spec"]
         codec_params = manifest["key_codec"]
-        filter_spec = (
-            FilterSpec.from_params(spec_params) if spec_params is not None
-            else None
-        )
+        try:
+            filter_spec = (
+                FilterSpec.from_params(spec_params) if spec_params is not None
+                else None
+            )
+        except InvalidParameterError as exc:
+            # The crc held, but no writer produces this spec: the epoch
+            # is damaged, so the caller can still roll back.
+            raise CorruptionError(
+                f"{directory}: manifest filter spec is invalid: {exc}"
+            ) from exc
         engine = cls(
             manifest["universe"],
             num_shards=manifest["num_shards"],

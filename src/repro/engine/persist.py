@@ -79,7 +79,6 @@ import numpy as np
 
 from repro import faults
 from repro.errors import CorruptionError, InvalidParameterError, ReproError
-from repro.filters.base import RangeFilter
 from repro.filters.registry import FilterSpec
 from repro.lsm.sstable import (
     BLOCK_ENTRIES,
@@ -272,10 +271,8 @@ def run_to_bytes(run: SSTable) -> bytes:
 # ----------------------------------------------------------------------
 # Run files — parsing (zero-copy)
 # ----------------------------------------------------------------------
-def _rebuild_filter(
-    record: bytes, keys: np.ndarray, universe: int
-) -> Optional[RangeFilter]:
-    """Rebuild a run's filter from its spec record and its key column.
+def _parse_spec(record: bytes) -> Optional[FilterSpec]:
+    """The :class:`FilterSpec` a run's spec record names (``None``: no filter).
 
     A record that is not JSON, or names no buildable spec (an unknown
     backend, a malformed field), is corruption: its checksum held, but
@@ -288,16 +285,12 @@ def _rebuild_filter(
     if params is None:
         return None
     try:
-        spec = FilterSpec.from_params(params)
+        return FilterSpec.from_params(params)
     except InvalidParameterError as exc:
         raise CorruptionError(f"run filter spec is invalid: {exc}") from exc
-    try:
-        return spec.factory()(keys, universe)
-    except ReproError as exc:
-        raise CorruptionError(f"run filter failed to rebuild: {exc}") from exc
 
 
-def _parse_run_columns(buf) -> SSTable:
+def _parse_run_columns(buf, build_filter: bool) -> SSTable:
     mv = memoryview(buf)
     if len(mv) < _HEADER:
         raise CorruptionError("run file too short for its header")
@@ -367,24 +360,30 @@ def _parse_run_columns(buf) -> SSTable:
     offset += 4
     if offset + spec_len != meta_len - 4:
         raise CorruptionError("run filter spec record has the wrong length")
-    filt = _rebuild_filter(meta[offset:offset + spec_len], keys, int(universe))
+    spec = _parse_spec(meta[offset:offset + spec_len])
+    filt = None
+    if spec is not None and build_filter:
+        try:
+            filt = spec.factory()(keys, int(universe))
+        except ReproError as exc:
+            raise CorruptionError(f"run filter failed to rebuild: {exc}") from exc
     return SSTable.from_columns(
         keys, tags, va, vb, vexp, heap, int(universe), filt,
         slice_bounds=slice_bounds,
     )
 
 
-def _parse_run(buf) -> SSTable:
+def _parse_run(buf, build_filter: bool) -> SSTable:
     head = bytes(memoryview(buf)[:6])
     if head[:4] != _RUN_MAGIC:
         raise CorruptionError("not a serialised SSTable run (bad magic)")
     (version,) = struct.unpack_from("<H", head, 4)
     if version != _RUN_VERSION:
         raise CorruptionError(f"unsupported run format version {version}")
-    return _parse_run_columns(buf)
+    return _parse_run_columns(buf, build_filter)
 
 
-def run_from_bytes(buf) -> SSTable:
+def run_from_bytes(buf, *, build_filter: bool = True) -> SSTable:
     """Load a run serialised by :func:`run_to_bytes`.
 
     ``buf`` may be ``bytes`` or any contiguous buffer — notably an
@@ -403,10 +402,12 @@ def run_from_bytes(buf) -> SSTable:
 
     The run's filter, if it had one, is rebuilt from the recorded spec
     and the verified key column: the same seed, so the same hash
-    constants and the same verdicts as the run that was written.
+    constants and the same verdicts as the run that was written. With
+    ``build_filter=False`` the spec is still validated but nothing is
+    built, and the run comes back without a filter (what scrub needs).
     """
     try:
-        return _parse_run(buf)
+        return _parse_run(buf, build_filter)
     except ReproError:
         raise
     except Exception as exc:
@@ -701,8 +702,10 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
     its crc32 matches; every run file each retained manifest
     references exists, passes its checksums — the metadata crc *and
     every per-block crc32*, so a flip in any single block is pinpointed
-    — and parses structurally, its filter rebuilt from the recorded
-    spec; the WAL's record chain is intact (a torn tail is
+    — and parses structurally, its spec record naming a buildable
+    filter (validated, not built: a rebuild proves nothing the checksums
+    and the spec check do not, and costs seconds per run for some
+    backends); the WAL's record chain is intact (a torn tail is
     reported but is *not* corruption — crash recovery tolerates it by
     design; a checksummed record that does not decode, a bad magic or an
     unsupported WAL version is, and sets ``wal`` to ``"corrupt"``).
@@ -762,7 +765,7 @@ def scrub_snapshot(directory: str | Path) -> Dict[str, Any]:
                 checked.add(path)
                 report["runs_checked"] += 1
                 try:
-                    run_from_bytes(faults.read_bytes(path))
+                    run_from_bytes(faults.read_bytes(path), build_filter=False)
                 except FileNotFoundError:
                     report["runs_corrupt"] += 1
                     report["ok"] = False

@@ -33,7 +33,6 @@ keeps rebuilt filters identical across runs of the same seed.
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -41,6 +40,9 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.filters.base import RangeFilter
+
+#: The largest ``bits_per_key`` a :class:`FilterSpec` accepts.
+MAX_BITS_PER_KEY = 64
 
 #: The engine-side factory shape (matches ``repro.lsm.sstable.FilterFactory``).
 EngineFactory = Callable[[np.ndarray, int], RangeFilter]
@@ -69,9 +71,9 @@ class FilterSpec:
     take one (Grafite, Rosetta); ``seed`` fixes every hash constant so a
     rebuild from the same keys is bit-for-bit reproducible.
 
-    Only values every backend can build from are accepted: a finite
-    positive ``bits_per_key``, an integral ``max_range_size >= 1`` and an
-    integral ``seed`` in ``[0, 2**64)``. They are normalised to ``float``
+    Only values every backend can build from are accepted: a
+    ``bits_per_key`` in ``(0, 64]``, an integral ``max_range_size >= 1``
+    and an integral ``seed`` in ``[0, 2**64)``. They are normalised to ``float``
     and ``int``, so :meth:`to_params` is standard JSON and a spec read
     back from it builds the identical filter.
     """
@@ -88,12 +90,14 @@ class FilterSpec:
                 f"choose from {sorted(BACKENDS)}"
             )
         bits = self.bits_per_key
-        # The chained comparison also rejects NaN, infinity and ints too
-        # large for a float.
+        # The chained comparison also rejects NaN and infinity. Past 64
+        # bits a key's code no longer fits a machine word: Grafite's and
+        # SNARF's builds overflow, and the other backends would allocate
+        # that many bits per key.
         if (not isinstance(bits, numbers.Real) or isinstance(bits, bool)
-                or not 0 < bits <= sys.float_info.max):
+                or not 0 < bits <= MAX_BITS_PER_KEY):
             raise InvalidParameterError(
-                f"bits_per_key must be finite and positive, got {bits!r}"
+                f"bits_per_key must be in (0, {MAX_BITS_PER_KEY}], got {bits!r}"
             )
         if not _is_int(self.max_range_size) or self.max_range_size < 1:
             raise InvalidParameterError(

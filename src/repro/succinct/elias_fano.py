@@ -16,6 +16,12 @@ Grafite (§3) relies on three operations implemented here:
   (this is exactly the ``O(log(L / eps))`` query cost of Theorem 3.4);
 * ``successor(y)`` — the smallest stored value ``>= y`` (used by tests and
   by the approximate-counting extension).
+
+Those are the scalar paper algorithm. Batch probes
+(``contains_in_range_batch``) instead decode the sequence once and search
+the cached ``uint64`` codes: in numpy, a batched succinct predecessor
+pays a fixed cost per call that dwarfs the search at every batch size the
+engine sends (see ``docs/filters.md``).
 """
 
 from __future__ import annotations
@@ -148,23 +154,6 @@ class EliasFano:
         j = self._high.select0(p) - p
         return i, j
 
-    def bucket_bounds_batch(self, ps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_bucket_bounds` over a column of high parts.
-
-        Each bucket is isolated with (at most) two batched ``select0``
-        calls on the high bit vector — the bulk kernel the columnar batch
-        pipeline runs instead of per-query zero hunting. Every ``ps[i]``
-        must be a valid high part (``<= (u - 1) >> l``).
-        """
-        ps = np.asarray(ps, dtype=np.int64)
-        j = self._high.select0_batch(ps) - ps
-        i = np.zeros(ps.size, dtype=np.int64)
-        positive = ps > 0
-        if positive.any():
-            p_pos = ps[positive]
-            i[positive] = self._high.select0_batch(p_pos - 1) - p_pos + 1
-        return i, j
-
     # ------------------------------------------------------------------
     # Predecessor / successor
     # ------------------------------------------------------------------
@@ -252,12 +241,11 @@ class EliasFano:
     def to_array(self) -> np.ndarray:
         """Decode the whole sequence into a sorted ``uint64`` array (cached).
 
-        A convenience for callers that want the raw sorted codes (tests,
-        analysis). The batch query path no longer decodes: it runs
-        :meth:`predecessor_index_batch` straight on the succinct
-        representation, so this ``64n``-bit materialisation only happens
-        on explicit request. The decode itself is vectorised — low parts
-        via :meth:`PackedIntVector.get_many`, high parts by unpacking the
+        The batch probe's search space: :meth:`contains_in_range_batch`
+        calls it on a sequence's first batch and reuses the array after,
+        so a batch-probed sequence keeps ``64n`` bits of codes beside its
+        succinct form. The decode is vectorised — low parts via
+        :meth:`PackedIntVector.get_many`, high parts by unpacking the
         ``H`` words and subtracting the index from each one-position.
         """
         if self._decoded is None:
@@ -274,86 +262,6 @@ class EliasFano:
                 self._decoded = (highs << np.uint64(self._l)) | lows
         return self._decoded
 
-    def access_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`access`: the values at the given indices.
-
-        High parts come from one batched ``select1`` on ``H``, low parts
-        from one packed-vector gather — the succinct representation is
-        never decoded.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        if int(idx.min()) < 0 or int(idx.max()) >= self._n:
-            raise IndexError(f"index out of range [0, {self._n})")
-        highs = (self._high.select1_batch(idx) - idx).astype(np.uint64)
-        return (highs << np.uint64(self._l)) | self._low.get_many(idx)
-
-    def predecessor_index_batch(
-        self, ys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`predecessor_index` over a query column.
-
-        Returns ``(indices, values)``: ``indices[i]`` is the index of the
-        largest stored value ``<= ys[i]`` (``-1`` when none exists, in
-        which case ``values[i]`` is meaningless). The whole batch runs the
-        paper's bucket query — batched ``select0`` bucket isolation plus a
-        lock-step binary search over the packed low parts — without
-        decoding the sequence or touching per-query Python objects.
-        """
-        ys = np.asarray(ys, dtype=np.uint64)
-        indices = np.full(ys.size, -1, dtype=np.int64)
-        values = np.zeros(ys.size, dtype=np.uint64)
-        if self._n == 0 or ys.size == 0:
-            return indices, values
-        first = np.uint64(self._first)
-        last = np.uint64(self._last)
-        at_or_above_last = ys >= last
-        indices[at_or_above_last] = self._n - 1
-        values[at_or_above_last] = last
-        mid = (ys >= first) & ~at_or_above_last
-        if not mid.any():
-            return indices, values
-        y = ys[mid]
-        l64 = np.uint64(self._l)
-        p = (y >> l64).astype(np.int64)
-        i, j = self.bucket_bounds_batch(p)
-        y_low = y & np.uint64((1 << self._l) - 1) if self._l else np.zeros_like(y)
-        # Rightmost t in [i, j) with low[t] <= y_low, found by a lock-step
-        # binary search: every active query halves its window per round,
-        # each round costing one vectorised low-part gather.
-        lo = i.copy()
-        hi = j.copy()
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            m = (lo + hi) >> 1
-            le = self._low.get_many(m[active]) <= y_low[active]
-            m_act = m[active]
-            lo[active] = np.where(le, m_act + 1, lo[active])
-            hi[active] = np.where(le, hi[active], m_act)
-        t = lo - 1
-        in_bucket = t >= i
-        # Bucket p empty of values <= y: the predecessor is the last value
-        # of an earlier bucket, at index i - 1 (i >= 1 because y >= first).
-        idx_mid = np.where(in_bucket, t, i - 1)
-        vals_mid = np.empty(y.size, dtype=np.uint64)
-        if in_bucket.any():
-            vals_mid[in_bucket] = (
-                p[in_bucket].astype(np.uint64) << l64
-            ) | self._low.get_many(t[in_bucket])
-        if (~in_bucket).any():
-            vals_mid[~in_bucket] = self.access_batch(idx_mid[~in_bucket])
-        indices[mid] = idx_mid
-        values[mid] = vals_mid
-        return indices, values
-
-    def rank_leq_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`rank_leq`: stored values ``<= ys[i]`` per query."""
-        indices, _ = self.predecessor_index_batch(ys)
-        return indices + 1
-
     def contains_in_range_batch(
         self, los: np.ndarray, his: np.ndarray
     ) -> np.ndarray:
@@ -363,16 +271,13 @@ class EliasFano:
         value lies in ``[los[i], his[i]]``. Empty ranges (``lo > hi``)
         yield ``False``, mirroring the scalar method.
 
-        Two kernels, picked by a cost model. Runs are immutable and
-        probed batch after batch, so once a batch is large enough to
-        amortise it the sequence is decoded once (cached: ``64n``
-        transient bits) and every present and future probe becomes one
-        ``searchsorted`` with a tiny constant. Small batches on
-        not-yet-decoded sequences instead ride the succinct bulk kernels
-        (:meth:`predecessor_index_batch`) — batched ``select0`` bucket
-        isolation plus a lock-step low-part search — which allocate
-        nothing proportional to ``n``. Either way there is no per-query
-        Python.
+        One kernel: every batch is one ``searchsorted`` over the decoded
+        codes (:meth:`to_array`, built by the first batch and cached —
+        sequences are immutable and probed batch after batch). A batched
+        form of the succinct predecessor costs a fixed ~230 µs per call
+        in numpy however few the queries, against a few µs for the
+        search; the scalar paper algorithm stays in
+        :meth:`contains_in_range`.
         """
         los = np.asarray(los, dtype=np.uint64)
         his = np.asarray(his, dtype=np.uint64)
@@ -380,13 +285,10 @@ class EliasFano:
             raise InvalidParameterError("lo/hi arrays must have the same shape")
         if self._n == 0 or los.size == 0:
             return np.zeros(los.shape, dtype=bool)
-        if self._decoded is not None or los.size >= 256 or 4 * los.size >= self._n:
-            codes = self.to_array()
-            idx = np.searchsorted(codes, his, side="right")
-            pred = codes[np.maximum(idx - 1, 0)]  # valid only where idx > 0
-            return (idx > 0) & (pred >= los) & (los <= his)
-        indices, pred = self.predecessor_index_batch(his)
-        return (indices >= 0) & (pred >= los) & (los <= his)
+        codes = self.to_array()
+        idx = np.searchsorted(codes, his, side="right")
+        pred = codes[np.maximum(idx - 1, 0)]  # valid only where idx > 0
+        return (idx > 0) & (pred >= los) & (los <= his)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EliasFano(n={self._n}, u={self._u}, l={self._l})"

@@ -10,24 +10,19 @@ In a C implementation the auxiliary arrays are the ``o(n)`` overhead the
 paper's space bounds refer to; :attr:`RankSelect.index_size_in_bits`
 reports what we actually allocate so benches can account for it honestly.
 
-The batch variants (``select1_batch`` / ``select0_batch`` / ``rank1_batch``)
-answer a whole query column at once: the word is located with one
-``np.searchsorted`` over the (monotone) cumulative counts and the in-word
-offset is resolved with a vectorised byte-table walk — no per-query Python
-objects. They are the bulk kernels the columnar batch pipeline
-(:mod:`repro.engine.batch` via :class:`~repro.succinct.elias_fano.EliasFano`)
-is built on.
+Every operation is scalar: it serves the paper's per-query predecessor
+(:meth:`EliasFano.predecessor`) and the FST's trie walk. Batch filter
+probes do not come here — they search a run's decoded codes
+(:meth:`EliasFano.contains_in_range_batch`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
 from repro.succinct.bitvector import BitVector, _POPCOUNT8, popcount_words
 
 _WORD_BITS = 64
-_FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _build_select_in_byte_table() -> np.ndarray:
@@ -43,32 +38,6 @@ def _build_select_in_byte_table() -> np.ndarray:
 
 
 _SELECT8 = _build_select_in_byte_table()
-
-#: Shift amounts extracting the 8 bytes of a word, LSB byte first. Byte
-#: extraction via shifts (not a uint8 view) keeps the kernels
-#: endianness-independent.
-_BYTE_SHIFTS = (np.arange(8, dtype=np.uint64) * np.uint64(8))[np.newaxis, :]
-
-
-def _select_in_words_batch(words: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Vectorised in-word select: offset of the (k+1)-th set bit per word.
-
-    ``words`` is a ``uint64`` array, ``ks`` an ``int64`` array of in-word
-    ranks with ``ks[i] < popcount(words[i])``. This is the byte-table walk
-    of :meth:`RankSelect._select_in_word` unrolled across the batch: byte
-    popcounts come from the 256-entry table, the byte holding the target
-    bit from a cumulative comparison, the final offset from the
-    select-in-byte table.
-    """
-    word_bytes = ((words[:, np.newaxis] >> _BYTE_SHIFTS) & np.uint64(0xFF)).astype(
-        np.intp
-    )
-    cum = np.cumsum(_POPCOUNT8[word_bytes], axis=1, dtype=np.int64)
-    byte_idx = (cum <= ks[:, np.newaxis]).sum(axis=1)
-    rows = np.arange(words.size)
-    before = np.where(byte_idx > 0, cum[rows, np.maximum(byte_idx, 1) - 1], 0)
-    within = ks - before
-    return byte_idx * 8 + _SELECT8[word_bytes[rows, byte_idx], within].astype(np.int64)
 
 
 class RankSelect:
@@ -170,46 +139,6 @@ class RankSelect:
         word = (~int(self._bv.words[word_index])) & 0xFFFFFFFFFFFFFFFF
         return word_index * _WORD_BITS + self._select_in_word(word, in_word_rank)
 
-    # ------------------------------------------------------------------
-    # Batch kernels (the columnar hot path)
-    # ------------------------------------------------------------------
-    def rank1_batch(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`rank1` over a position column (``int64`` out)."""
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(pos.min()) < 0 or int(pos.max()) > len(self._bv):
-            raise IndexError(f"rank position out of range [0, {len(self._bv)}]")
-        word_idx = pos // _WORD_BITS
-        offsets = (pos % _WORD_BITS).astype(np.uint64)
-        totals = self._cum1[word_idx].copy()
-        partial = offsets > 0
-        if partial.any():
-            # Mask off the bits at and above the offset, popcount the rest.
-            masks = (np.uint64(1) << offsets[partial]) - np.uint64(1)
-            # Gather through a clipped index: positions with pos == len may
-            # address one word past the payload words.
-            words = self._bv.words[np.minimum(word_idx[partial], self._bv.words.size - 1)]
-            totals[partial] += popcount_words(words & masks).astype(np.int64)
-        return totals
-
-    def select1_batch(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`select1`: positions of the (k+1)-th set bits.
-
-        One ``searchsorted`` over the cumulative counts locates every
-        word, one byte-table pass resolves the in-word offsets; the whole
-        batch costs O(B log W) with no per-query Python.
-        """
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(ks.min()) < 0 or int(ks.max()) >= self._num_ones:
-            raise IndexError(f"select1 argument out of range [0, {self._num_ones})")
-        word_idx = np.searchsorted(self._cum1, ks, side="right") - 1
-        in_rank = ks - self._cum1[word_idx]
-        words = self._bv.words[word_idx]
-        return word_idx * _WORD_BITS + _select_in_words_batch(words, in_rank)
-
     def _zeros_cum(self) -> np.ndarray:
         """Zeros before each word boundary (lazy companion of ``_cum1``;
         monotone, so ``select0`` locates its word with one search)."""
@@ -218,19 +147,6 @@ class RankSelect:
                 np.arange(self._cum1.size, dtype=np.int64) * _WORD_BITS - self._cum1
             )
         return self._cum0
-
-    def select0_batch(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`select0`: positions of the (k+1)-th clear bits."""
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(ks.min()) < 0 or int(ks.max()) >= self._num_zeros:
-            raise IndexError(f"select0 argument out of range [0, {self._num_zeros})")
-        zeros_cum = self._zeros_cum()
-        word_idx = np.searchsorted(zeros_cum, ks, side="right") - 1
-        in_rank = ks - zeros_cum[word_idx]
-        words = ~self._bv.words[word_idx]
-        return word_idx * _WORD_BITS + _select_in_words_batch(words, in_rank)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankSelect(len={len(self._bv)}, ones={self._num_ones})"

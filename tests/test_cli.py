@@ -178,6 +178,8 @@ class TestServeCommand:
         ["engine", "--bits-per-key", "inf"],
         ["engine", "--filter", "proteus", "--bits-per-key", "nan"],
         ["engine", "--filter", "bucketing", "--bits-per-key", "inf"],
+        ["engine", "--bits-per-key", "1e6"],
+        ["engine", "--filter", "snarf", "--bits-per-key", "64.5"],
         *(
             [command, flag, address]
             for command, flag in (("loadgen", "--connect"), ("serve", "--listen"))

@@ -1121,6 +1121,56 @@ class TestDurability:
             ShardedEngine.open(db)
         assert victim.name in str(info.value)
 
+    def test_manifest_with_unbuildable_spec_rolls_back(self, tmp_path):
+        """A crc-valid manifest whose filter spec names no backend is a
+        damaged epoch: ``open`` serves the intact previous one."""
+        import json
+
+        from repro.engine import persist
+
+        db = tmp_path / "db"
+        engine = ShardedEngine(
+            UNIVERSE, num_shards=2, memtable_limit=32,
+            filter_spec=GRAFITE_SPEC, directory=db,
+        )
+        model = self._fill(engine, seed=10, ops=120)
+        engine.checkpoint()
+        self._fill(engine, seed=11, ops=120)
+        engine.close()
+        path = db / persist.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["filter_spec"]["backend"] = "quotient"
+        manifest["crc32"] = persist.manifest_crc(manifest)
+        path.write_text(json.dumps(manifest))
+        assert persist.load_manifest(db)["filter_spec"]["backend"] == "quotient"
+
+        with pytest.warns(UserWarning, match="unknown filter backend 'quotient'"):
+            rolled = ShardedEngine.open(db)
+        assert rolled.rolled_back
+        assert rolled.filter_spec == GRAFITE_SPEC
+        for key in list(model)[::5]:
+            assert rolled.get(key) == model[key]
+        rolled.close()
+
+    def test_scrub_validates_specs_without_building_filters(self, tmp_path, monkeypatch):
+        from repro.engine import persist
+        from repro.filters.registry import FilterSpec
+
+        db = tmp_path / "db"
+        engine = ShardedEngine(
+            UNIVERSE, num_shards=2, memtable_limit=32,
+            filter_spec=GRAFITE_SPEC, directory=db,
+        )
+        self._fill(engine, seed=12, ops=120)
+        engine.close()
+
+        def no_build(self):
+            raise AssertionError("scrub built a filter")
+
+        monkeypatch.setattr(FilterSpec, "factory", no_build)
+        report = persist.scrub_snapshot(db)
+        assert report["ok"] and report["runs_checked"] >= 2
+
     def test_context_manager_checkpoints_on_clean_exit(self, tmp_path):
         with ShardedEngine(1000, num_shards=2, directory=tmp_path / "db") as engine:
             engine.put(7, "seven")

@@ -70,6 +70,8 @@ def test_spec_validation():
         ("bits_per_key", float("nan")),
         ("bits_per_key", float("inf")),
         ("bits_per_key", -1.0),
+        ("bits_per_key", 64.5),
+        ("bits_per_key", 10**400),
         ("bits_per_key", "16"),
         ("bits_per_key", True),
         ("max_range_size", 0),

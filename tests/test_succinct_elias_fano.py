@@ -7,6 +7,7 @@ algorithm (Algorithm 2) relies on.
 
 import bisect
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,85 +143,64 @@ class TestPredecessorSuccessor:
         assert list(ef) == values
 
 
-class TestBatchKernels:
-    """Succinct bulk kernels vs. their scalar counterparts."""
+class TestBatchProbe:
+    """The one batch kernel — a search over the decoded codes — against
+    the scalar paper algorithm, on every filter that reduces to it."""
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=2**20 - 1), min_size=0, max_size=200),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_predecessor_index_batch_matches_scalar(self, raw, data):
-        import numpy as np
+    BATCH_SIZES = (1, 9, 255, 256, 2000)
 
-        values = sorted(raw)
-        universe = (values[-1] + 1 if values else 1) + data.draw(
-            st.integers(min_value=0, max_value=2**18)
-        )
+    @staticmethod
+    def _ranges(rng, universe, size, keys):
+        """Half random ranges, half ranges reaching back over a stored key,
+        so both verdicts show up at every batch size."""
+        max_len = 64
+        los = rng.integers(0, universe - max_len, size, dtype=np.uint64)
+        his = los + rng.integers(0, max_len, size, dtype=np.uint64)
+        near = rng.random(size) < 0.5
+        picks = rng.choice(keys, size) if len(keys) else los
+        his = np.where(near, np.minimum(picks + np.uint64(3), universe - 1), his)
+        los = np.where(near, his - np.minimum(his, np.uint64(5)), los)
+        return los, his
+
+    @pytest.mark.parametrize("kind", ["grafite-hashed", "grafite-exact", "bucketing"])
+    def test_filter_batch_equals_scalar_at_every_batch_size(self, kind):
+        from repro.core.bucketing import Bucketing
+        from repro.core.grafite import Grafite
+
+        rng = np.random.default_rng(27)
+        universe = 2**20 if kind == "grafite-exact" else 2**40
+        keys = np.unique(rng.integers(0, universe, 3000, dtype=np.uint64))
+        if kind == "bucketing":
+            filt = Bucketing(keys, universe, bits_per_key=8)
+        else:
+            filt = Grafite(keys, universe, bits_per_key=24, max_range_size=32, seed=5)
+            assert filt._exact == (kind == "grafite-exact")
+        ef = filt._ef
+        assert ef._decoded is None
+        decoded = None
+        for size in self.BATCH_SIZES:
+            los, his = self._ranges(rng, universe, size, keys)
+            got = filt.may_contain_range_batch(los, his)
+            want = [filt.may_contain_range(int(lo), int(hi)) for lo, hi in zip(los, his)]
+            assert got.tolist() == want, f"{kind}: batch of {size}"
+            if decoded is None:
+                decoded = ef._decoded
+                assert decoded is not None, "the first batch decodes the run"
+            assert ef._decoded is decoded, "later batches reuse the decode"
+        assert any(want) and not all(want)
+
+    @pytest.mark.parametrize("values", [[], "duplicates"], ids=["empty", "duplicates"])
+    def test_sequence_batch_equals_scalar_at_every_batch_size(self, values):
+        rng = np.random.default_rng(28)
+        universe = 2**12
+        if values == "duplicates":
+            values = np.sort(rng.integers(0, 600, 3000, dtype=np.uint64))
         ef = EliasFano(values, universe=universe)
-        ys = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=universe - 1),
-                    min_size=1,
-                    max_size=40,
-                )
-            ),
-            dtype=np.uint64,
-        )
-        indices, vals = ef.predecessor_index_batch(ys)
-        ranks = ef.rank_leq_batch(ys)
-        for k, y in enumerate(ys):
-            want = ef.predecessor_index(int(y))
-            got = None if indices[k] == -1 else (int(indices[k]), int(vals[k]))
-            assert got == want, f"probe {int(y)}"
-            assert int(ranks[k]) == ef.rank_leq(int(y))
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=50_000), min_size=1, max_size=150),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_access_batch_and_bucket_bounds(self, raw):
-        import numpy as np
-
-        values = sorted(raw)
-        ef = EliasFano(values)
-        idx = np.arange(len(values), dtype=np.int64)
-        assert ef.access_batch(idx).tolist() == values
-        highs = np.unique(
-            (np.asarray(values, dtype=np.uint64) >> np.uint64(ef.low_bits)).astype(
-                np.int64
-            )
-        )
-        i, j = ef.bucket_bounds_batch(highs)
-        for k, p in enumerate(highs):
-            assert (int(i[k]), int(j[k])) == ef._bucket_bounds(int(p))
-
-    def test_contains_batch_small_batches_skip_the_decode(self):
-        """Small batches on a large, never-decoded sequence must take the
-        succinct kernel path (no ``64n`` materialisation) and still agree
-        with the scalar probe."""
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        values = np.unique(rng.integers(0, 2**30, 5000, dtype=np.uint64))
-        ef = EliasFano(values, universe=2**30)
-        los = rng.integers(0, 2**30 - 1000, 32, dtype=np.uint64)
-        his = los + rng.integers(0, 1000, 32, dtype=np.uint64)
-        got = ef.contains_in_range_batch(los, his)
-        assert ef._decoded is None, "a 32-query batch must not decode 5000 codes"
-        for k in range(los.size):
-            assert bool(got[k]) == ef.contains_in_range(int(los[k]), int(his[k]))
-
-    def test_contains_batch_large_batches_amortise_a_decode(self):
-        import numpy as np
-
-        rng = np.random.default_rng(8)
-        values = np.unique(rng.integers(0, 2**20, 400, dtype=np.uint64))
-        ef = EliasFano(values, universe=2**20)
-        los = rng.integers(0, 2**20 - 64, 512, dtype=np.uint64)
-        his = los + rng.integers(0, 64, 512, dtype=np.uint64)
-        got = ef.contains_in_range_batch(los, his)
-        assert ef._decoded is not None, "a 512-query batch amortises the decode"
-        for k in range(0, los.size, 7):
-            assert bool(got[k]) == ef.contains_in_range(int(los[k]), int(his[k]))
+        for size in self.BATCH_SIZES:
+            los, his = self._ranges(rng, universe, size, np.asarray(values, dtype=np.uint64))
+            # A few inverted ranges: empty, so never a hit.
+            los[::7], his[::7] = his[::7] + np.uint64(1), los[::7].copy()
+            assert (los[::7] > his[::7]).all()
+            got = ef.contains_in_range_batch(los, his)
+            want = [ef.contains_in_range(int(lo), int(hi)) for lo, hi in zip(los, his)]
+            assert got.tolist() == want, f"batch of {size}"
