@@ -97,11 +97,12 @@ def table1(
     only when the caller supplies the measured quantities; otherwise their
     numeric cell is left empty, exactly like the ``?`` entries of the
     paper's table (Proteus, bloomRF). The bounds are defined only for
-    ``0 < eps < 1``, ``n >= 1`` and ``L >= 1``.
+    ``0 < eps < 1``, ``n >= 1``, ``L >= 1`` and ``u >= 2``.
     """
-    if not (0.0 < eps < 1.0 and n >= 1 and L >= 1):
+    if not (0.0 < eps < 1.0 and n >= 1 and L >= 1 and u >= 2):
         raise InvalidParameterError(
-            f"Table 1 needs 0 < eps < 1, n >= 1 and L >= 1; got eps={eps}, n={n}, L={L}"
+            "Table 1 needs 0 < eps < 1, n >= 1, L >= 1 and u >= 2; "
+            f"got eps={eps}, n={n}, L={L}, u={u}"
         )
     z = surf_internal_nodes
     K = snarf_K if snarf_K is not None else L / eps  # eps ~ 1/K analogy

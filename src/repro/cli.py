@@ -44,7 +44,9 @@ Nine commands, mirroring how the library is typically exercised:
   replays a seeded op stream (probes, inserts, deletes, scans, TTL
   ticks, optional adversary) against the chosen serving layer *and* a
   sorted-dict oracle, emitting one ``[scenarios] ...`` line per run
-  with the bit-exactness verdict; exits non-zero on any divergence;
+  with the bit-exactness verdict; exits non-zero on any divergence,
+  and a selection in which no scenario supports any chosen mode is a
+  usage error rather than an empty success;
 * ``scrub`` — verify the checksums of every persisted artifact in an
   engine directory (current + previous-epoch manifests, every
   referenced run blob, the WAL record chain) without mutating
@@ -52,6 +54,19 @@ Nine commands, mirroring how the library is typically exercised:
 
 Every command is deterministic given ``--seed`` (``serve`` interleaves
 threads, so timings vary but results do not).
+
+Each shared decision lives in one place: one helper per shared flag set
+(``_add_common`` for ``--dataset/--n/--universe-bits/--seed``,
+``_add_figure_filter`` for the figure-registry ``--filter``,
+``--bits-per-key`` and ``--range-size`` of ``fpr`` and ``attack``,
+``_add_engine_args`` for ``engine`` and ``serve``); one
+``(universe, keys)`` loader, ``_load_keys``; one figure-filter builder,
+``_figure_filter``; and one workload runner, ``cmd_workload``, behind
+``engine``, ``serve`` and ``serve --listen``. A parameter's domain is
+checked by the library that owns the value (the dataset generators,
+``table1``, ``FilterSpec``, ``LoadConfig``, the scenario registry, ...);
+:func:`main` reports the ``InvalidParameterError`` it raises as one
+``repro: error: <message>`` line with exit code 2.
 """
 
 from __future__ import annotations
@@ -79,10 +94,20 @@ from repro.workloads.queries import correlated_queries, uncorrelated_queries
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The dataset flags of every command that draws keys."""
     parser.add_argument("--dataset", choices=sorted(DATASETS), default="uniform")
     parser.add_argument("--n", type=int, default=20_000, help="number of keys")
     parser.add_argument("--universe-bits", type=int, default=48)
     parser.add_argument("--seed", type=int, default=42)
+
+
+def _add_figure_filter(parser: argparse.ArgumentParser, *, range_size: int) -> None:
+    """The common flags plus the figure-registry filter flags that
+    ``fpr`` and ``attack`` share."""
+    _add_common(parser)
+    parser.add_argument("--filter", choices=sorted(FILTERS), default="Grafite")
+    parser.add_argument("--bits-per-key", type=float, default=16.0)
+    parser.add_argument("--range-size", type=int, default=range_size)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,10 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_data)
 
     p_fpr = sub.add_parser("fpr", help="measure a filter's FPR and query time")
-    _add_common(p_fpr)
-    p_fpr.add_argument("--filter", choices=sorted(FILTERS), default="Grafite")
-    p_fpr.add_argument("--bits-per-key", type=float, default=16.0)
-    p_fpr.add_argument("--range-size", type=int, default=32)
+    _add_figure_filter(p_fpr, range_size=32)
     p_fpr.add_argument(
         "--workload", choices=("uncorrelated", "correlated"), default="uncorrelated"
     )
@@ -108,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpr.add_argument("--queries", type=int, default=1000)
 
     p_attack = sub.add_parser("attack", help="adaptive adversary vs a filter")
-    _add_common(p_attack)
-    p_attack.add_argument("--filter", choices=sorted(FILTERS), default="Grafite")
-    p_attack.add_argument("--bits-per-key", type=float, default=16.0)
-    p_attack.add_argument("--range-size", type=int, default=16)
+    _add_figure_filter(p_attack, range_size=16)
     p_attack.add_argument("--rounds", type=int, default=4)
     p_attack.add_argument("--queries-per-round", type=int, default=400)
     p_attack.add_argument("--leaked-fraction", type=float, default=0.1)
@@ -321,18 +340,26 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _universe(args: argparse.Namespace) -> int:
-    # Generated keys are u64: a wider universe cannot be drawn.
-    if not 1 <= args.universe_bits <= 64:
-        raise InvalidParameterError(
-            f"--universe-bits must be in 1..64, got {args.universe_bits}"
-        )
-    return 2**args.universe_bits
+def _load_keys(args: argparse.Namespace) -> tuple:
+    """``(universe, keys)`` for the common dataset flags; the dataset
+    generators reject a universe or key count outside their domain."""
+    universe = 2**args.universe_bits
+    return universe, load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
+
+
+def _figure_filter(args: argparse.Namespace, universe: int, keys, sample):
+    """Build ``--filter`` from the figure registry, as ``fpr`` and
+    ``attack`` measure it."""
+    cfg = FilterConfig(
+        keys=keys, universe=universe, bits_per_key=args.bits_per_key,
+        max_range_size=args.range_size, sample_queries=sample, seed=args.seed,
+    )
+    return build_filter(args.filter, cfg)
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
     """Generate a dataset and print its shape statistics."""
-    keys = load_dataset(args.dataset, args.n, universe=_universe(args), seed=args.seed)
+    _, keys = _load_keys(args)
     gaps = np.diff(keys.astype(np.float64))
     rows = [
         ["keys", f"{keys.size:,}"],
@@ -349,8 +376,7 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 def cmd_fpr(args: argparse.Namespace) -> int:
     """Build one filter, measure FPR and query time on a workload."""
-    universe = _universe(args)
-    keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
+    universe, keys = _load_keys(args)
     if args.workload == "correlated":
         queries = correlated_queries(
             keys, args.queries, args.range_size, universe,
@@ -360,12 +386,7 @@ def cmd_fpr(args: argparse.Namespace) -> int:
         queries = uncorrelated_queries(
             args.queries, args.range_size, universe, keys=keys, seed=args.seed + 1
         )
-    sample = queries[: max(16, len(queries) // 16)]
-    cfg = FilterConfig(
-        keys=keys, universe=universe, bits_per_key=args.bits_per_key,
-        max_range_size=args.range_size, sample_queries=sample, seed=args.seed,
-    )
-    filt = build_filter(args.filter, cfg)
+    filt = _figure_filter(args, universe, keys, queries[: max(16, len(queries) // 16)])
     fpr = measure_fpr(filt, queries)
     timing = time_queries(filt, queries)
     rows = [
@@ -386,16 +407,11 @@ def cmd_fpr(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     """Run the adaptive adversary against a filter; print per-round FPR."""
-    universe = _universe(args)
-    keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
+    universe, keys = _load_keys(args)
     sample = uncorrelated_queries(
         64, args.range_size, universe, keys=keys, seed=args.seed + 2
     )
-    cfg = FilterConfig(
-        keys=keys, universe=universe, bits_per_key=args.bits_per_key,
-        max_range_size=args.range_size, sample_queries=sample, seed=args.seed,
-    )
-    filt = build_filter(args.filter, cfg)
+    filt = _figure_filter(args, universe, keys, sample)
     adversary = AdaptiveAdversary(
         keys, leaked_fraction=args.leaked_fraction, seed=args.seed + 3
     )
@@ -419,10 +435,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Evaluate and print the closed-form bounds of Table 1."""
-    if args.universe_bits < 1:
-        raise InvalidParameterError(
-            f"--universe-bits must be >= 1, got {args.universe_bits}"
-        )
     rows = table1(args.n, 2**args.universe_bits, args.range_size, args.eps)
     printable = [
         [
@@ -444,20 +456,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_filter_spec(args: argparse.Namespace):
-    """The registry spec behind ``--filter`` (None disables filtering)."""
-    from repro.filters.registry import FilterSpec
-
-    if args.filter == "none":
-        return None
-    return FilterSpec(
-        backend=args.filter,
-        bits_per_key=args.bits_per_key,
-        max_range_size=args.range_size,
-        seed=args.seed,
-    )
-
-
 def _bulk_load(target, keys: np.ndarray, rng: np.random.Generator) -> float:
     """Put ``keys`` through ``target`` in shuffled order and flush.
 
@@ -476,7 +474,7 @@ def _bulk_load(target, keys: np.ndarray, rng: np.random.Generator) -> float:
     return load_seconds
 
 
-def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
+def _drive_workload(target, args: argparse.Namespace, universe: int, keys) -> dict:
     """Bulk-load then run write/probe batches through ``target``.
 
     ``target`` is anything with the engine's mutation/probe surface —
@@ -489,7 +487,6 @@ def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
         )
     if args.batches < 0:
         raise InvalidParameterError(f"batches must be >= 0, got {args.batches}")
-    universe = _universe(args)
     rng = np.random.default_rng(args.seed + 1)
     load_seconds = _bulk_load(target, keys, rng)
     write_seconds = 0.0
@@ -524,109 +521,6 @@ def _drive_workload(target, args: argparse.Namespace, keys: np.ndarray) -> dict:
     }
 
 
-def _workload_rows(engine, args: argparse.Namespace, keys, m: dict) -> list:
-    """Table rows shared by the ``engine`` and ``serve`` reports."""
-    stats = engine.stats
-    total_writes = keys.size + args.batches * args.writes_per_batch
-    tuner = engine.autotuner
-    filter_cell = args.filter
-    if tuner is not None:
-        counts = ", ".join(
-            f"{name} x{n}" for name, n in sorted(tuner.backend_counts().items())
-        )
-        filter_cell = (
-            f"{args.filter} + autotune ({counts}; "
-            f"{len(tuner.decisions)} decisions)"
-        )
-    planner = engine.planner
-    return [
-        ["universe / shards", f"2^{args.universe_bits} / {args.shards}"],
-        ["filter", filter_cell],
-        ["planner", format_planner_summary(
-            planner.stats_snapshot() if planner is not None else None)],
-        ["live keys", f"{len(engine):,}"],
-        ["runs (filter bits)", f"{engine.run_count} ({engine.filter_bits_total:,})"],
-        ["bulk load", f"{keys.size:,} puts, "
-         + f"{keys.size / m['load_seconds']:,.0f} op/s"],
-        ["mixed writes", f"{total_writes - keys.size:,} ops, "
-         + (f"{(total_writes - keys.size) / m['write_seconds']:,.0f} op/s"
-            if m["write_seconds"] else "-")],
-        ["batch probes", f"{m['probes']:,} ({args.batches} x {args.batch_size}), "
-         + (f"{m['probes'] / m['probe_seconds']:,.0f} q/s"
-            if m["probe_seconds"] else "-")],
-        ["empty ranges", f"{m['empties']:,} / {m['probes']:,}"],
-        ["reads performed / avoided", f"{stats.reads_performed:,} / {stats.reads_avoided:,}"],
-        ["wasted reads (filter FPs)", f"{stats.wasted_reads:,}"],
-        ["flushes / compaction steps",
-         f"{stats.flushes} / {stats.compactions} ({args.compaction})"],
-        ["write amplification",
-         format_write_amp(stats.entries_flushed, stats.entries_compacted,
-                          stats.bytes_compacted)],
-        ["durability", str(engine.directory) if engine.directory else "in-memory"],
-    ]
-
-
-def _build_engine(args: argparse.Namespace):
-    """Construct the ShardedEngine both workload commands share."""
-    from repro.engine import AutoTuner, BatchPlanner, ShardedEngine
-
-    engine = ShardedEngine(
-        _universe(args),
-        num_shards=args.shards,
-        memtable_limit=args.memtable_limit,
-        compaction_fanout=args.fanout,
-        filter_spec=_engine_filter_spec(args),
-        directory=args.dir,
-        compaction=args.compaction,
-    )
-    if args.autotune:
-        engine.attach_autotuner(AutoTuner())
-    if args.plan:
-        engine.attach_planner(BatchPlanner())
-    return engine
-
-
-def _build_service(args: argparse.Namespace, engine):
-    """Wrap ``engine`` in the RangeQueryService both serve paths share."""
-    from repro.engine import RangeQueryService
-
-    return RangeQueryService(
-        engine,
-        num_threads=args.threads,
-        cache_blocks=args.cache_blocks,
-        miss_latency=args.miss_latency_us * 1e-6,
-        mode=args.mode,
-        num_workers=args.workers,
-    )
-
-
-def cmd_engine(args: argparse.Namespace) -> int:
-    """Drive a mixed read/write workload against a sharded engine."""
-    universe = _universe(args)
-    keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
-    engine = _build_engine(args)
-    metrics = _drive_workload(engine, args, keys)
-    rows = _workload_rows(engine, args, keys, metrics)
-    print(format_table(["metric", "value"], rows, title="sharded engine workload"))
-    # Machine-grepable summary mirroring what bench_compaction.py records,
-    # so manual runs and the write-amp gate read the same quantities.
-    stats = engine.stats
-    probe_qps = (
-        metrics["probes"] / metrics["probe_seconds"]
-        if metrics["probe_seconds"] else 0.0
-    )
-    print(
-        f"[engine] compaction={args.compaction} probe_qps={probe_qps:,.0f} "
-        f"compaction_steps={stats.compactions} "
-        f"entries_compacted={stats.entries_compacted} "
-        f"bytes_compacted={stats.bytes_compacted} "
-        f"write_amp={stats.write_amplification:.2f}"
-    )
-    if engine.directory is not None:
-        engine.close()
-    return 0
-
-
 def _parse_hostport(spec: str) -> tuple:
     host, sep, port = spec.rpartition(":")
     if not sep or not port.isdigit() or int(port) > 65535:
@@ -658,25 +552,20 @@ def _serve_summary_line(
     )
 
 
-def _serve_listen(args: argparse.Namespace) -> int:
-    """``serve --listen``: bulk-load, then run the network front door.
+def _listen(service, address: tuple, args: argparse.Namespace, n_keys: int) -> list:
+    """``serve --listen``: run the network front door over ``service``
+    until SIGINT/SIGTERM; return the summary and shutdown lines.
 
-    SIGINT/SIGTERM triggers the graceful sequence — stop accepting,
-    flush every batching window, drain in-flight work and compactions,
-    checkpoint (persistent engines), close — instead of a
-    KeyboardInterrupt traceback.
+    The signal triggers the graceful sequence — stop accepting, flush
+    every batching window, drain in-flight work and compactions —
+    instead of a KeyboardInterrupt traceback; the caller then
+    checkpoints (persistent engines) and closes.
     """
     import asyncio
     import signal
 
     from repro.net import NetServer, ServerConfig
 
-    host, port = _parse_hostport(args.listen)
-    universe = _universe(args)
-    keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
-    engine = _build_engine(args)
-    _bulk_load(engine, keys, np.random.default_rng(args.seed + 1))
-    service = _build_service(args, engine)
     config = ServerConfig(
         batch_window=args.batch_window_us * 1e-6,
         max_batch=args.max_batch,
@@ -686,12 +575,12 @@ def _serve_listen(args: argparse.Namespace) -> int:
     )
 
     async def main() -> dict:
-        server = NetServer(service, host=host, port=port, config=config)
+        server = NetServer(service, host=address[0], port=address[1], config=config)
         await server.start()
         bound_host, bound_port = server.address
         print(
             f"[serve] listening on {bound_host}:{bound_port} "
-            f"(keys={keys.size:,}, window={args.batch_window_us:.0f}us, "
+            f"(keys={n_keys:,}, window={args.batch_window_us:.0f}us, "
             f"max_inflight={args.max_inflight})",
             flush=True,
         )
@@ -704,85 +593,154 @@ def _serve_listen(args: argparse.Namespace) -> int:
         await server.stop()
         return server.stats()
 
-    server_stats = asyncio.run(main())
+    stats = asyncio.run(main())
     service.wait_for_compactions(timeout=30.0)
-    snapshot = service.stats_snapshot()
-    service.close(checkpoint=engine.directory is not None)
-    if engine.directory is not None:
-        engine.close(checkpoint=False)
-    print(_serve_summary_line(snapshot, probe_qps=0.0,
-                              compaction=args.compaction))
-    print(
-        f"[serve] shutdown clean: connections={server_stats['connections_total']} "
-        f"queries={server_stats['queries_answered']} "
-        f"shed={server_stats['shed_inflight'] + server_stats['shed_overload'] + server_stats['shed_shutdown']} "
-        f"protocol_errors={server_stats['protocol_errors']}"
+    shed = stats["shed_inflight"] + stats["shed_overload"] + stats["shed_shutdown"]
+    return [
+        _serve_summary_line(service.stats_snapshot(), probe_qps=0.0,
+                            compaction=args.compaction),
+        f"[serve] shutdown clean: connections={stats['connections_total']} "
+        f"queries={stats['queries_answered']} shed={shed} "
+        f"protocol_errors={stats['protocol_errors']}",
+    ]
+
+
+def cmd_workload(args: argparse.Namespace) -> int:
+    """``engine``, ``serve`` and ``serve --listen``.
+
+    Builds the engine, wraps it in a :class:`RangeQueryService` for
+    ``serve``, drives the canned workload (or, with ``--listen``, the
+    network front door), closes everything, then prints the report
+    table and the machine-grepable summary line (mirroring what the
+    benchmarks record, so manual and bench runs agree).
+    """
+    from repro.engine import AutoTuner, BatchPlanner, RangeQueryService, ShardedEngine
+    from repro.filters.registry import FilterSpec
+
+    serving = args.command == "serve"
+    if serving and args.mode == "process" and args.dir is None:
+        # RangeQueryService refuses this too, but only after the dataset
+        # is drawn (and, with --listen, bulk-loaded).
+        raise InvalidParameterError(
+            "--mode process needs --dir (snapshot workers open the shards "
+            "from the engine's checkpoint directory)"
+        )
+    address = _parse_hostport(args.listen) if serving and args.listen else None
+    universe, keys = _load_keys(args)
+    engine = ShardedEngine(
+        universe,
+        num_shards=args.shards,
+        memtable_limit=args.memtable_limit,
+        compaction_fanout=args.fanout,
+        filter_spec=None if args.filter == "none" else FilterSpec(
+            backend=args.filter, bits_per_key=args.bits_per_key,
+            max_range_size=args.range_size, seed=args.seed,
+        ),
+        directory=args.dir,
+        compaction=args.compaction,
     )
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """The same workload, served concurrently by a RangeQueryService."""
-    if args.mode == "process" and args.dir is None:
-        print(
-            "serve: --mode process needs --dir (snapshot workers open the "
-            "shards from the engine's checkpoint directory)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.listen is not None:
-        return _serve_listen(args)
-    universe = _universe(args)
-    keys = load_dataset(args.dataset, args.n, universe=universe, seed=args.seed)
-    engine = _build_engine(args)
-    service = _build_service(args, engine)
+    if args.autotune:
+        engine.attach_autotuner(AutoTuner())
+    if args.plan:
+        engine.attach_planner(BatchPlanner())
+    if address is not None:
+        # The front door serves a loaded store: load (and checkpoint,
+        # which hands process-mode workers their run sets) first.
+        _bulk_load(engine, keys, np.random.default_rng(args.seed + 1))
+    service = RangeQueryService(
+        engine, num_threads=args.threads, cache_blocks=args.cache_blocks,
+        miss_latency=args.miss_latency_us * 1e-6, mode=args.mode,
+        num_workers=args.workers,
+    ) if serving else None
     try:
-        metrics = _drive_workload(service, args, keys)
-        service.wait_for_compactions(timeout=30.0)
-        stats = engine.stats
-        rows = _workload_rows(engine, args, keys, metrics)
-        rows.insert(1, ["mode / threads / workers",
-                        f"{service.mode} / {args.threads} / {service.num_workers}"])
-        rows.append(
-            ["background compactions", f"{service.background_compactions}"]
-        )
-        if service.mode == "process":
-            rows.append(
-                ["worker vs local queries",
-                 f"{service.worker_queries:,} / {service.local_queries:,}"]
-            )
-        if service.cache is not None:
-            rows.append(
-                ["block cache", f"{stats.cache_hits:,} hits / "
-                 f"{stats.cache_misses:,} misses "
-                 f"({stats.cache_hit_ratio:.0%} hit ratio, "
-                 f"{len(service.cache):,} resident)"]
-            )
-        print(
-            format_table(
-                ["metric", "value"], rows, title="concurrent serving workload"
-            )
-        )
-        # One machine-grepable summary line mirroring exactly what the
-        # benchmarks measure (probe q/s over the batch wall clock and the
-        # cache hit rate), so bench runs and manual runs agree.
-        probe_qps = (
-            metrics["probes"] / metrics["probe_seconds"]
-            if metrics["probe_seconds"]
-            else 0.0
-        )
-        print(
-            _serve_summary_line(
-                service.stats_snapshot(),
-                probe_qps=probe_qps,
-                compaction=args.compaction,
-            )
-        )
+        if address is not None:
+            report = _listen(service, address, args, keys.size)
+        else:
+            metrics = _drive_workload(service or engine, args, universe, keys)
+            report = _workload_report(engine, service, args, keys, metrics)
     finally:
-        service.close()
+        if service is not None:
+            service.close()
         if engine.directory is not None:
             engine.close()
+    print("\n".join(report))
     return 0
+
+
+def _workload_report(engine, service, args: argparse.Namespace, keys, m: dict) -> list:
+    """The ``engine`` / ``serve`` report table and its summary line.
+
+    ``serve`` first drains its background compactions, so the table
+    shows the settled store.
+    """
+    if service is not None:
+        service.wait_for_compactions(timeout=30.0)
+    stats = engine.stats
+    total_writes = keys.size + args.batches * args.writes_per_batch
+    tuner = engine.autotuner
+    filter_cell = args.filter
+    if tuner is not None:
+        counts = ", ".join(
+            f"{name} x{n}" for name, n in sorted(tuner.backend_counts().items())
+        )
+        filter_cell = (
+            f"{args.filter} + autotune ({counts}; "
+            f"{len(tuner.decisions)} decisions)"
+        )
+    planner = engine.planner
+    rows = [
+        ["universe / shards", f"2^{args.universe_bits} / {args.shards}"],
+        ["filter", filter_cell],
+        ["planner", format_planner_summary(
+            planner.stats_snapshot() if planner is not None else None)],
+        ["live keys", f"{len(engine):,}"],
+        ["runs (filter bits)", f"{engine.run_count} ({engine.filter_bits_total:,})"],
+        ["bulk load", f"{keys.size:,} puts, "
+         + f"{keys.size / m['load_seconds']:,.0f} op/s"],
+        ["mixed writes", f"{total_writes - keys.size:,} ops, "
+         + (f"{(total_writes - keys.size) / m['write_seconds']:,.0f} op/s"
+            if m["write_seconds"] else "-")],
+        ["batch probes", f"{m['probes']:,} ({args.batches} x {args.batch_size}), "
+         + (f"{m['probes'] / m['probe_seconds']:,.0f} q/s"
+            if m["probe_seconds"] else "-")],
+        ["empty ranges", f"{m['empties']:,} / {m['probes']:,}"],
+        ["reads performed / avoided", f"{stats.reads_performed:,} / {stats.reads_avoided:,}"],
+        ["wasted reads (filter FPs)", f"{stats.wasted_reads:,}"],
+        ["flushes / compaction steps",
+         f"{stats.flushes} / {stats.compactions} ({args.compaction})"],
+        ["write amplification",
+         format_write_amp(stats.entries_flushed, stats.entries_compacted,
+                          stats.bytes_compacted)],
+        ["durability", str(engine.directory) if engine.directory else "in-memory"],
+    ]
+    probe_qps = m["probes"] / m["probe_seconds"] if m["probe_seconds"] else 0.0
+    if service is None:
+        return [
+            format_table(["metric", "value"], rows, title="sharded engine workload"),
+            f"[engine] compaction={args.compaction} probe_qps={probe_qps:,.0f} "
+            f"compaction_steps={stats.compactions} "
+            f"entries_compacted={stats.entries_compacted} "
+            f"bytes_compacted={stats.bytes_compacted} "
+            f"write_amp={stats.write_amplification:.2f}",
+        ]
+    rows.insert(1, ["mode / threads / workers",
+                    f"{service.mode} / {args.threads} / {service.num_workers}"])
+    rows.append(["background compactions", f"{service.background_compactions}"])
+    if service.mode == "process":
+        rows.append(["worker vs local queries",
+                     f"{service.worker_queries:,} / {service.local_queries:,}"])
+    if service.cache is not None:
+        rows.append(
+            ["block cache", f"{stats.cache_hits:,} hits / "
+             f"{stats.cache_misses:,} misses "
+             f"({stats.cache_hit_ratio:.0%} hit ratio, "
+             f"{len(service.cache):,} resident)"]
+        )
+    return [
+        format_table(["metric", "value"], rows, title="concurrent serving workload"),
+        _serve_summary_line(service.stats_snapshot(), probe_qps=probe_qps,
+                            compaction=args.compaction),
+    ]
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -791,14 +749,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.net import LoadConfig, RetryPolicy, run_loadgen
 
     host, port = _parse_hostport(args.connect)
-    universe = _universe(args)
-    keys = None
-    if args.distribution == "zipf":
-        # The generator aims at hot keys, so it regenerates the server's
-        # dataset locally — same --dataset/--n/--seed on both sides.
-        keys = load_dataset(
-            args.dataset, args.n, universe=universe, seed=args.seed
-        )
+    # Zipf aims at hot keys, so the generator regenerates the server's
+    # dataset locally — same --dataset/--n/--seed on both sides.
+    universe, keys = _load_keys(args)
     cfg = LoadConfig(
         clients=args.clients,
         connections=args.connections,
@@ -815,7 +768,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         retry=(
             RetryPolicy(max_attempts=args.retries + 1, seed=args.seed)
-            if args.retries > 0 else None
+            if args.retries else None
         ),
     )
     report = run_loadgen(host, port, cfg, universe=universe, keys=keys)
@@ -863,11 +816,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     """
     import json as json_mod
 
-    from repro.workloads.scenarios import MODES, run_scenario, scenario_names
+    from repro.workloads.scenarios import MODES, get_scenario, run_scenario, scenario_names
 
     if args.list:
-        from repro.workloads.scenarios import get_scenario
-
         rows = []
         for name in scenario_names():
             s = get_scenario(name)
@@ -878,49 +829,40 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         ))
         return 0
 
-    names = args.names or scenario_names()
-    for name in names:
-        if name not in scenario_names():
-            print(f"unknown scenario {name!r}; registered: {scenario_names()}",
-                  file=sys.stderr)
-            return 2
+    scenarios = [get_scenario(name) for name in args.names or scenario_names()]
     if args.mode is None:
         modes = ["engine", "service"]
     elif "all" in args.mode:
         modes = list(MODES)
     else:
         modes = list(dict.fromkeys(args.mode))
-        for mode in modes:
-            if mode not in MODES:
-                print(f"unknown mode {mode!r}; choose from {MODES}",
-                      file=sys.stderr)
-                return 2
-
+    unknown = [mode for mode in modes if mode not in MODES]
+    if unknown:
+        raise InvalidParameterError(f"unknown mode {unknown[0]!r}; choose from {MODES}")
+    pairs = [(s, mode) for s in scenarios for mode in modes if mode in s.modes()]
+    if not pairs:
+        raise InvalidParameterError(
+            f"no selected scenario supports mode(s) {modes}; nothing to run"
+        )
     reports = []
     failures = 0
-    for name in names:
-        from repro.workloads.scenarios import get_scenario
-
-        supported = get_scenario(name).modes()
-        for mode in modes:
-            if mode not in supported:
-                continue
-            report = run_scenario(
-                name, mode=mode, seed=args.seed,
-                num_threads=args.threads, scale=args.scale,
-            )
-            reports.append(report)
-            failures += 0 if report.ok else 1
-            probe_p99 = report.latency_ms.get("probe", {}).get("p99", 0.0)
-            print(
-                f"[scenarios] scenario={report.scenario} mode={report.mode} "
-                f"seed={report.seed} ops={report.ops} checks={report.checks} "
-                f"mismatches={report.mismatches} "
-                f"final_match={str(report.final_match).lower()} "
-                f"fpr={report.fpr:.4f} probe_p99_ms={probe_p99:.3f} "
-                f"ttl_now={report.ttl_now} live_keys={report.live_keys} "
-                f"ok={str(report.ok).lower()}"
-            )
+    for scenario, mode in pairs:
+        report = run_scenario(
+            scenario, mode=mode, seed=args.seed,
+            num_threads=args.threads, scale=args.scale,
+        )
+        reports.append(report)
+        failures += 0 if report.ok else 1
+        probe_p99 = report.latency_ms.get("probe", {}).get("p99", 0.0)
+        print(
+            f"[scenarios] scenario={report.scenario} mode={report.mode} "
+            f"seed={report.seed} ops={report.ops} checks={report.checks} "
+            f"mismatches={report.mismatches} "
+            f"final_match={str(report.final_match).lower()} "
+            f"fpr={report.fpr:.4f} probe_p99_ms={probe_p99:.3f} "
+            f"ttl_now={report.ttl_now} live_keys={report.live_keys} "
+            f"ok={str(report.ok).lower()}"
+        )
     if args.json:
         print(json_mod.dumps([r.to_dict() for r in reports], indent=1))
     print(
@@ -980,8 +922,8 @@ _COMMANDS = {
     "fpr": cmd_fpr,
     "attack": cmd_attack,
     "table1": cmd_table1,
-    "engine": cmd_engine,
-    "serve": cmd_serve,
+    "engine": cmd_workload,
+    "serve": cmd_workload,
     "loadgen": cmd_loadgen,
     "scenarios": cmd_scenarios,
     "scrub": cmd_scrub,

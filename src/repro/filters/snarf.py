@@ -30,6 +30,11 @@ from repro.errors import InvalidParameterError
 from repro.filters.base import RangeFilter, as_key_array
 from repro.succinct.golomb import GolombSequence
 
+#: Slot-count cap: ``MCDF(x) * slots`` stays an exact float64 integer
+#: part (and inside int64) in :meth:`SnarfFilter._map_keys`. Budgets
+#: with ``K * n`` past it build this many slots.
+MAX_SLOTS = 2**53
+
 
 class SnarfFilter(RangeFilter):
     """The SNARF learned range filter.
@@ -41,6 +46,7 @@ class SnarfFilter(RangeFilter):
     bits_per_key:
         Space budget ``B``; inverts the paper's ``n log2(K) + 2.4 n``
         model to pick ``K = 2^(B - 2.4)``. Mutually exclusive with ``K``.
+        The slot count ``K * n`` is capped at :data:`MAX_SLOTS`.
     K:
         Directly sets the slots-per-key parameter.
     sample_stride:
@@ -93,7 +99,7 @@ class SnarfFilter(RangeFilter):
         # integers restore that at zero model cost.
         self._min_key = int(arr[0])
         self._max_key = int(arr[-1])
-        self._slots = max(1, math.ceil(self._K * self._n))
+        self._slots = max(1, min(math.ceil(self._K * self._n), MAX_SLOTS))
         self._build_spline(arr, sample_stride)
         slots = np.unique(self._map_keys(arr))
         self._bits = GolombSequence(slots, universe=self._slots)

@@ -25,6 +25,7 @@ overload instead of unbounded queue growth.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -114,6 +115,10 @@ class LoadConfig:
             raise InvalidParameterError(f"unknown arrivals {self.arrivals!r}")
         if self.burst_factor < 1:
             raise InvalidParameterError("burst_factor must be >= 1")
+        if not 0 < self.burst_period < math.inf:
+            raise InvalidParameterError(
+                f"burst_period must be positive and finite, got {self.burst_period}"
+            )
 
 
 @dataclass

@@ -48,8 +48,10 @@ def _finalise(samples: np.ndarray, n: int, universe: int) -> np.ndarray:
 def _check_args(n: int, universe: int) -> None:
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if universe < 2:
-        raise InvalidParameterError(f"universe must be >= 2, got {universe}")
+    if not 2 <= universe <= 2**64:
+        raise InvalidParameterError(
+            f"universe must be in [2, 2^64] (keys are u64), got {universe}"
+        )
     if n > universe:
         raise InvalidParameterError(f"cannot draw {n} distinct keys from [0, {universe})")
 

@@ -176,6 +176,11 @@ class TestTheory:
         with pytest.raises(InvalidParameterError):
             table1(n, 2**40, L, eps)
 
+    @pytest.mark.parametrize("u", [1, 0, 2**-3])
+    def test_table1_rejects_a_universe_below_two(self, u):
+        with pytest.raises(InvalidParameterError):
+            table1(10**5, u, 2**10, 0.01)
+
     def test_table1_domain_edges_evaluate(self):
         # One key, point queries and a tiny eps are still inside the domain:
         # every bound evaluates to a finite, non-negative size.

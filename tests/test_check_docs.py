@@ -1,10 +1,11 @@
-"""Tests for the documentation lint's member and dotted-path checks
-(``tools/check_docs.py``).
+"""Tests for the documentation lint's member, dotted-path and CLI-flag
+checks (``tools/check_docs.py``).
 
 A backticked ``Class.member`` in the docs whose class is a ``repro``
-class must name a member that class still has, and a backticked
-``repro.…`` path must import; each check must flag a stale name and
-stay quiet on the repository's own docs.
+class must name a member that class still has, a backticked
+``repro.…`` path must import, and a ``--flag`` the CLI reference names
+must be an option of some subcommand; each check must flag a stale name
+and stay quiet on the repository's own docs.
 """
 
 import importlib.util
@@ -49,3 +50,23 @@ def test_dotted_path_check_flags_a_stale_path(tmp_path):
 
 def test_dotted_path_check_passes_on_the_repo_docs():
     assert check_docs.check_dotted_paths() == []
+
+
+def test_cli_flag_check_flags_a_stale_flag(tmp_path):
+    doc = tmp_path / "cli.md"
+    doc.write_text(
+        "Live: `--dataset/--n/--seed`, `--no-plan` and `--mode {thread,process}`;\n"
+        "stale: `--shard-count 4` and `serve --cache-size`. Prose --ignored.\n"
+        "```bash\n"
+        "python -m repro serve --threads 4 --pool 2\n"
+        "```\n"
+    )
+    assert check_docs.check_cli_flags(doc) == [
+        "cli.md:2: `--shard-count` is no option of any repro subcommand",
+        "cli.md:2: `--cache-size` is no option of any repro subcommand",
+        "cli.md:4: `--pool` is no option of any repro subcommand",
+    ]
+
+
+def test_cli_flag_check_passes_on_the_cli_reference():
+    assert check_docs.check_cli_flags() == []

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import io
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -180,6 +181,13 @@ class TestServeCommand:
         ["engine", "--filter", "bucketing", "--bits-per-key", "inf"],
         ["engine", "--bits-per-key", "1e6"],
         ["engine", "--filter", "snarf", "--bits-per-key", "64.5"],
+        ["loadgen", "--connect", "127.0.0.1:9", "--arrivals", "bursty",
+         "--burst-period", "0"],
+        ["loadgen", "--connect", "127.0.0.1:9", "--retries", "-1"],
+        ["loadgen", "--connect", "127.0.0.1:9", "--universe-bits", "65"],
+        ["scenarios", "no-such-scenario"],
+        ["scenarios", "--mode", "bogus"],
+        ["scenarios", "--mode", "net", "string-keys"],
         *(
             [command, flag, address]
             for command, flag in (("loadgen", "--connect"), ("serve", "--listen"))
@@ -248,6 +256,166 @@ class TestScrubCommand:
         assert report["ok"] is False
         assert report["runs_corrupt"] >= 1
         assert any(victim.name in issue for issue in report["errors"])
+
+
+def _table_rows(out, masked=()):
+    """``(label, value)`` for each ``label | value`` row of a report table.
+
+    Rates (``... op/s``, ``... q/s``) read as ``*``, and so does the whole
+    value of each label in ``masked``: both vary from run to run.
+    """
+    rows = []
+    for line in out.splitlines():
+        label, sep, value = line.partition(" | ")
+        if not sep or line.startswith("metric "):
+            continue
+        label, value = label.strip(), value.strip()
+        value = "*" if label in masked else re.sub(r"[\d,]+ (op|q)/s", r"* \1/s", value)
+        rows.append((label, value))
+    return rows
+
+
+def _summary_fields(out, tag):
+    """The ``key=`` names of each ``[tag] key=value ...`` line, in order."""
+    return [
+        [field.split("=", 1)[0] for field in line.split()[1:]]
+        for line in out.splitlines()
+        if line.startswith(f"[{tag}] ")
+    ]
+
+
+class TestCharacterisation:
+    """Pins, for fixed seeds, the stdout each command prints: the whole
+    report of the deterministic commands, and the report rows and
+    summary-line fields of the workload commands with their timing
+    (and, for ``serve``, thread-interleaving) cells masked."""
+
+    SMALL = ["--n", "2000", "--universe-bits", "40", "--seed", "7"]
+    WORKLOAD = ["--batches", "2", "--batch-size", "300", "--writes-per-batch",
+                "100", "--memtable-limit", "256", "--shards", "2"] + SMALL
+
+    def stdout_lines(self, argv):
+        code, out = run_cli(argv)
+        assert code == 0
+        return [line.rstrip() for line in out.splitlines()]
+
+    def test_dataset(self):
+        assert self.stdout_lines(["dataset", "--dataset", "books"] + self.SMALL) == [
+            "dataset 'books'",
+            "statistic              | value",
+            "-----------------------+-------------------------------",
+            "keys                   | 2,000",
+            "universe               | 2^40",
+            "min / max              | 72,682,716 / 1,099,511,627,775",
+            "mean gap               | 549,994,469.8",
+            "median gap             | 84,669,225.0",
+            "max gap                | 28,901,770,401.0",
+            "gap skew (mean/median) | 6.5",
+        ]
+
+    def test_table1(self):
+        argv = ["table1", "--n", "1000000", "--universe-bits", "40",
+                "--range-size", "64", "--eps", "0.02"]
+        assert self.stdout_lines(argv) == [
+            "Table 1 at n=1,000,000, L=64, eps=0.02",
+            "structure            | class       | space formula                       | bits/key | query time",
+            "---------------------+-------------+-------------------------------------+----------+--------------------------",
+            "SuRF                 | heuristic   | (10+m)n + 10z + o(n+z)              | -        | O(log u)",
+            "SNARF                | heuristic   | n log K + 2.4n                      | 14.04    | Omega(log n)",
+            "Proteus              | heuristic   | ?                                   | -        | ?",
+            "bloomRF              | heuristic   | ?                                   | -        | O(log(u/n))",
+            "Bucketing            | heuristic   | t log(u/(t s)) + 2t + o(t)          | -        | O(log(u/(t s)))",
+            "Theoretical baseline | fpr-bounded | n log(L/eps) + O(n)                 | 13.08    | O(L)",
+            "Goswami et al.       | fpr-bounded | n log(L/eps) + 3n + o(n log(L/eps)) | 14.64    | O(log(nL/eps)/w)",
+            "Rosetta              | fpr-bounded | 1.44 n log(L/eps)                   | 16.77    | Omega(log L * log(2-eps))",
+            "Grafite              | fpr-bounded | n log(L/eps) + 2n + o(n)            | 13.64    | O(log(L/eps))",
+            "Lower bound          | bound       | n log(L^(1-O(eps))/eps) - O(n)      | 11.52    | -",
+        ]
+
+    def test_attack(self):
+        argv = ["attack", "--filter", "Rosetta", "--bits-per-key", "10",
+                "--rounds", "3", "--queries-per-round", "200"] + self.SMALL
+        assert self.stdout_lines(argv) == [
+            "adaptive attack on Rosetta",
+            "round         | FPR (backend reads / probe)",
+            "--------------+----------------------------",
+            "round 1       | 0.2750",
+            "round 2       | 0.3600",
+            "round 3       | 0.4350",
+            "amplification | 1.58x",
+        ]
+
+    def test_engine(self):
+        code, out = run_cli(["engine"] + self.WORKLOAD)
+        assert code == 0
+        assert out.startswith("sharded engine workload\n")
+        assert _table_rows(out) == [
+            ("universe / shards", "2^40 / 2"),
+            ("filter", "grafite"),
+            ("planner", "600 queries -> 600 probes; 0 dups folded; negcache 0.0% hit"),
+            ("live keys", "2,176"),
+            ("runs (filter bits)", "2 (32,000)"),
+            ("bulk load", "2,000 puts, * op/s"),
+            ("mixed writes", "200 ops, * op/s"),
+            ("batch probes", "600 (2 x 300), * q/s"),
+            ("empty ranges", "600 / 600"),
+            ("reads performed / avoided", "0 / 600"),
+            ("wasted reads (filter FPs)", "0"),
+            ("flushes / compaction steps", "9 / 2 (full)"),
+            ("write amplification",
+             "2.00x (2,000 compacted / 2,000 flushed entries, 32,000 bytes rewritten)"),
+            ("durability", "in-memory"),
+        ]
+        assert _summary_fields(out, "engine") == [[
+            "compaction", "probe_qps", "compaction_steps", "entries_compacted",
+            "bytes_compacted", "write_amp",
+        ]]
+
+    def test_serve(self):
+        code, out = run_cli(["serve", "--threads", "2"] + self.WORKLOAD)
+        assert code == 0
+        assert out.startswith("concurrent serving workload\n")
+        # Background compaction races the probe batches, so the I/O
+        # ledger and the compaction counts vary between runs.
+        racy = {
+            "runs (filter bits)", "reads performed / avoided",
+            "wasted reads (filter FPs)", "flushes / compaction steps",
+            "write amplification", "background compactions", "block cache",
+        }
+        assert _table_rows(out, masked=racy) == [
+            ("universe / shards", "2^40 / 2"),
+            ("mode / threads / workers", "thread / 2 / 0"),
+            ("filter", "grafite"),
+            ("planner", "600 queries -> 600 probes; 0 dups folded; negcache 0.0% hit"),
+            ("live keys", "2,176"),
+            ("runs (filter bits)", "*"),
+            ("bulk load", "2,000 puts, * op/s"),
+            ("mixed writes", "200 ops, * op/s"),
+            ("batch probes", "600 (2 x 300), * q/s"),
+            ("empty ranges", "600 / 600"),
+            ("reads performed / avoided", "*"),
+            ("wasted reads (filter FPs)", "*"),
+            ("flushes / compaction steps", "*"),
+            ("write amplification", "*"),
+            ("durability", "in-memory"),
+            ("background compactions", "*"),
+            ("block cache", "*"),
+        ]
+        assert _summary_fields(out, "serve") == [[
+            "mode", "threads", "workers", "probe_qps", "cache_hit_rate",
+            "negcache_hit_rate", "worker_queries", "local_queries", "compaction",
+            "compaction_steps", "entries_compacted", "write_amp",
+        ]]
+
+    def test_scenarios_summary_fields(self):
+        code, out = run_cli(["scenarios", "read-heavy", "--mode", "engine",
+                             "--scale", "0.05", "--seed", "3"])
+        assert code == 0
+        assert _summary_fields(out, "scenarios") == [
+            ["scenario", "mode", "seed", "ops", "checks", "mismatches",
+             "final_match", "fpr", "probe_p99_ms", "ttl_now", "live_keys", "ok"],
+            ["runs", "failures", "ok"],
+        ]
 
 
 class TestParser:

@@ -5,6 +5,8 @@ negatives for any data and any query. A single parametrised suite
 enforces it, plus per-filter specifics below.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,26 @@ class TestSnarfSpecifics:
             trials += 1
             fp += f.may_contain_range(a, b)
         assert fp / trials < 6.0 / K  # near 1/K up to constant slack
+
+    @pytest.mark.parametrize("bpk", [48, 60, 64])
+    def test_huge_budgets_cap_slots_without_overflow(self, bpk):
+        # K * n past 2^53 (float64's exact integers) or 2^63 (int64) used to
+        # overflow the slot cast; the capped build must answer like 46 bpk.
+        rng = np.random.default_rng(5)
+        universe = 2**48
+        keys = np.unique(rng.integers(0, universe, 500, dtype=np.uint64))
+        ranges = [(lo, lo + 31) for lo in rng.integers(0, universe - 32, 3000).tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = SnarfFilter(keys, universe, bits_per_key=bpk)
+            answers = [f.may_contain_range(lo, hi) for lo, hi in ranges]
+            for k in keys[::10].tolist():
+                assert f.may_contain_range(max(0, k - 3), k + 3)
+        baseline = SnarfFilter(keys, universe, bits_per_key=46)
+        expected = [baseline.may_contain_range(lo, hi) for lo, hi in ranges]
+        truth = [bool(np.any((keys >= lo) & (keys <= hi))) for lo, hi in ranges]
+        assert all(a for a, t in zip(answers, truth) if t)
+        assert sum(answers) <= sum(expected)
 
     def test_float32_defect_mode_constructs(self):
         keys = list(range(0, 10_000, 13))

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.engine import RangeQueryService, ShardedEngine
+from repro.errors import InvalidParameterError
 from repro.filters import FilterSpec
 from repro.net import (
     AsyncClient,
@@ -564,6 +565,13 @@ class TestLoadgen:
         assert report.errors == 40
         assert report.completed + report.shed + report.errors == report.sent
         assert report.latencies.size == 0
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("inf"), float("nan")])
+    def test_burst_period_must_be_positive_and_finite(self, period):
+        from repro.net import LoadConfig
+
+        with pytest.raises(InvalidParameterError):
+            LoadConfig(arrivals="bursty", burst_period=period)
 
     def test_bursty_arrivals_cluster(self):
         from repro.net import LoadConfig, generate_arrivals

@@ -48,6 +48,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             uniform(0)
 
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_universe_beyond_u64(self, name):
+        with pytest.raises(InvalidParameterError):
+            load_dataset(name, 10, universe=2**64 + 1)
+
     def test_n_exceeds_universe(self):
         with pytest.raises(InvalidParameterError):
             uniform(100, universe=10)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Documentation lint: intra-repo links, public-symbol docstrings, the
-class members and the dotted module paths the docs name.
+class members, the dotted module paths and the CLI flags the docs name.
 
-Four checks, all cheap enough for every CI run:
+Five checks, all cheap enough for every CI run:
 
 1. **Links** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at a file that exists (anchors and external
@@ -21,6 +21,10 @@ Four checks, all cheap enough for every CI run:
    files must resolve: its longest prefix that is a module imports, and
    each remaining name is an attribute of what came before. A doc that
    names a deleted module or a moved function is caught the same way.
+5. **CLI flags** — every ``--flag`` in a backticked span or a fenced
+   code block of ``docs/cli.md`` must be an option of some subcommand of
+   ``repro.cli.build_parser()``. A renamed or removed flag cannot linger
+   in the reference.
 
 Exit code 0 when clean; 1 with a problem list otherwise. Run from the
 repo root: ``python tools/check_docs.py`` (``src/`` is put on the path
@@ -29,6 +33,7 @@ automatically).
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import pkgutil
 import re
@@ -58,6 +63,10 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _MEMBER = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)[^`]*`")
 #: A backticked span that starts with a dotted ``repro.…`` path.
 _DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+#: The CLI reference, whose flags must exist.
+CLI_DOC = REPO_ROOT / "docs" / "cli.md"
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def check_links() -> list[str]:
@@ -176,10 +185,44 @@ def check_dotted_paths(doc_files=DOC_FILES) -> list[str]:
     return problems
 
 
+def cli_flags() -> set[str]:
+    """Every option string of every ``repro`` subcommand."""
+    from repro.cli import build_parser
+
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        flag
+        for parser in sub.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+    }
+
+
+def check_cli_flags(doc: Path = CLI_DOC) -> list[str]:
+    flags = cli_flags()
+    problems = []
+    fenced = False
+    for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        for code in [line] if fenced else _CODE_SPAN.findall(line):
+            for flag in _FLAG.findall(code):
+                if flag not in flags:
+                    problems.append(
+                        f"{doc.name}:{lineno}: `{flag}` is no option of any "
+                        "repro subcommand"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links() + check_docstrings() + check_members()
-        + check_dotted_paths()
+        + check_dotted_paths() + check_cli_flags()
     )
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
