@@ -13,7 +13,7 @@ answers as a perf-regression harness:
   batch, so a silently re-introduced per-query loop fails CI;
 * **process vs. thread serving** — on a CPU-bound batch the thread pool
   serialises on the GIL; ``mode="process"`` routes the same chunks to
-  per-shard snapshot workers through shared-memory rings. The bar is
+  per-shard snapshot workers over their pipes. The bar is
   >= 2x over thread mode at 4 workers — asserted only where the host
   actually has >= 4 CPUs (the comparison is meaningless on fewer), and
   always recorded in the JSON artifact either way.

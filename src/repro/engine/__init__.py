@@ -23,8 +23,8 @@ serving heavy range-query traffic behind in-memory filters.
   reader/writer locks, a background compaction worker, and one block
   cache per serving mode in front of the simulated disk;
 * :class:`~repro.engine.workers.ShardWorkerPool` — process-mode back
-  end: per-shard snapshot workers behind ``multiprocessing``
-  shared-memory query rings, invalidated by the checkpoint-epoch
+  end: per-shard snapshot workers that take raw bound columns over
+  their ``multiprocessing`` pipes, invalidated by the checkpoint-epoch
   handshake (``mode="process"`` on the service);
 * :class:`~repro.engine.autotune.AutoTuner` — per-shard filter backend
   auto-tuning from live workload telemetry (range lengths + windowed

@@ -29,7 +29,7 @@ with the three pieces a serving tier adds:
   worker processes** (:mod:`repro.engine.workers`) that answer
   CPU-bound batch probes outside the GIL. Workers hold the shard's runs
   read-only from the last checkpoint and receive query columns / return
-  verdict bitmaps through shared-memory rings. The parent routes a
+  verdict columns as raw bytes over their pipes. The parent routes a
   query to a worker only while (a) the shard's run set is unchanged
   since the checkpoint (the checkpoint-epoch handshake:
   :attr:`~repro.lsm.store.LSMStore.runs_version` must match the synced

@@ -64,8 +64,10 @@ def uncorrelated_queries(
         attempts += 1
         # Inclusive-placement draw: the last valid left endpoint is
         # universe - range_size (giving hi = universe - 1), and
-        # rng.integers has an exclusive high bound, hence the + 1.
-        lo = int(rng.integers(0, universe - range_size + 1))
+        # rng.integers has an exclusive high bound, hence the + 1. The
+        # uint64 dtype admits bounds up to 2^64 and draws the same
+        # values as the default int64 for bounds below 2^63.
+        lo = int(rng.integers(0, universe - range_size + 1, dtype=np.uint64))
         hi = lo + range_size - 1
         if sorted_keys is not None and intersects(sorted_keys, lo, hi):
             continue

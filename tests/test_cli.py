@@ -93,6 +93,19 @@ class TestTable1Command:
         assert "eps=0.1" in out
 
 
+class TestFullUniverse:
+    """The query-drawing commands run at a 2^64 universe."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fpr", "--queries", "100"],
+        ["attack", "--rounds", "2", "--queries-per-round", "50"],
+        ["engine", "--batches", "2", "--batch-size", "200"],
+    ])
+    def test_universe_bits_64(self, argv):
+        code, _ = run_cli(argv + ["--universe-bits", "64", "--n", "500"])
+        assert code == 0
+
+
 class TestEngineCommand:
     ENGINE_ARGS = ["engine", "--n", "1000", "--batches", "2", "--batch-size", "200",
                    "--writes-per-batch", "50", "--memtable-limit", "128"] + COMMON

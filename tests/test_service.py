@@ -9,6 +9,7 @@ concurrent reader/writer hammer.
 """
 
 import gc
+import os
 import threading
 import time
 import weakref
@@ -576,8 +577,67 @@ class TestProcessMode:
         engine.checkpoint()
         with pytest.raises(InvalidParameterError):
             ShardWorkerPool(engine.directory, 4, 0)
-        with pytest.raises(InvalidParameterError):
-            ShardWorkerPool(engine.directory, 4, 2, slot_count=0)
+        engine.close()
+
+    def test_large_batch_is_one_worker_request(self, tmp_path):
+        """Each shard's sub-batch goes to its worker as one request: a
+        20,000-range batch matches the engine, and every range is
+        answered by a worker."""
+        engine = self.build_persistent(tmp_path)
+        load_keys(engine, n=2500, seed=21)
+        engine.flush_all()
+        rng = np.random.default_rng(22)
+        los = rng.integers(0, UNIVERSE - 5000, 20_000, dtype=np.uint64)
+        his = los + rng.integers(0, 5000, 20_000, dtype=np.uint64)
+        reference = engine.batch_range_empty(los, his)
+        with RangeQueryService(
+            engine, num_threads=2, mode="process", num_workers=2, cache_blocks=0,
+        ) as service:
+            assert service.wait_for_compactions(timeout=10.0)
+            service.checkpoint()
+            got = service.batch_range_empty(los, his)
+            assert bool((got == reference).all())
+            assert service.worker_queries == 20_000
+            assert service.local_queries == 0
+        engine.close()
+
+    def test_pool_answers_one_range(self, tmp_path):
+        from repro.engine import ShardWorkerPool, persist
+
+        engine = self.build_persistent(tmp_path)
+        keys = load_keys(engine, n=800, seed=23)
+        engine.flush_all()
+        engine.checkpoint()
+        generation = persist.load_manifest(engine.directory)["generation"]
+        key = int(keys[len(keys) // 2])
+        sid = engine.router.shard_of(key)
+        with ShardWorkerPool(engine.directory, engine.num_shards, 2) as pool:
+            assert pool.reload(generation) == 2
+            for lo, hi in ((key, key), (key + 1, key + 1)):
+                verdicts, delta = pool.query(
+                    sid,
+                    np.asarray([lo], dtype=np.uint64),
+                    np.asarray([hi], dtype=np.uint64),
+                )
+                assert verdicts.dtype == bool and verdicts.shape == (1,)
+                assert bool(verdicts[0]) == engine.range_empty(lo, hi)
+                assert len(delta) == 5
+        engine.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs a /dev/shm directory"
+    )
+    def test_cacheless_pool_creates_no_shared_memory(self, tmp_path):
+        from repro.engine import ShardWorkerPool, persist
+
+        engine = self.build_persistent(tmp_path)
+        load_keys(engine, n=400, seed=24)
+        engine.checkpoint()
+        generation = persist.load_manifest(engine.directory)["generation"]
+        before = set(os.listdir("/dev/shm"))
+        with ShardWorkerPool(engine.directory, engine.num_shards, 2) as pool:
+            assert pool.reload(generation) == 2
+            assert set(os.listdir("/dev/shm")) == before
         engine.close()
 
     def test_worker_stats_fold_into_ledger(self, tmp_path):
@@ -604,7 +664,6 @@ class TestProcessMode:
         """SIGKILL a snapshot worker mid-service: queries must keep
         answering exactly (local fallback), never raise, and the next
         checkpoint must not fail either."""
-        import os
         import signal
         import warnings as _warnings
 
@@ -614,6 +673,9 @@ class TestProcessMode:
         rng = np.random.default_rng(12)
         los = rng.integers(0, UNIVERSE - 1000, 200, dtype=np.uint64)
         his = los + rng.integers(0, 1000, 200, dtype=np.uint64)
+        big_los = rng.integers(0, UNIVERSE - 1000, 50_000, dtype=np.uint64)
+        big_his = big_los + rng.integers(0, 1000, 50_000, dtype=np.uint64)
+        big_reference = engine.batch_range_empty(big_los, big_his)
         with RangeQueryService(
             engine, num_threads=2, mode="process", num_workers=2, cache_blocks=0,
         ) as service:
@@ -633,6 +695,15 @@ class TestProcessMode:
                 _warnings.simplefilter("ignore", RuntimeWarning)
                 service.checkpoint()
             assert service.batch_range_empty(los, his).tolist() == scalar
+            # A request larger than a socket buffer (~800 KB of bounds)
+            # to a dead worker must fail its send, not block on it.
+            victim = service._workers._handles[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            start = time.monotonic()
+            got = service.batch_range_empty(big_los, big_his)
+            assert bool((got == big_reference).all())
+            assert time.monotonic() - start < 60.0
         engine.close()
 
     def test_worker_cache_replica_folds_hits_home(self, tmp_path):

@@ -53,6 +53,18 @@ class TestUncorrelated:
         # (hi == 15) is all but certain — and was impossible before.
         assert max(hi for _, hi in queries) == 15
 
+    def test_full_u64_universe(self):
+        """Regression: a 2^64 universe overflowed the int64 draw."""
+        keys = np.sort(
+            np.random.default_rng(2).integers(0, 2**64, 500, dtype=np.uint64)
+        )
+        queries = uncorrelated_queries(100, 32, 2**64, keys=keys, seed=1)
+        assert len(queries) == 100
+        for lo, hi in queries:
+            assert 0 <= lo <= hi < 2**64
+            assert not intersects(keys, lo, hi)
+        assert max(lo for lo, _ in queries) >= 2**63
+
     def test_without_keys_no_empty_enforcement(self):
         queries = uncorrelated_queries(50, 16, UNIVERSE, seed=0)
         assert len(queries) == 50
