@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import InvalidParameterError, InvalidQueryError
-from repro.filters.base import RangeFilter, as_key_array
+from repro.filters.base import RangeFilter, as_key_array, sorted_unique
 from repro.succinct.elias_fano import EliasFano
 
 
@@ -78,7 +78,7 @@ class Bucketing(RangeFilter):
             marked = arr
         else:
             # Keys fit in uint64 and s >= 1, so integer division is exact.
-            marked = np.unique(arr // np.uint64(self._s))
+            marked = sorted_unique(arr // np.uint64(self._s))
         return EliasFano(marked, universe=bucket_universe)
 
     def _fit_budget(self, arr: np.ndarray, bits_per_key: float) -> tuple[int, EliasFano]:
@@ -97,7 +97,7 @@ class Bucketing(RangeFilter):
             if s >= self._universe:
                 return True
             bucket_universe = (self._universe - 1) // s + 1
-            t = int(np.unique(arr // np.uint64(s)).size) if arr.size else 0
+            t = int(sorted_unique(arr // np.uint64(s)).size) if arr.size else 0
             if t == 0:
                 return True
             ratio = bucket_universe // t

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.hashing import LocalityPreservingHash, PowerOfTwoLocalityHash
 from repro.errors import InvalidParameterError, InvalidQueryError
-from repro.filters.base import RangeFilter, as_key_array
+from repro.filters.base import RangeFilter, as_key_array, sorted_unique
 from repro.succinct.elias_fano import EliasFano
 
 
@@ -167,7 +167,7 @@ class Grafite(RangeFilter):
             )
         else:
             self._hash = LocalityPreservingHash(r, domain=universe, seed=seed)
-        codes = np.unique(self._hash.hash_many(arr))
+        codes = sorted_unique(self._hash.hash_many(arr))
         self._ef = EliasFano(codes, universe=r)
 
     # ------------------------------------------------------------------

@@ -207,9 +207,22 @@ class LocalityPreservingHash:
             # 64-bit modulus (offsets are < r). q() itself is vectorised,
             # once per distinct block; everything else is numpy arithmetic.
             if r < 2**63 and int(keys.max()) <= 2**64 - 1 - r:
-                blocks, inverse = np.unique(keys // np.uint64(r), return_inverse=True)
-                offsets = self._q.hash_many(blocks)
-                return (offsets[inverse] + keys) % np.uint64(r)
+                blocks = keys // np.uint64(r)
+                if not (blocks[1:] >= blocks[:-1]).all():
+                    # Unsorted keys: hash them in key order, then scatter
+                    # the codes back to the caller's order.
+                    order = np.argsort(keys)
+                    codes = np.empty_like(keys)
+                    codes[order] = self.hash_many(keys[order])
+                    return codes
+                # Sorted keys (every filter build): each block is one run,
+                # so a neighbour mask finds the blocks and its cumsum maps
+                # every key to its block's offset.
+                first = np.empty(blocks.size, dtype=bool)
+                first[0] = True
+                np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+                offsets = self._q.hash_many(blocks[first])
+                return (offsets[np.cumsum(first) - 1] + keys) % np.uint64(r)
         values = keys.tolist() if isinstance(keys, np.ndarray) else [int(x) for x in keys]
         if not values:
             return np.zeros(0, dtype=np.uint64)

@@ -84,8 +84,7 @@ from repro.lsm.sstable import (
     BLOCK_ENTRIES,
     FilterFactory,
     SSTable,
-    _HEAP_TAGS,
-    _TYPE_MASK,
+    _heap_mask,
 )
 from repro.lsm.store import LSMStore
 
@@ -138,24 +137,6 @@ def stable_run_id(shard_id: int, name: str) -> int:
 # ----------------------------------------------------------------------
 # Run files — writer
 # ----------------------------------------------------------------------
-def _block_heap_bounds(
-    tags: np.ndarray, va: np.ndarray, vb: np.ndarray, start: int, stop: int
-) -> Tuple[int, int]:
-    """Absolute ``[lo, hi)`` heap span entries ``[start, stop)`` reference.
-
-    Heap payloads are appended in entry order
-    (:func:`~repro.lsm.sstable._encode_one`), so the span is contiguous:
-    from the first heap-typed entry's offset to the last's end.
-    """
-    kinds = tags[start:stop] & np.uint8(_TYPE_MASK)
-    idx = np.flatnonzero(np.isin(kinds, _HEAP_TAGS))
-    if idx.size == 0:
-        return 0, 0
-    first = start + int(idx[0])
-    last = start + int(idx[-1])
-    return int(va[first]), int(va[last]) + int(vb[last])
-
-
 def _block_crcs(
     keys: np.ndarray,
     tags: np.ndarray,
@@ -165,22 +146,36 @@ def _block_crcs(
     heap,
 ) -> np.ndarray:
     """crc32 per block over its column slices + its heap span, computed
-    incrementally over buffer views — no intermediate copies."""
+    incrementally over buffer views — no intermediate copies.
+
+    Heap payloads are appended in entry order
+    (:func:`~repro.lsm.sstable._encode_one`), so a block's heap span is
+    contiguous: from its first heap-typed entry's offset to its last's
+    end. One mask over the tag column finds every heap entry and one
+    ``searchsorted`` of the block bounds finds each block's first and
+    last of them.
+    """
     n = int(keys.size)
-    nblocks = -(-n // BLOCK_ENTRIES)
+    starts = np.arange(0, n, BLOCK_ENTRIES)
+    heap_idx = np.flatnonzero(_heap_mask(tags))
+    first = np.searchsorted(heap_idx, starts).tolist()
+    last = (np.searchsorted(heap_idx, starts + BLOCK_ENTRIES) - 1).tolist()
     heap_mv = memoryview(heap)
-    crcs = np.empty(nblocks, dtype=np.uint32)
-    for b in range(nblocks):
-        start = b * BLOCK_ENTRIES
-        stop = min(start + BLOCK_ENTRIES, n)
+    crcs = np.empty(starts.size, dtype=np.uint32)
+    for b, start in enumerate(starts.tolist()):
+        stop = start + BLOCK_ENTRIES
         crc = zlib.crc32(keys[start:stop])
         crc = zlib.crc32(tags[start:stop], crc)
         crc = zlib.crc32(va[start:stop], crc)
         crc = zlib.crc32(vb[start:stop], crc)
         crc = zlib.crc32(vexp[start:stop], crc)
-        heap_lo, heap_hi = _block_heap_bounds(tags, va, vb, start, stop)
-        if heap_hi > heap_lo:
-            crc = zlib.crc32(heap_mv[heap_lo:heap_hi], crc)
+        if first[b] <= last[b]:
+            lo_entry = int(heap_idx[first[b]])
+            hi_entry = int(heap_idx[last[b]])
+            heap_lo = int(va[lo_entry])
+            heap_hi = int(va[hi_entry]) + int(vb[hi_entry])
+            if heap_hi > heap_lo:
+                crc = zlib.crc32(heap_mv[heap_lo:heap_hi], crc)
         crcs[b] = crc & 0xFFFFFFFF
     return crcs
 

@@ -37,7 +37,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.filters.base import RangeFilter, as_key_array
+from repro.filters.base import RangeFilter, as_key_array, sorted_unique
 from repro.filters.bloom import BloomFilter, optimal_num_hashes
 from repro.filters.fst import FastSuccinctTrie
 
@@ -45,7 +45,7 @@ from repro.filters.fst import FastSuccinctTrie
 def _distinct_prefixes(arr: np.ndarray, shift: int) -> np.ndarray:
     if shift >= 64:
         return np.zeros(1, dtype=np.uint64) if arr.size else arr
-    return np.unique(arr >> np.uint64(shift))
+    return sorted_unique(arr >> np.uint64(shift))
 
 
 class Proteus(RangeFilter):

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.filters.base import RangeFilter, as_key_array
+from repro.filters.base import RangeFilter, as_key_array, sorted_unique
 from repro.filters.bloom import BloomFilter, optimal_num_hashes
 
 
@@ -101,7 +101,7 @@ class Rosetta(RangeFilter):
             return
         budget = bits_per_key * self._n
         prefix_sets = {
-            d: np.unique(arr >> np.uint64(self._W - d)) for d in self._levels
+            d: sorted_unique(arr >> np.uint64(self._W - d)) for d in self._levels
         }
         weights = self._level_weights(sample_queries)
         allocation = self._allocate_bits(prefix_sets, budget, weights)

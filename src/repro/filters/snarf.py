@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.filters.base import RangeFilter, as_key_array
+from repro.filters.base import RangeFilter, as_key_array, sorted_unique
 from repro.succinct.golomb import GolombSequence
 
 #: Slot-count cap: ``MCDF(x) * slots`` stays an exact float64 integer
@@ -101,7 +101,7 @@ class SnarfFilter(RangeFilter):
         self._max_key = int(arr[-1])
         self._slots = max(1, min(math.ceil(self._K * self._n), MAX_SLOTS))
         self._build_spline(arr, sample_stride)
-        slots = np.unique(self._map_keys(arr))
+        slots = sorted_unique(self._map_keys(arr))
         self._bits = GolombSequence(slots, universe=self._slots)
 
     # ------------------------------------------------------------------

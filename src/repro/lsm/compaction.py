@@ -449,7 +449,7 @@ class LeveledPolicy(CompactionPolicy):
             if keys.size == 0:
                 continue
             owner = np.searchsorted(lows, keys, side="right") - 1
-            overlapped[np.unique(owner)] = True
+            overlapped[owner] = True
         units: List[MergeUnit] = []
         i = 0
         while i < len(slices):

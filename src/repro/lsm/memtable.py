@@ -52,7 +52,7 @@ class MemTable:
         """All keys (live and tombstoned) as a sorted ``uint64`` array.
 
         The memtable's one sorted view, shared by :meth:`scan`,
-        :meth:`items_sorted` and the columnar batch path. It is rebuilt
+        :meth:`values_sorted` and the columnar batch path. It is rebuilt
         only when a new key arrives; overwrites and deletes of present
         keys keep it.
         """
@@ -81,10 +81,14 @@ class MemTable:
         for key in keys[start:stop].tolist():
             yield key, data[key]
 
-    def items_sorted(self) -> List[Tuple[int, Any]]:
-        """All entries in key order (for flushing)."""
-        data = self._data
-        return [(key, data[key]) for key in self.keys_array().tolist()]
+    def values_sorted(self) -> List[Any]:
+        """All values (tombstones included), aligned with :meth:`keys_array`.
+
+        A flush encodes them next to the key column as they are
+        (:func:`~repro.lsm.sstable.encode_values`), with no
+        ``(key, value)`` tuples in between.
+        """
+        return list(map(self._data.__getitem__, self.keys_array().tolist()))
 
     def __len__(self) -> int:
         return len(self._data)

@@ -49,6 +49,7 @@ from repro.lsm.sstable import (
     Columns,
     FilterFactory,
     SSTable,
+    encode_values,
     merge_columns,
     split_columns,
 )
@@ -343,16 +344,17 @@ class LSMStore:
         the pending work without anyone polling it.
         """
         with self._write_lock:
-            entries = self._memtable.items_sorted()
-            if not entries:
+            keys = self._memtable.keys_array()
+            if not keys.size:
                 return
-            run = SSTable(entries, self.universe, self._factory)
+            values = encode_values(self._memtable.values_sorted())
+            run = self._new_run(Columns(keys, *values), None)
             self._level0.insert(0, run)  # newest first
             self._memtable = MemTable()
             self._reindex()
             self._runs_version += 1
             self.stats.flushes += 1
-            self.stats.entries_flushed += len(entries)
+            self.stats.entries_flushed += len(run)
             self._settle_or_announce()
 
     def _settle_or_announce(self) -> None:
@@ -587,8 +589,8 @@ class LSMStore:
     def _new_run(
         self, columns: Columns, slice_bounds: Optional[Tuple[int, int]]
     ) -> SSTable:
-        """A run adopting merged ``columns``, with a filter from the
-        current factory unless it is empty (a placeholder slice)."""
+        """A run adopting flushed or merged ``columns``, with a filter
+        from the current factory unless it is empty (a placeholder slice)."""
         filt = (
             self._factory(columns.keys, self.universe)
             if self._factory is not None and columns.keys.size
@@ -1088,7 +1090,5 @@ class LSMStore:
             run_keys = run_keys[
                 ~np.isin(run_keys, memtable.keys_array(), assume_unique=True)
             ]
-        live = sum(
-            1 for _, value in memtable.items_sorted() if self._is_live(value)
-        )
+        live = sum(map(self._is_live, memtable.values_sorted()))
         return live + int(run_keys.size)

@@ -42,11 +42,12 @@ class TestMemTable:
         mt.put(15, "15")  # scan must see post-insert state
         assert [k for k, _ in mt.scan(10, 25)] == [10, 15, 20]
 
-    def test_items_sorted_and_clear(self):
+    def test_values_sorted_and_clear(self):
         mt = MemTable()
         mt.put(2, "b")
         mt.put(1, "a")
-        assert mt.items_sorted() == [(1, "a"), (2, "b")]
+        assert mt.keys_array().tolist() == [1, 2]
+        assert mt.values_sorted() == ["a", "b"]
         mt.clear()
         assert len(mt) == 0
 
@@ -58,7 +59,7 @@ class TestMemTable:
 
         def check():
             keys = sorted(model)
-            assert mt.items_sorted() == [(k, model[k]) for k in keys]
+            assert mt.values_sorted() == [model[k] for k in keys]
             assert mt.keys_array().dtype == np.uint64
             assert mt.keys_array().tolist() == keys
             for lo, hi in [(0, 0), (top, top), (0, top), (1, top - 1),
