@@ -155,6 +155,26 @@ class PairwiseIndependentHash:
         )
 
 
+def _block_offsets(q: PairwiseIndependentHash, blocks: np.ndarray) -> np.ndarray:
+    """``q(b)`` for every entry ``b`` of a non-empty ``uint64`` block
+    column, evaluating ``q`` once per distinct block.
+
+    Sorted blocks (every filter build hashes sorted keys) form runs, so a
+    neighbour mask finds the distinct blocks and its cumsum maps each
+    entry to its run; any other column is grouped in sorted order and
+    its offsets scattered back to the caller's order.
+    """
+    if not (blocks[1:] >= blocks[:-1]).all():
+        order = np.argsort(blocks, kind="stable")
+        offsets = np.empty_like(blocks)
+        offsets[order] = _block_offsets(q, blocks[order])
+        return offsets
+    first = np.empty(blocks.size, dtype=bool)
+    first[0] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+    return q.hash_many(blocks[first])[np.cumsum(first) - 1]
+
+
 class LocalityPreservingHash:
     """Equation (1): ``h(x) = (q(floor(x / r)) + x) mod r``.
 
@@ -204,25 +224,10 @@ class LocalityPreservingHash:
         r = self._r
         if isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.size:
             # Vectorised path: valid whenever offset + key cannot wrap the
-            # 64-bit modulus (offsets are < r). q() itself is vectorised,
-            # once per distinct block; everything else is numpy arithmetic.
+            # 64-bit modulus (offsets are < r).
             if r < 2**63 and int(keys.max()) <= 2**64 - 1 - r:
-                blocks = keys // np.uint64(r)
-                if not (blocks[1:] >= blocks[:-1]).all():
-                    # Unsorted keys: hash them in key order, then scatter
-                    # the codes back to the caller's order.
-                    order = np.argsort(keys)
-                    codes = np.empty_like(keys)
-                    codes[order] = self.hash_many(keys[order])
-                    return codes
-                # Sorted keys (every filter build): each block is one run,
-                # so a neighbour mask finds the blocks and its cumsum maps
-                # every key to its block's offset.
-                first = np.empty(blocks.size, dtype=bool)
-                first[0] = True
-                np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
-                offsets = self._q.hash_many(blocks[first])
-                return (offsets[np.cumsum(first) - 1] + keys) % np.uint64(r)
+                offsets = _block_offsets(self._q, keys // np.uint64(r))
+                return (offsets + keys) % np.uint64(r)
         values = keys.tolist() if isinstance(keys, np.ndarray) else [int(x) for x in keys]
         if not values:
             return np.zeros(0, dtype=np.uint64)
@@ -265,7 +270,19 @@ class PowerOfTwoLocalityHash:
         """Vectorised :meth:`hash_block` over a column of block indices."""
         return self._q.hash_many(blocks)
 
-    def hash_many(self, keys: Sequence[int] | Iterable[int]) -> np.ndarray:
+    def hash_many(self, keys: Sequence[int] | np.ndarray | Iterable[int]) -> np.ndarray:
+        """Hash a batch of keys; returns an (unsorted) ``uint64`` array.
+
+        A ``uint64`` column is grouped by block as in
+        :meth:`LocalityPreservingHash.hash_many`, with a shift for the
+        block and a mask for the modulo. A sum past ``2^64`` wraps only
+        bits the mask drops, so every key takes that path; other inputs
+        (big-integer string spaces) hash key by key.
+        """
+        if (isinstance(keys, np.ndarray) and keys.dtype == np.uint64
+                and keys.size and self._k < 64):
+            offsets = _block_offsets(self._q, keys >> np.uint64(self._k))
+            return (offsets + keys) & np.uint64(self._r - 1)
         keys = [int(x) for x in keys]
         offsets = {b: self._q(b) for b in {x >> self._k for x in keys}}
         mask = self._r - 1

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import gt
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -247,9 +248,17 @@ def validate_batch_bounds(
         raise InvalidQueryError(
             "batch queries need equal-length one-dimensional lo/hi arrays"
         )
-    if los.size and bool((los > his).any()):
+    if los.size <= SCALAR_CUTOFF:
+        # A few Python compares cost less than two numpy reductions.
+        lo_list, hi_list = los.tolist(), his.tolist()
+        out_of_order = any(map(gt, lo_list, hi_list))
+        top = max(hi_list, default=0)
+    else:
+        out_of_order = bool((los > his).any())
+        top = int(his.max())
+    if out_of_order:
         raise InvalidQueryError("batch query with lo > hi")
-    if los.size and universe <= 2**64 and int(his.max()) >= universe:
+    if los.size and top >= universe:
         raise InvalidQueryError("batch query outside the universe")
     return los, his
 
@@ -489,6 +498,12 @@ def _straight_batch_empty(
             seg_los.append(seg_lo)
             seg_his.append(seg_hi)
             qids.append(j)
+    if len(groups) == 1:
+        # One shard holds every range whole (a range that straddled
+        # shards would have made a second group): its segments are the
+        # ranges themselves, and its verdicts the batch's.
+        (sid,) = groups
+        return shard_batch_empty(engine.shards[sid], los, his)
     empty = np.ones(los.size, dtype=bool)
     for sid in sorted(groups):
         seg_los, seg_his, qids = groups[sid]

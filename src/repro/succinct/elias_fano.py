@@ -10,14 +10,16 @@ value contributes a one at position ``high_i + i``. Total space is at most
 Grafite (§3) relies on three operations implemented here:
 
 * ``access(i)`` — the i-th smallest value, via ``select1``;
-* ``predecessor(y)`` — the largest stored value ``<= y``, via two
-  ``select0`` calls that isolate the "bucket" of values sharing the high
-  part of ``y`` followed by a binary search on at most ``2^l`` low parts
-  (this is exactly the ``O(log(L / eps))`` query cost of Theorem 3.4);
+* ``predecessor(y)`` — the largest stored value ``<= y``: one
+  ``select0`` finds the start of the "bucket" of values sharing the high
+  part of ``y`` and a scan to the next zero of ``H`` its end, then a
+  binary search runs on at most ``2^l`` low parts (this is exactly the
+  ``O(log(L / eps))`` query cost of Theorem 3.4);
 * ``successor(y)`` — the smallest stored value ``>= y`` (used by tests and
   by the approximate-counting extension).
 
-Those are the scalar paper algorithm. Batch probes
+Those are the scalar paper algorithm, and they read the succinct form
+only: a scalar probe never decodes the sequence. Batch probes
 (``contains_in_range_batch``) instead decode the sequence once and search
 the cached ``uint64`` codes: in numpy, a batched succinct predecessor
 pays a fixed cost per call that dwarfs the search at every batch size the
@@ -149,10 +151,27 @@ class EliasFano:
 
         Values with high part ``p`` appear as a run of ones between the
         p-th and (p+1)-th zeros of ``H`` (paper §3, step 2 of Figure 2).
+        One ``select0`` finds the run's start; its end is the next zero
+        after it, found by a scan that reads one word for a short run, as
+        in Vigna's quasi-succinct indices, instead of a second select.
         """
-        i = self._high.select0(p - 1) - p + 1 if p > 0 else 0
-        j = self._high.select0(p) - p
-        return i, j
+        high = self._high
+        start = high.select0(p - 1) + 1 if p else 0
+        # ``p`` zeros precede both ends, so index = position - p.
+        return start - p, high.next_zero(start) - p
+
+    def _last_low_at_most(self, i: int, j: int, y_low: int) -> int:
+        """Rightmost index ``t`` in ``[i, j)`` with ``low[t] <= y_low``
+        (the caller has checked ``low[i] <= y_low``)."""
+        low = self._low
+        lo, hi = i, j - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if low[mid] <= y_low:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     # ------------------------------------------------------------------
     # Predecessor / successor
@@ -171,17 +190,10 @@ class EliasFano:
             return self._n - 1, self._last
         p = y >> self._l
         i, j = self._bucket_bounds(p)
-        y_low = y & ((1 << self._l) - 1) if self._l else 0
+        y_low = y & ((1 << self._l) - 1)
         if i < j and self._low[i] <= y_low:
-            # Rightmost index t in [i, j) with low[t] <= y_low.
-            lo, hi = i, j - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if self._low[mid] <= y_low:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo, (p << self._l) | self._low[lo]
+            t = self._last_low_at_most(i, j, y_low)
+            return t, (p << self._l) | self._low[t]
         # Bucket p has no value <= y; the predecessor is the last value of
         # an earlier bucket. i >= 1 here because y >= first.
         return i - 1, self.access(i - 1)
@@ -199,7 +211,7 @@ class EliasFano:
             return 0, self._first
         p = y >> self._l
         i, j = self._bucket_bounds(p)
-        y_low = y & ((1 << self._l) - 1) if self._l else 0
+        y_low = y & ((1 << self._l) - 1)
         if i < j and self._low[j - 1] >= y_low:
             # Leftmost index t in [i, j) with low[t] >= y_low.
             lo, hi = i, j - 1
@@ -228,12 +240,25 @@ class EliasFano:
         """Return ``True`` iff some stored value lies in ``[lo, hi]``.
 
         This is the emptiness primitive both Grafite and Bucketing reduce
-        to: ``predecessor(hi) >= lo``.
+        to: ``predecessor(hi) >= lo``. When ``lo`` and ``hi`` share a
+        high part (Grafite's hashed intervals nearly always do), the
+        answer is in that one bucket: an earlier bucket's values all lie
+        below ``lo``, so no ``access`` of the value before it is needed.
         """
-        if lo > hi:
+        if lo > hi or self._n == 0 or hi < self._first or lo > self._last:
             return False
-        pred = self.predecessor(hi)
-        return pred is not None and pred >= lo
+        if hi >= self._last or lo <= self._first:
+            return True
+        p = hi >> self._l
+        i, j = self._bucket_bounds(p)
+        hi_low = hi & ((1 << self._l) - 1)
+        if i < j and self._low[i] <= hi_low:
+            t = self._last_low_at_most(i, j, hi_low)
+            return ((p << self._l) | self._low[t]) >= lo
+        if lo >> self._l == p:
+            return False
+        # i >= 1: first < lo <= hi, so a value precedes bucket p.
+        return self.access(i - 1) >= lo
 
     # ------------------------------------------------------------------
     # Batch queries

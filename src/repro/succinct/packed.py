@@ -80,9 +80,9 @@ class PackedIntVector:
             return 0
         bit_pos = i * self._width
         word_idx, offset = divmod(bit_pos, _WORD_BITS)
-        value = int(self._words[word_idx]) >> offset
+        value = self._words.item(word_idx) >> offset
         if offset + self._width > _WORD_BITS:
-            value |= int(self._words[word_idx + 1]) << (_WORD_BITS - offset)
+            value |= self._words.item(word_idx + 1) << (_WORD_BITS - offset)
         return value & ((1 << self._width) - 1)
 
     def get_many(self, indices: Iterable[int]) -> np.ndarray:

@@ -6,8 +6,10 @@
   the heap spans (the walk the writer used before);
 * every registry backend builds the same filter from shuffled keys with
   repeats as from their sorted unique column;
-* Grafite's batch hash (one block evaluation per run of equal blocks)
-  equals the scalar hash on sorted, unsorted and single-block input.
+* Grafite's batch hashes (one block evaluation per run of equal blocks),
+  the default one and the power-of-two one of string Grafite, equal the
+  scalar hash on sorted, unsorted and single-block input, and near the
+  top of the universe.
 """
 
 import zlib
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import LocalityPreservingHash
+from repro.core.hashing import LocalityPreservingHash, PowerOfTwoLocalityHash
 from repro.engine.persist import _block_crcs, run_from_bytes, run_to_bytes
 from repro.errors import InvalidKeyError
 from repro.filters.base import as_key_array, sorted_unique
@@ -213,3 +215,29 @@ def test_hash_many_near_the_top_of_the_universe_uses_the_scalar_lane():
     hasher = LocalityPreservingHash(1 << 20, domain=2**64, seed=9)
     keys = np.asarray([TOP - 5, 3, TOP, 2**63], dtype=np.uint64)
     assert hasher.hash_many(keys).tolist() == [hasher(k) for k in keys.tolist()]
+
+
+@pytest.mark.parametrize("k, domain", [(10, 2**64), (20, 2**40)])
+@pytest.mark.parametrize("layout", ["sorted", "unsorted", "one_block", "near_top"])
+def test_power_of_two_hash_many_equals_the_scalar_hash(k, domain, layout):
+    """The shift-and-mask hash of string Grafite groups blocks the same
+    way; a sum past 2^64 near the top of the universe only wraps bits the
+    mask drops."""
+    rng = np.random.default_rng(k)
+    hasher = PowerOfTwoLocalityHash(k, domain=domain, seed=5)
+    r = 1 << k
+    if layout == "one_block":
+        keys = np.sort(17 * r + rng.integers(0, r, 300, dtype=np.uint64))
+    elif layout == "near_top":
+        keys = np.asarray([domain - 1 - d for d in (0, 1, 5, r, 3 * r + 7)]
+                          + [0, 3], dtype=np.uint64)
+    else:
+        keys = np.sort(rng.integers(0, domain - 1, 3000, dtype=np.uint64))
+        keys[100:110] = keys[100]  # repeated keys share a block too
+        if layout == "unsorted":
+            keys = rng.permutation(keys)
+    before = keys.copy()
+    got = hasher.hash_many(keys)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [hasher(x) for x in keys.tolist()]
+    assert keys.tolist() == before.tolist()

@@ -204,3 +204,125 @@ class TestBatchProbe:
             got = ef.contains_in_range_batch(los, his)
             want = [ef.contains_in_range(int(lo), int(hi)) for lo, hi in zip(los, his)]
             assert got.tolist() == want, f"batch of {size}"
+
+
+def _ef_layouts():
+    """Named ``(values, universe)`` layouts for the scalar kernels: empty
+    buckets, duplicates, ``l = 0``, a bucket whose last one is bit 63 of
+    an ``H`` word, and a single value (first == last)."""
+    rng = np.random.default_rng(31)
+    sparse = np.sort(rng.choice(2**40, 300, replace=False)).tolist()
+    return {
+        "empty_buckets": (sparse, 2**40),
+        "duplicates": (np.sort(rng.integers(0, 50, 400)).tolist(), 2**10),
+        "l_zero": (sorted(set(rng.integers(0, 90, 80).tolist())), 90),
+        # 64 values of high part 0 fill H's word 0 with ones (positions
+        # 0..63); bucket 0 ends there and its zero opens word 1.
+        "bucket_ends_on_bit_63": ([0] * 30 + [1] * 20 + [3] * 14 + [5, 9, 100, 279], 280),
+        # l = 4: bucket 0 holds positions 0..4, bucket 1 is empty, and
+        # bucket 2 starts mid-word at 7 and ends on bit 63 too.
+        "mid_word_bucket_ends_on_bit_63": (
+            [0, 1, 2, 3, 15] + sorted(list(range(32, 48)) * 3 + [40] * 9)
+            + [400, 1000], 1024,
+        ),
+        "single_value": ([77], 2**16),
+    }
+
+
+_LAYOUTS = _ef_layouts()
+
+
+@st.composite
+def _sequences(draw):
+    """Sorted values with a universe: clustered (duplicates and full
+    buckets), spread (empty buckets) or dense (``l = 0``)."""
+    shape = draw(st.sampled_from(["clustered", "spread", "dense"]))
+    if shape == "clustered":
+        top = draw(st.integers(1, 64))
+        values = draw(st.lists(st.integers(0, top), min_size=1, max_size=300))
+        universe = top + draw(st.integers(1, 2**12))
+    elif shape == "spread":
+        universe = draw(st.sampled_from([2**20, 2**40, 2**64]))
+        values = draw(st.lists(st.integers(0, universe - 1), min_size=1, max_size=80))
+    else:
+        universe = draw(st.integers(1, 200))
+        values = draw(st.lists(st.integers(0, universe - 1), min_size=universe, max_size=400))
+    return sorted(values), universe
+
+
+class TestScalarAgainstNumpy:
+    """The scalar kernels (one ``select0`` plus a scan to the next zero
+    per bucket) against a ``searchsorted`` reference on the plain
+    values."""
+
+    @staticmethod
+    def _check(values, universe):
+        ef = EliasFano(values, universe=universe)
+        ref = np.asarray(values, dtype=np.uint64)
+        highs = ref >> np.uint64(ef.low_bits)
+        max_high = (universe - 1) >> ef.low_bits
+        for p in range(min(int(highs[-1]) + 1, max_high) + 1):
+            want = np.searchsorted(highs, np.uint64(p), "left"), np.searchsorted(
+                highs, np.uint64(p), "right")
+            assert ef._bucket_bounds(p) == tuple(map(int, want)), f"bucket {p}"
+        probes = {0, universe - 1, values[0], values[-1]}
+        for v in values[:: max(1, len(values) // 40)]:
+            probes.update(y for y in (v - 1, v, v + 1) if 0 <= y < universe)
+        width = 1 << ef.low_bits
+        probes.update(y for y in list(probes) for y in (y - width, y + width)
+                      if 0 <= y < universe)
+        probes = sorted(probes)
+        ys = np.asarray(probes, dtype=np.uint64)
+        right = np.searchsorted(ref, ys, "right")
+        left = np.searchsorted(ref, ys, "left")
+        for y, r, l in zip(probes, right.tolist(), left.tolist()):
+            pred = None if r == 0 else (r - 1, values[r - 1])
+            succ = None if l == len(values) else (l, values[l])
+            assert ef.predecessor_index(y) == pred, f"predecessor({y})"
+            assert ef.successor_index(y) == succ, f"successor({y})"
+            assert ef.rank_leq(y) == r
+        # Ranges over every pair of neighbouring probes, both widths.
+        for lo, hi in zip(probes, probes[1:] + [probes[-1]]):
+            for a, b in ((lo, hi), (lo, lo), (hi, hi), (lo + 1, hi)):
+                i = int(np.searchsorted(ref, np.uint64(a), "left")) if a < universe else len(values)
+                want = i < len(values) and values[i] <= b
+                assert ef.contains_in_range(a, b) == (want and a <= b), f"[{a}, {b}]"
+        assert [ef.access(i) for i in range(len(values))] == values
+        assert ef._decoded is None, "scalar operations decode nothing"
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUTS))
+    def test_layouts(self, name):
+        values, universe = _LAYOUTS[name]
+        self._check(values, universe)
+
+    def test_layouts_hit_the_cases_they_name(self):
+        values, universe = _LAYOUTS["l_zero"]
+        assert EliasFano(values, universe=universe).low_bits == 0
+        for name in ("bucket_ends_on_bit_63", "mid_word_bucket_ends_on_bit_63"):
+            values, universe = _LAYOUTS[name]
+            ef = EliasFano(values, universe=universe)
+            word0 = int(ef._high.bitvector.words[0])
+            assert word0 >> 63 == 1 and int(ef._high.bitvector.words[1]) & 1 == 0
+        values, universe = _LAYOUTS["empty_buckets"]
+        ef = EliasFano(values, universe=universe)
+        occupied = {v >> ef.low_bits for v in values}
+        assert ef.low_bits > 0 and len(occupied) < ef._high.num_zeros
+
+    @given(_sequences())
+    @settings(max_examples=120, deadline=None)
+    def test_generated_sequences(self, seq):
+        self._check(*seq)
+
+
+def test_scalar_grafite_probes_leave_the_codes_undecoded():
+    """Scalar probes stay succinct: no decoded copy of the codes."""
+    from repro.core.grafite import Grafite
+
+    rng = np.random.default_rng(3)
+    keys = np.unique(rng.integers(0, 2**40, 2000, dtype=np.uint64))
+    filt = Grafite(keys, 2**40, bits_per_key=16, max_range_size=32, seed=1)
+    for lo in rng.integers(0, 2**40 - 32, 300).tolist():
+        filt.may_contain_range(lo, lo + 31)
+    for key in keys[:50].tolist():
+        assert filt.may_contain_range(key, key + 5)
+    assert filt._ef._decoded is None

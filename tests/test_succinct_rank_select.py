@@ -1,5 +1,6 @@
 """Unit and property tests for the rank/select structure."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +136,56 @@ class TestWholeWordRuns:
                 flags.extend([w == "1"] * 64)
         for tail in (0, 5):
             self._check_select0(flags + [True, False, True, True, False][:tail])
+
+
+@st.composite
+def _word_patterns(draw):
+    """Bit vectors built from whole-word patterns (all ones, all zeros,
+    a run of ones up to bit 63, random) plus a partial tail."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flags = []
+    for kind in draw(st.lists(st.sampled_from("01er"), min_size=1, max_size=6)):
+        if kind == "e":  # ones from a random offset through bit 63
+            start = int(rng.integers(0, 64))
+            flags.extend([False] * start + [True] * (64 - start))
+        elif kind == "r":
+            flags.extend((rng.random(64) < 0.5).tolist())
+        else:
+            flags.extend([kind == "1"] * 64)
+    tail = draw(st.integers(0, 63))
+    flags.extend((rng.random(tail) < 0.5).tolist())
+    return flags
+
+
+class TestAgainstNumpyReference:
+    """Every operation against ``flatnonzero``/``cumsum`` on the bits."""
+
+    @given(_word_patterns())
+    @settings(max_examples=120, deadline=None)
+    def test_rank_select_and_next_zero(self, flags):
+        bits = np.asarray(flags, dtype=bool)
+        ones, zeros = np.flatnonzero(bits), np.flatnonzero(~bits)
+        rank = np.concatenate(([0], np.cumsum(bits)))
+        rs = RankSelect(BitVector.from_bools(flags))
+        assert (rs.num_ones, rs.num_zeros) == (ones.size, zeros.size)
+        assert [rs.rank1(i) for i in range(bits.size + 1)] == rank.tolist()
+        assert [rs.select1(k) for k in range(ones.size)] == ones.tolist()
+        assert [rs.select0(k) for k in range(zeros.size)] == zeros.tolist()
+        after = np.searchsorted(zeros, np.arange(bits.size))
+        for i, z in enumerate(after.tolist()):
+            if z < zeros.size:
+                assert rs.next_zero(i) == zeros[z], f"next_zero({i})"
+            else:
+                with pytest.raises(IndexError):
+                    rs.next_zero(i)
+
+    def test_next_zero_crosses_whole_words_of_ones(self):
+        flags = [False] * 10 + [True] * 54 + [True] * 128 + [False] + [True] * 3
+        rs = RankSelect(BitVector.from_bools(flags))
+        assert rs.next_zero(10) == 192
+        assert rs.next_zero(63) == 192
+        assert rs.next_zero(0) == 0
+        with pytest.raises(IndexError):
+            rs.next_zero(193)  # only padding zeros follow
+        with pytest.raises(IndexError):
+            rs.next_zero(len(flags))
