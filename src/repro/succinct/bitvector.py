@@ -23,9 +23,7 @@ from repro.errors import InvalidParameterError
 _WORD_BITS = 64
 
 # Per-byte popcount table; numpy < 2.0 has no bitwise_count ufunc, so we
-# popcount through a uint8 view and a 256-entry lookup. The table also
-# backs the byte-walking select kernels in rank_select regardless of the
-# numpy version.
+# popcount through a uint8 view and a 256-entry lookup.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
 
 #: True when numpy provides the hardware-popcount ufunc (numpy >= 2.0).

@@ -137,7 +137,7 @@ def test_two_readers_merging_at_once_leave_no_duplicate_keys():
 
 
 def test_many_readers_merging_after_each_write_block_leave_no_duplicates():
-    """Stress: four reader threads (more than this suite assumes cores)
+    """Stress: four reader threads, more than a small host has cores,
     call ``keys_array`` together after every block of writes."""
     rng = np.random.default_rng(7)
     old = sys.getswitchinterval()
